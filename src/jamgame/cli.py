@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import dist
+from .dist import check_symmetric_unimodal
 from .nonsensing import (
-    BracketingError,
     GameInstance,
     InadmissibleDistributionError,
     solve_equilibrium,
@@ -166,13 +166,14 @@ def cmd_solve_reactive(args) -> int:
         "epsilon": opts.epsilon,
         "points": [
             dict(p.to_dict(), certificate=c.to_dict(), iterations=t.iterations,
-                 terminated_by=t.terminated_by.value)
+                 terminated_by=t.terminated_by.value, polished_at=t.polished_at)
             for p, t, c in results
         ],
     }
     for i, (p, t, c) in enumerate(results):
         tag = "primary" if i == 0 else f"start {i}"
         print(f"[{tag}] terminated_by={t.terminated_by.value} iters={t.iterations} "
+              f"polished_at={t.polished_at} "
               f"alpha={p.theta[0]:.6f} beta={p.theta[1]:.6f} "
               f"xhat0={p.xhat[0]:.6f} xhat1={p.xhat[1]:.6f} "
               f"grad_norm={c.grad_norm:.3e} lp_gap={c.lp_gap:.3e} certified={c.certified}")
@@ -241,13 +242,17 @@ def cmd_sweep(args) -> int:
         cs = _grid(args.c_grid, "--c-grid")
         ds = _grid(args.d_grid, "--d-grid")
         base = build_distribution(args)
+        report = check_symmetric_unimodal(base)
+        if not report.ok:
+            raise InadmissibleDistributionError(report)
         lines.append("# optimal non-sensing jamming probability over a (c, d) grid")
         lines.append("# grid ranges are a tool choice, not part of the problem statement")
         lines.append(f"# family={base.family.value} sigma2={_fmt(base.variance)}")
         lines.append("c,d,phi_star,regime,value")
         for c in cs:
             for d in ds:
-                eq = solve_equilibrium(GameInstance(base, float(c), float(d)))
+                eq = solve_equilibrium(GameInstance(base, float(c), float(d)),
+                                       check_admissible=False)
                 lines.append(",".join([
                     _fmt(c), _fmt(d), _fmt(eq.phi_star), eq.regime.value, _fmt(eq.value),
                 ]))
@@ -436,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except (IntegrationError, BracketingError, ArithmeticError) as exc:
+    except (IntegrationError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ValueError, OSError) as exc:

@@ -13,11 +13,17 @@ import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtr, ndtri
+
+_SQRT_2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Gauss-Legendre rule applied to every cell of a tabulated density's grid
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 
 
 class Family(Enum):
@@ -41,7 +47,9 @@ class SourceDistribution:
     variance : float
         Second moment about the (zero) mean.
     truncation_radius : float
-        Half-width of the effective support used for numeric integration.
+        Half-width of the grid the admissibility check scans (and, for a
+        table, of the support). The closed-form moments of the Gaussian and
+        Laplace families integrate the whole line.
     breakpoints : tuple of float
         Interior points where the density is not smooth (quadrature splits
         there). Empty for Gaussian.
@@ -66,14 +74,44 @@ class SourceDistribution:
         """Inverse CDF; maps uniforms in (0, 1) to samples."""
         raise NotImplementedError
 
+    def _upper_tail(self, t: float) -> tuple[float, float, float]:
+        """Upper-tail moments integral_t^inf x^k f(x) dx, k = 0, 1, 2, for
+        0 <= t <= inf (symmetric closed-form families)."""
+        raise NotImplementedError
+
+    def partial_moments(self, lo: float, hi: float) -> np.ndarray:
+        """Truncated moments E[X^k; lo < X < hi] for k = 0, 1, 2.
+
+        Either end may be infinite; an empty interval gives zeros. The
+        symmetric families add the upper-tail moments of the part right of 0
+        to the mirrored ones of the part left of it, so no difference of two
+        values near 1 loses the tails.
+        """
+        if not lo < hi:
+            return np.zeros(3)
+        r0, r1, r2 = self._upper_tail(max(lo, 0.0))
+        s0, s1, s2 = self._upper_tail(max(hi, 0.0))
+        l0, l1, l2 = self._upper_tail(max(-hi, 0.0))
+        m0, m1, m2 = self._upper_tail(max(-lo, 0.0))
+        return np.array([(r0 - s0) + (l0 - m0), (r1 - s1) - (l1 - m1), (r2 - s2) + (l2 - m2)])
+
+    @cached_property
+    def full_moments(self) -> np.ndarray:
+        """(E[1], E[X], E[X^2]) over the whole support; read-only."""
+        m = self.partial_moments(-math.inf, math.inf)
+        m.flags.writeable = False
+        return m
+
     def tail_second_moment(self, t: float) -> float:
-        """Two-sided tail second moment M(t) = 2 * integral_t^inf x^2 f(x) dx.
+        """Two-sided tail second moment M(t) = E[X^2; |X| > t].
 
         Non-increasing in t, with M(0) equal to the variance. This is the
         quantity whose comparison with the jamming cost decides whether the
         non-sensing jammer attacks at all.
         """
-        raise NotImplementedError
+        if t < 0:
+            raise ValueError("t must be nonnegative")
+        return float(self.partial_moments(t, math.inf)[2] + self.partial_moments(-math.inf, -t)[2])
 
     def sample(self, seed: int, n: int) -> np.ndarray:
         """Draw ``n`` i.i.d. samples, deterministically for a fixed seed.
@@ -114,7 +152,7 @@ class Gaussian(SourceDistribution):
     def pdf(self, x):
         x = self._check_finite(x)
         z = x / self.scale
-        return np.exp(-0.5 * z * z) / (self.scale * math.sqrt(2.0 * math.pi))
+        return np.exp(-0.5 * z * z) / (self.scale * _SQRT_2PI)
 
     def cdf(self, x):
         return ndtr(np.asarray(x, dtype=float) / self.scale)
@@ -122,13 +160,13 @@ class Gaussian(SourceDistribution):
     def ppf(self, u):
         return self.scale * ndtri(np.asarray(u, dtype=float))
 
-    def tail_second_moment(self, t: float) -> float:
-        if t < 0:
-            raise ValueError("t must be nonnegative")
+    def _upper_tail(self, t: float) -> tuple[float, float, float]:
+        if t == math.inf:
+            return (0.0, 0.0, 0.0)
         u = t / self.scale
-        phi = math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-        q = float(ndtr(-u))
-        return 2.0 * self.variance * (q + u * phi)
+        phi = math.exp(-0.5 * u * u) / _SQRT_2PI
+        q = 0.5 * math.erfc(u / _SQRT_2)
+        return (q, self.scale * phi, self.variance * (q + u * phi))
 
 
 class Laplace(SourceDistribution):
@@ -174,11 +212,12 @@ class Laplace(SourceDistribution):
         hi = -self.scale * np.log(np.maximum(2.0 * (1.0 - u), 1e-300))
         return np.where(u < 0.5, lo, hi)
 
-    def tail_second_moment(self, t: float) -> float:
-        if t < 0:
-            raise ValueError("t must be nonnegative")
+    def _upper_tail(self, t: float) -> tuple[float, float, float]:
         b = self.scale
-        return math.exp(-t / b) * (t * t + 2.0 * b * t + 2.0 * b * b)
+        e = 0.5 * math.exp(-t / b)
+        if e == 0.0:
+            return (0.0, 0.0, 0.0)
+        return (e, e * (t + b), e * (t * t + 2.0 * b * t + 2.0 * b * b))
 
 
 class Tabulated(SourceDistribution):
@@ -186,8 +225,9 @@ class Tabulated(SourceDistribution):
 
     Monotone cubic (PCHIP) interpolation is applied to the log-density,
     which preserves positivity; the result is renormalized to unit mass on
-    the truncated domain. The table knots are quadrature breakpoints since
-    the interpolant is only C^1 there.
+    the truncated domain. Moments come from a cumulative table over a
+    fine grid that contains every knot (the interpolant is only C^1 there),
+    so each grid cell takes a fixed Gauss-Legendre rule.
 
     The table must have strictly increasing x spanning both signs, strictly
     positive f, and a numerically zero mean after normalization.
@@ -216,29 +256,13 @@ class Tabulated(SourceDistribution):
             t for t in x if -self.truncation_radius < t < self.truncation_radius
         )
 
-        # Normalize, then moment-check, with quadrature over the knot pieces.
-        from .quadrature import PiecewiseIntegrand, integrate
-
-        def raw(z):
-            return np.exp(self._logf(np.clip(z, x[0], x[-1])))
-
-        dom = (-self.truncation_radius, self.truncation_radius)
-        mass = integrate(PiecewiseIntegrand(raw, self.breakpoints, dom), tol=1e-12).value
-        if not (mass > 0):
-            raise ValueError("tabulated density has nonpositive mass")
-        self._norm = 1.0 / mass
-
-        mean = integrate(
-            PiecewiseIntegrand(lambda z: z * self.pdf(z), self.breakpoints, dom), tol=1e-12
-        ).value
+        self._build_cdf_table()
+        mass, mean, second = self._cum[-1]
         if abs(mean) > 1e-6:
             raise ValueError(f"tabulated density has nonzero mean {mean:.3e}; shift it to 0 first")
         self.mean = 0.0
-        self.variance = integrate(
-            PiecewiseIntegrand(lambda z: z * z * self.pdf(z), self.breakpoints, dom), tol=1e-12
-        ).value
+        self.variance = float(second)
         self.scale = math.sqrt(self.variance)
-        self._build_cdf_table()
 
     @classmethod
     def from_csv(cls, path) -> "Tabulated":
@@ -268,22 +292,36 @@ class Tabulated(SourceDistribution):
         out = np.zeros_like(x)
         inside = np.abs(x) <= self.truncation_radius
         if np.any(inside):
-            out[inside] = getattr(self, "_norm", 1.0) * np.exp(self._logf(x[inside]))
+            out[inside] = self._norm * np.exp(self._logf(x[inside]))
         return float(out[0]) if scalar else out
 
-    def _build_cdf_table(self):
-        from .quadrature import PiecewiseIntegrand, integrate
+    def _cell_moments(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """integral_lo^hi x^k f(x) dx, k = 0, 1, 2, per cell, from one
+        Gauss-Legendre evaluation of all cells; each cell lies inside one
+        knot interval, where the interpolant is smooth."""
+        half = 0.5 * (hi - lo)
+        z = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_X
+        wf = half[:, None] * _GL_W * self._norm * np.exp(self._logf(z))
+        return np.stack([wf.sum(axis=1), (wf * z).sum(axis=1), (wf * z * z).sum(axis=1)], axis=1)
 
+    def _build_cdf_table(self):
+        """Cumulative moment table on a 2001-point grid plus the knots.
+
+        Also normalizes the density: row i holds the moments of
+        [-R, grid[i]], divided by the total mass. The CDF used by ``cdf``
+        and ``ppf`` is its first column.
+        """
         R = self.truncation_radius
         grid = np.unique(np.concatenate([np.linspace(-R, R, 2001), np.asarray(self.breakpoints)]))
-        masses = [
-            integrate(PiecewiseIntegrand(self.pdf, (), (a, b)), tol=1e-13).value
-            for a, b in zip(grid[:-1], grid[1:])
-        ]
-        cdf = np.concatenate([[0.0], np.cumsum(masses)])
-        cdf /= cdf[-1]
+        self._norm = 1.0
+        cells = self._cell_moments(grid[:-1], grid[1:])
+        mass = float(cells[:, 0].sum())
+        if not (mass > 0):
+            raise ValueError("tabulated density has nonpositive mass")
+        self._norm = 1.0 / mass
+        self._cum = np.concatenate([np.zeros((1, 3)), np.cumsum(cells / mass, axis=0)])
         self._cdf_x = grid
-        self._cdf_y = cdf
+        self._cdf_y = self._cum[:, 0] / self._cum[-1, 0]
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -293,27 +331,18 @@ class Tabulated(SourceDistribution):
         u = np.asarray(u, dtype=float)
         return np.interp(u, self._cdf_y, self._cdf_x)
 
-    def tail_second_moment(self, t: float) -> float:
-        if t < 0:
-            raise ValueError("t must be nonnegative")
+    def partial_moments(self, lo: float, hi: float) -> np.ndarray:
         R = self.truncation_radius
-        if t >= R:
-            return 0.0
-        from .quadrature import PiecewiseIntegrand, integrate
-
-        kinks = tuple(k for k in self.breakpoints if t < k < R)
-        half = integrate(
-            PiecewiseIntegrand(lambda z: z * z * self.pdf(z), kinks, (t, R)), tol=1e-12
-        ).value
-        neg = integrate(
-            PiecewiseIntegrand(
-                lambda z: z * z * self.pdf(z),
-                tuple(k for k in self.breakpoints if -R < k < -t),
-                (-R, -t),
-            ),
-            tol=1e-12,
-        ).value
-        return half + neg
+        lo, hi = max(lo, -R), min(hi, R)
+        if not lo < hi:
+            return np.zeros(3)
+        # moments of [-R, t] = table row of the grid point below t plus the rest of its cell
+        ends = np.array([lo, hi])
+        below = np.clip(np.searchsorted(self._cdf_x, ends, side="right") - 1, 0, self._cdf_x.size - 2)
+        cum = self._cum[below] + self._cell_moments(self._cdf_x[below], ends)
+        m = cum[1] - cum[0]
+        # rounding must not make a mass or a second moment negative
+        return np.array([max(m[0], 0.0), m[1], max(m[2], 0.0)])
 
 
 def gaussian(sigma2: float, truncation_radius: float | None = None) -> Gaussian:

@@ -3,10 +3,12 @@
 The jammer blocks with a fixed probability phi independent of the sensor's
 action. Under a symmetric unimodal zero-mean density the sensor's best
 response is a symmetric threshold rule, both representation symbols sit at
-the mean, and the optimal phi is either 0 or the unique root of the tail
-second moment condition M(sqrt(c/(1-phi))) = d. This module computes that
-equilibrium in closed form plus root-finding, and verifies the saddle
-property numerically on deviation grids.
+the mean, and the optimal phi is 0, the unique root of the tail second
+moment condition M(sqrt(c/(1-phi))) = d, or 1 when that condition never
+turns negative (free transmission, or free jamming). This module computes
+that equilibrium in closed form plus root-finding, and verifies the saddle
+property numerically on deviation grids. Its objectives are the reactive
+game's kernel on the diagonal alpha = beta = phi.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from enum import Enum
 import numpy as np
 
 from .dist import SourceDistribution, check_symmetric_unimodal
-from .quadrature import expectation
 
 
 class Regime(Enum):
     NO_JAM = "NoJam"
     INTERIOR_JAM = "InteriorJam"
+    ALWAYS_JAM = "AlwaysJam"
 
 
 class InadmissibleDistributionError(ValueError):
@@ -33,10 +35,6 @@ class InadmissibleDistributionError(ValueError):
     def __init__(self, report):
         self.report = report
         super().__init__(f"distribution is not admissible: {report.describe()}")
-
-
-class BracketingError(ArithmeticError):
-    """The jamming-probability root could not be bracketed below phi = 1."""
 
 
 @dataclass(frozen=True)
@@ -95,28 +93,21 @@ def objective(inst: GameInstance, phi: float, xhat: tuple[float, float] = (0.0, 
     """Game value E[min{(1-phi)(X-xhat0)^2, c}] + phi (E[(X-xhat1)^2] - d).
 
     This is the objective after the sensor best-responds to (phi, xhat)
-    with the threshold rule.
+    with the threshold rule: the reactive objective at alpha = beta = phi.
     """
+    from .reactive import ReactivePoint, objective_jtilde
+
     if not 0.0 <= phi <= 1.0:
         raise ValueError("phi must lie in [0, 1]")
-    x0, x1 = xhat
-    second = inst.dist.variance + x1 * x1
-    if phi == 1.0:
-        return second - inst.d
-    tau = math.sqrt(inst.c / (1.0 - phi))
-    min_term = expectation(
-        inst.dist,
-        lambda x: np.minimum((1.0 - phi) * (x - x0) ** 2, inst.c),
-        kinks=(x0 - tau, x0 + tau),
-    )
-    return min_term + phi * (second - inst.d)
+    return objective_jtilde(inst, ReactivePoint(xhat, (phi, phi)))
 
 
 def jam_marginal(inst: GameInstance, phi: float) -> float:
     """Derivative of the reduced objective in phi: M(sqrt(c/(1-phi))) - d.
 
-    Strictly decreasing in phi with limit -d as phi -> 1; its sign at 0 and
-    its root decide the equilibrium regime.
+    Strictly decreasing in phi with limit -d as phi -> 1 when c > 0 (constant
+    variance - d when c = 0); its sign at 0 and its root, or its staying
+    nonnegative, decide the equilibrium regime.
     """
     if not 0.0 <= phi < 1.0:
         raise ValueError("phi must lie in [0, 1)")
@@ -135,7 +126,9 @@ class NonSensingEquilibrium:
     """Saddle point for the non-sensing jammer.
 
     ``threshold`` is tau = sqrt(c / (1 - phi_star)); the sensor transmits
-    iff |x| > tau. Both representation symbols are 0.
+    iff |x| > tau. Both representation symbols are 0. In the always-jam
+    regime (phi_star = 1) every transmission is blocked: the threshold is
+    +inf when transmitting costs c > 0, and 0 when it is free.
     """
 
     phi_star: float
@@ -158,6 +151,25 @@ class NonSensingEquilibrium:
         return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
+def _marginal_root(inst: GameInstance, hi: float, xtol: float) -> float:
+    """Root of the jamming marginal in (0, hi), where it changes sign:
+    bisection, then one Newton step if it stays inside the bracket."""
+    lo = 0.0
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if jam_marginal(inst, mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    phi = 0.5 * (lo + hi)
+    slope = _jam_marginal_derivative(inst, phi)
+    if slope < 0.0:
+        newton = phi - jam_marginal(inst, phi) / slope
+        if lo <= newton <= hi:
+            phi = newton
+    return phi
+
+
 def solve_equilibrium(
     inst: GameInstance,
     xtol: float = 1e-10,
@@ -167,8 +179,10 @@ def solve_equilibrium(
 
     Bisection brackets the unique root of the (strictly decreasing) jamming
     marginal, then a single Newton step with the closed-form derivative
-    polishes the final digit. Distributions failing the admissibility check
-    are refused rather than solved incorrectly.
+    polishes the final digit. When the marginal is still nonnegative at
+    phi = 1 - 1e-12 the jammer always jams (phi_star = 1, value
+    variance - d). Distributions failing the admissibility check are
+    refused rather than solved incorrectly.
     """
     if check_admissible:
         report = check_symmetric_unimodal(inst.dist)
@@ -176,39 +190,22 @@ def solve_equilibrium(
             raise InadmissibleDistributionError(report)
 
     g0 = jam_marginal(inst, 0.0)
-    if g0 < 0.0:
-        phi = 0.0
-        regime = Regime.NO_JAM
-    else:
-        regime = Regime.INTERIOR_JAM
-        if g0 == 0.0:
-            phi = 0.0
+    regime = Regime.NO_JAM if g0 < 0.0 else Regime.INTERIOR_JAM
+    phi = 0.0
+    if g0 > 0.0:
+        delta = 0.25
+        while jam_marginal(inst, 1.0 - delta) >= 0.0:
+            delta *= 0.5
+            if delta < 1e-12:
+                regime, phi = Regime.ALWAYS_JAM, 1.0
+                break
         else:
-            lo, glo = 0.0, g0
-            delta = 0.25
-            hi = 1.0 - delta
-            while jam_marginal(inst, hi) >= 0.0:
-                delta *= 0.5
-                if delta < 1e-12:
-                    raise BracketingError(
-                        "jamming marginal stays nonnegative up to phi = 1 - 1e-12; "
-                        "the root is at the regime boundary (c ~ 0 with d <= variance)"
-                    )
-                hi = 1.0 - delta
-            while hi - lo > xtol:
-                mid = 0.5 * (lo + hi)
-                if jam_marginal(inst, mid) >= 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            phi = 0.5 * (lo + hi)
-            slope = _jam_marginal_derivative(inst, phi)
-            if slope < 0.0:
-                newton = phi - jam_marginal(inst, phi) / slope
-                if lo <= newton <= hi:
-                    phi = newton
+            phi = _marginal_root(inst, 1.0 - delta, xtol)
 
-    tau = math.sqrt(inst.c / (1.0 - phi))
+    if regime is Regime.ALWAYS_JAM:
+        tau = math.inf if inst.c > 0.0 else 0.0
+    else:
+        tau = math.sqrt(inst.c / (1.0 - phi))
     return NonSensingEquilibrium(
         phi_star=phi,
         xhat=(0.0, 0.0),
@@ -230,17 +227,10 @@ def fixed_policy_objective(
     block, the error against xhat1; the silent region mixes the idle symbol
     error with the blocked one.
     """
-    x0, x1 = xhat
+    from .reactive import ReactivePoint, _evaluate
 
-    def g(x):
-        tx = rule.transmit(x)
-        err1 = (x - x1) ** 2
-        on_tx = phi * err1 + inst.c
-        on_silent = (1.0 - phi) * (x - x0) ** 2 + phi * err1
-        return np.where(tx, on_tx, on_silent)
-
-    kinks = [b for b in (rule.silent_lo, rule.silent_hi) if math.isfinite(b)]
-    return expectation(inst.dist, g, kinks=kinks) - inst.d * phi
+    p = ReactivePoint(xhat, (phi, phi))
+    return float(_evaluate(inst, p, silent=(rule.silent_lo, rule.silent_hi))[0][0])
 
 
 @dataclass

@@ -14,26 +14,28 @@ first-order Nash equilibria: small gradient norm on the xhat side and a
 small box-LP ascent gap on the theta side. The primary solver alternates
 projected gradient ascent on theta with a convex-concave step on xhat built
 from the split Jt = F - G (F a closed-form quadratic, G a convex
-expectation of a max of quadratics); a two-timescale gradient
-descent-ascent baseline shares the termination contract.
+expectation of a max of quadratics), and every POLISH_EVERY iterations
+tries a Newton jump to a certified point of the current theta face; a
+two-timescale gradient descent-ascent baseline shares the termination
+contract. Every expectation is exact: the branch costs are quadratics in
+x, so each one is a coefficient row dotted with the truncated moments of
+the density over the whole line and over the one silent interval.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Iterable
 
 import numpy as np
+from scipy.optimize import fsolve
 
 from .nonsensing import GameInstance
-from .quadrature import expectation
 
-GRAD_TOL = 1e-12  # quadrature tolerance for objective/gradient expectations;
-# tight enough that finite-difference checks at h = 1e-5 stay below 1e-6
+POLISH_EVERY = 10  # PGA-CCP tries a Newton jump every this many iterations
 
 
 @dataclass(frozen=True)
@@ -94,9 +96,6 @@ class TransmitRegion:
     def transmit(self, x):
         return self.d_value(x) >= 0.0
 
-    def kinks(self) -> tuple[float, ...]:
-        return self.roots
-
     def silent_interval(self) -> tuple[float, float]:
         """Silent set as one (possibly empty or unbounded) open interval."""
         if self.shape is RegionShape.ALWAYS_TRANSMIT:
@@ -137,119 +136,82 @@ def transmit_region(
     return TransmitRegion(a2, a1, a0, (), shape)
 
 
-def _branches(inst: GameInstance, p: ReactivePoint, x: np.ndarray):
+def _evaluate(
+    inst: GameInstance, p: ReactivePoint, silent: tuple[float, float] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows [value, d/dxhat0, d/dxhat1, d/dalpha, d/dbeta] of Jt and of G.
+
+    The transmit cost A, the silent cost B and their derivatives are
+    quadratics in x, held as coefficient rows over (1, x, x^2). On the
+    silent interval S the sensor pays B, elsewhere A, so
+    Jt = E[A] + E[B - A; S] and G = E[max(A, B)] = E[B] - E[B - A; S]. The
+    derivatives split the same way (S moves only where A = B), so every
+    entry is a coefficient row dotted with the full-line moments or the
+    moments of S. ``silent`` replaces the best-response interval.
+    """
     x0, x1 = p.xhat
     a, b = p.theta
-    trans = b * (x - x1) ** 2 + inst.c - inst.d * b
-    silent = a * (x - x1) ** 2 + (1.0 - a) * (x - x0) ** 2 - inst.d * a
-    return trans, silent
-
-
-def _region_kinks(inst: GameInstance, p: ReactivePoint) -> tuple[float, ...]:
-    return transmit_region(p.xhat, p.theta, inst.c, inst.d).kinks()
+    c, d = inst.c, inst.d
+    q = np.array([
+        [
+            [b * x1 * x1 + c - d * b, -2.0 * b * x1, b],
+            [0.0, 0.0, 0.0],
+            [2.0 * b * x1, -2.0 * b, 0.0],
+            [0.0, 0.0, 0.0],
+            [x1 * x1 - d, -2.0 * x1, 1.0],
+        ],
+        [
+            [a * x1 * x1 + (1.0 - a) * x0 * x0 - d * a, -2.0 * (a * x1 + (1.0 - a) * x0), 1.0],
+            [2.0 * (1.0 - a) * x0, -2.0 * (1.0 - a), 0.0],
+            [2.0 * a * x1, -2.0 * a, 0.0],
+            [x1 * x1 - x0 * x0 - d, 2.0 * (x0 - x1), 0.0],
+            [0.0, 0.0, 0.0],
+        ],
+    ])
+    if not np.isfinite(q).all():
+        raise FloatingPointError(f"cost coefficients overflow at xhat={p.xhat!r}")
+    q_a, q_b = q
+    if silent is None:
+        silent = transmit_region(p.xhat, p.theta, c, d).silent_interval()
+    full = inst.dist.full_moments
+    on_silent = (q_b - q_a) @ inst.dist.partial_moments(*silent)
+    jt = q_a @ full + on_silent
+    g = q_b @ full - on_silent
+    if not np.isfinite(jt).all() or not np.isfinite(g).all():
+        raise FloatingPointError(
+            f"non-finite objective or gradient at xhat={p.xhat!r}, theta={p.theta!r}"
+        )
+    return jt, g
 
 
 def objective_jtilde(inst: GameInstance, p: ReactivePoint) -> float:
     """Reduced objective Jt = E[min of the two branch costs]."""
-
-    def g(x):
-        trans, silent = _branches(inst, p, x)
-        return np.minimum(trans, silent)
-
-    return expectation(inst.dist, g, kinks=_region_kinks(inst, p), tol=GRAD_TOL)
-
-
-def _grad_components(inst: GameInstance, p: ReactivePoint, x: np.ndarray, on_min: bool):
-    """Branch-selected integrand rows [d/dxhat0, d/dxhat1, d/dalpha, d/dbeta].
-
-    ``on_min`` selects the branch the min picks (gradients of Jt); the
-    complement gives the gradients of the convex part G. Ties (measure
-    zero) resolve to the transmit branch.
-    """
-    x0, x1 = p.xhat
-    a, b = p.theta
-    trans, silent = _branches(inst, p, x)
-    tx = trans <= silent if on_min else trans > silent
-    sx = ~tx
-    dev0 = x - x0
-    dev1 = x - x1
-    return np.stack(
-        [
-            -2.0 * (1.0 - a) * dev0 * sx,
-            np.where(tx, -2.0 * b * dev1, -2.0 * a * dev1),
-            (dev1**2 - dev0**2 - inst.d) * sx,
-            (dev1**2 - inst.d) * tx,
-        ],
-        axis=1,
-    )
+    return float(_evaluate(inst, p)[0][0])
 
 
 def grad_xhat(inst: GameInstance, p: ReactivePoint) -> np.ndarray:
     """Partial gradient of Jt in the representation symbols."""
-    vals = expectation(
-        inst.dist,
-        lambda x: _grad_components(inst, p, x, on_min=True)[:, :2],
-        kinks=_region_kinks(inst, p),
-        tol=GRAD_TOL,
-    )
-    return np.asarray(vals)
+    return _evaluate(inst, p)[0][1:3]
 
 
 def grad_theta(inst: GameInstance, p: ReactivePoint) -> np.ndarray:
     """Partial gradient of Jt in the jamming probabilities."""
-    vals = expectation(
-        inst.dist,
-        lambda x: _grad_components(inst, p, x, on_min=True)[:, 2:],
-        kinks=_region_kinks(inst, p),
-        tol=GRAD_TOL,
-    )
-    return np.asarray(vals)
-
-
-def _grads_full(inst: GameInstance, p: ReactivePoint) -> tuple[np.ndarray, np.ndarray]:
-    vals = expectation(
-        inst.dist,
-        lambda x: _grad_components(inst, p, x, on_min=True),
-        kinks=_region_kinks(inst, p),
-        tol=GRAD_TOL,
-    )
-    return vals[:2], vals[2:]
+    return _evaluate(inst, p)[0][3:]
 
 
 def dc_parts(inst: GameInstance, p: ReactivePoint) -> tuple[float, float]:
     """Convex split Jt = F - G.
 
-    F is the closed-form quadratic (the sum of both branch expectations);
+    F is the quadratic E[A] + E[B] (the sum of both branch expectations);
     G is the expectation of the max of the branches.
     """
-    x0, x1 = p.xhat
-    a, b = p.theta
-    s2 = inst.dist.variance
-    f_val = (
-        (1.0 - a) * x0 * x0
-        + (a + b) * x1 * x1
-        + (1.0 + b) * s2
-        + inst.c
-        - inst.d * (a + b)
-    )
-
-    def g(x):
-        trans, silent = _branches(inst, p, x)
-        return np.maximum(trans, silent)
-
-    g_val = expectation(inst.dist, g, kinks=_region_kinks(inst, p), tol=GRAD_TOL)
-    return f_val, g_val
+    jt, g = _evaluate(inst, p)
+    return float(jt[0] + g[0]), float(g[0])
 
 
 def grad_g(inst: GameInstance, p: ReactivePoint) -> np.ndarray:
-    """Gradient of the convex part G in xhat (branch complement of grad_xhat)."""
-    vals = expectation(
-        inst.dist,
-        lambda x: _grad_components(inst, p, x, on_min=False)[:, :2],
-        kinks=_region_kinks(inst, p),
-        tol=GRAD_TOL,
-    )
-    return np.asarray(vals)
+    """Gradient of the convex part G in xhat."""
+    return _evaluate(inst, p)[1][1:3]
 
 
 def pga_step(theta, grad, step: float) -> np.ndarray:
@@ -307,9 +269,12 @@ def lp_ascent_gap(grad: Iterable[float], theta: Iterable[float]) -> float:
 def certify_fne(inst: GameInstance, p: ReactivePoint, epsilon: float) -> FneCertificate:
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    gx, q = _grads_full(inst, p)
-    grad_norm = float(np.linalg.norm(gx))
-    gap = lp_ascent_gap(q, p.theta)
+    return _certificate(_evaluate(inst, p)[0], p, epsilon)
+
+
+def _certificate(jt: np.ndarray, p: ReactivePoint, epsilon: float) -> FneCertificate:
+    grad_norm = math.hypot(jt[1], jt[2])
+    gap = lp_ascent_gap(jt[3:], p.theta)
     return FneCertificate(grad_norm, gap, epsilon, grad_norm <= epsilon and gap <= epsilon)
 
 
@@ -338,12 +303,14 @@ class TraceRow:
 
 @dataclass
 class SolverTrace:
+    """What a solve did: one row per iteration plus row 0 (when recorded),
+    the iteration count, why it stopped, and the iteration after which it
+    jumped to a Newton-polished point (None when it did not)."""
+
     rows: list[TraceRow] = field(default_factory=list)
     terminated_by: Termination = Termination.MAX_ITERS
-
-    @property
-    def iterations(self) -> int:
-        return self.rows[-1].k if self.rows else 0
+    iterations: int = 0
+    polished_at: int | None = None
 
     def write_csv(self, out: IO[str]) -> None:
         w = csv.writer(out, lineterminator="\n")
@@ -405,6 +372,102 @@ def _canonical(inst: GameInstance, p: ReactivePoint, cert: FneCertificate) -> tu
     return p, cert
 
 
+def _newton_jump(inst: GameInstance, p: ReactivePoint, q: np.ndarray,
+                 epsilon: float) -> ReactivePoint | None:
+    """Solve the first-order system of p's theta face, starting from p.
+
+    The unknowns are xhat and the theta coordinates strictly inside (0, 1);
+    coordinates at a bound stay there. If that does not give a certified
+    point, each free coordinate in turn is fixed at the bound its gradient
+    ``q`` points to. Returns the first solution that ``certify_fne`` accepts
+    at ``epsilon``, or None.
+    """
+    free = [i for i in (0, 1) if 0.0 < p.theta[i] < 1.0]
+    faces = [{}] + [{i: 1.0 if q[i] > 0.0 else 0.0} for i in free]
+    for fixed in faces:
+        base = [fixed.get(i, p.theta[i]) for i in (0, 1)]
+        unknown = [i for i in free if i not in fixed]
+
+        def point(z) -> ReactivePoint:
+            theta = list(base)
+            for j, i in enumerate(unknown):
+                theta[i] = min(max(float(z[2 + j]), 0.0), 1.0)
+            return ReactivePoint((z[0], z[1]), tuple(theta))
+
+        def residual(z):
+            jt = _evaluate(inst, point(z))[0]
+            return [jt[1], jt[2]] + [jt[3 + i] for i in unknown]
+
+        try:
+            z = fsolve(residual, [*p.xhat] + [base[i] for i in unknown], full_output=True)[0]
+            candidate = point(z)
+            if certify_fne(inst, candidate, epsilon).certified:
+                return candidate
+        except (ValueError, ArithmeticError):  # the iterate left the finite domain
+            continue
+    return None
+
+
+def _solve(inst: GameInstance, init: ReactivePoint | None, opts: SolverOptions | None,
+           ccp: bool) -> tuple[ReactivePoint, SolverTrace, FneCertificate]:
+    """The loop both solvers share: a projected ascent step on theta, then
+    a CCP step (``ccp``) or a gradient descent step on xhat. Only PGA-CCP
+    records the CCP descent and tries the Newton jump."""
+    opts = opts or SolverOptions()
+    p = init or default_init(inst)
+    trace = SolverTrace()
+    jt = _evaluate(inst, p)[0]
+    cert = _certificate(jt, p, opts.epsilon)
+    no_descent = 0.0 if ccp else math.nan
+    if opts.record_trace:
+        trace.rows.append(
+            TraceRow(0, *p.xhat, *p.theta, float(jt[0]), cert.grad_norm, cert.lp_gap, 0.0,
+                     no_descent)
+        )
+    best = (max(cert.grad_norm, cert.lp_gap), p, jt[3:])
+    stall_count = 0
+    k = 0
+    while not cert.certified and k < opts.max_iters:
+        k += 1
+        step = opts.step_at(k)
+        at_theta = ReactivePoint(p.xhat, tuple(pga_step(p.theta, jt[3:], step)))
+        if ccp:
+            xhat_new = ccp_step(inst, p.xhat, at_theta.theta)
+        else:
+            xhat_new = np.asarray(p.xhat) - opts.descent_step * grad_xhat(inst, at_theta)
+        p_new = ReactivePoint(tuple(xhat_new), at_theta.theta)
+        jt = _evaluate(inst, p_new)[0]
+        cert = _certificate(jt, p_new, opts.epsilon)
+        if opts.record_trace:
+            j_after = float(jt[0])
+            descent = j_after - objective_jtilde(inst, at_theta) if ccp else math.nan
+            trace.rows.append(TraceRow(k, *p_new.xhat, *p_new.theta, j_after, cert.grad_norm,
+                                       cert.lp_gap, step, descent))
+        moved = math.dist((*p.xhat, *p.theta), (*p_new.xhat, *p_new.theta))
+        p = p_new
+        if cert.certified:
+            break
+        stall_count = stall_count + 1 if moved < opts.stall_tol else 0
+        if stall_count >= opts.stall_iters:
+            trace.terminated_by = Termination.STALLED
+            break
+        if not ccp:
+            continue
+        best = min(best, (max(cert.grad_norm, cert.lp_gap), p, jt[3:]), key=lambda b: b[0])
+        if k % POLISH_EVERY == 0 and k < opts.max_iters:
+            jumped = _newton_jump(inst, best[1], best[2], opts.epsilon)
+            if jumped is not None:
+                p, jt = jumped, _evaluate(inst, jumped)[0]
+                trace.polished_at = k
+
+    trace.iterations = k
+    if cert.certified:
+        trace.terminated_by = Termination.EPSILON_FNE
+        if opts.canonicalize:
+            p, cert = _canonical(inst, p, cert)
+    return p, trace, cert
+
+
 def solve_pga_ccp(
     inst: GameInstance,
     init: ReactivePoint | None = None,
@@ -412,69 +475,18 @@ def solve_pga_ccp(
 ) -> tuple[ReactivePoint, SolverTrace, FneCertificate]:
     """Alternate projected gradient ascent on theta with CCP steps on xhat.
 
-    Runs until the epsilon-FNE conditions hold, the iteration budget is
-    exhausted, or the iterates stall; non-certified termination is reported
-    through the certificate, not an exception. When certified and
-    ``opts.canonicalize`` is set, the returned point is the xhat0 > 0 mirror
-    representative (an equally certified equilibrium under a symmetric
-    density); the trace keeps the raw trajectory.
+    Every POLISH_EVERY iterations the solver solves the first-order system
+    of the best iterate's theta face with Newton's method (``fsolve``) and
+    jumps to the result when it certifies and an iteration remains; that
+    next ordinary iteration then certifies it, and ``trace.polished_at``
+    records the jump. Runs until the epsilon-FNE conditions hold, the
+    iteration budget is exhausted, or the iterates stall; non-certified
+    termination is reported through the certificate, not an exception.
+    When certified and ``opts.canonicalize`` is set, the returned point is
+    the xhat0 > 0 mirror representative (an equally certified equilibrium
+    under a symmetric density); the trace keeps the raw trajectory.
     """
-    opts = opts or SolverOptions()
-    p = init or default_init(inst)
-    trace = SolverTrace()
-
-    gx, q = _grads_full(inst, p)
-    gap = lp_ascent_gap(q, p.theta)
-    gnorm = float(np.linalg.norm(gx))
-    if opts.record_trace:
-        trace.rows.append(
-            TraceRow(0, *p.xhat, *p.theta, objective_jtilde(inst, p),
-                     gnorm, gap, 0.0, 0.0)
-        )
-    cert = FneCertificate(gnorm, gap, opts.epsilon, gnorm <= opts.epsilon and gap <= opts.epsilon)
-    if cert.certified:
-        trace.terminated_by = Termination.EPSILON_FNE
-        p, cert = _canonical(inst, p, cert) if opts.canonicalize else (p, cert)
-        return p, trace, cert
-
-    stall_count = 0
-    for k in range(1, opts.max_iters + 1):
-        step = opts.step_at(k)
-        theta_new = pga_step(p.theta, q, step)
-        at_theta = ReactivePoint(p.xhat, tuple(theta_new))
-        j_before = objective_jtilde(inst, at_theta)
-        xhat_new = ccp_step(inst, p.xhat, theta_new)
-        p_new = ReactivePoint(tuple(xhat_new), tuple(theta_new))
-        j_after = objective_jtilde(inst, p_new)
-
-        gx, q = _grads_full(inst, p_new)
-        gnorm = float(np.linalg.norm(gx))
-        gap = lp_ascent_gap(q, p_new.theta)
-        if opts.record_trace:
-            trace.rows.append(
-                TraceRow(k, *p_new.xhat, *p_new.theta, j_after, gnorm, gap,
-                         step, j_after - j_before)
-            )
-
-        moved = math.hypot(
-            xhat_new[0] - p.xhat[0], xhat_new[1] - p.xhat[1],
-            theta_new[0] - p.theta[0], theta_new[1] - p.theta[1],
-        )
-        p = p_new
-        if gnorm <= opts.epsilon and gap <= opts.epsilon:
-            trace.terminated_by = Termination.EPSILON_FNE
-            break
-        stall_count = stall_count + 1 if moved < opts.stall_tol else 0
-        if stall_count >= opts.stall_iters:
-            trace.terminated_by = Termination.STALLED
-            break
-    else:
-        trace.terminated_by = Termination.MAX_ITERS
-
-    cert = FneCertificate(gnorm, gap, opts.epsilon, gnorm <= opts.epsilon and gap <= opts.epsilon)
-    if opts.canonicalize and trace.terminated_by is Termination.EPSILON_FNE:
-        p, cert = _canonical(inst, p, cert)
-    return p, trace, cert
+    return _solve(inst, init, opts, ccp=True)
 
 
 def solve_gda(
@@ -485,72 +497,8 @@ def solve_gda(
     """Two-timescale gradient descent-ascent baseline.
 
     Projected ascent on theta with ``step_size``, plain descent on xhat with
-    ``descent_step``; same termination contract as the primary solver. With
-    equal step sizes the iterates can cycle, in which case termination is
-    by stall detection or the iteration budget.
+    ``descent_step``; same termination contract as the primary solver, and
+    no Newton jump. With equal step sizes the iterates can cycle, in which
+    case termination is by stall detection or the iteration budget.
     """
-    opts = opts or SolverOptions()
-    p = init or default_init(inst)
-    trace = SolverTrace()
-
-    gx, q = _grads_full(inst, p)
-    gnorm = float(np.linalg.norm(gx))
-    gap = lp_ascent_gap(q, p.theta)
-    if opts.record_trace:
-        trace.rows.append(
-            TraceRow(0, *p.xhat, *p.theta, objective_jtilde(inst, p),
-                     gnorm, gap, 0.0, math.nan)
-        )
-    cert = FneCertificate(gnorm, gap, opts.epsilon, gnorm <= opts.epsilon and gap <= opts.epsilon)
-    if cert.certified:
-        trace.terminated_by = Termination.EPSILON_FNE
-        p, cert = _canonical(inst, p, cert) if opts.canonicalize else (p, cert)
-        return p, trace, cert
-
-    stall_count = 0
-    for k in range(1, opts.max_iters + 1):
-        step = opts.step_at(k)
-        theta_new = pga_step(p.theta, q, step)
-        gx_mid = grad_xhat(inst, ReactivePoint(p.xhat, tuple(theta_new)))
-        xhat_new = np.asarray(p.xhat) - opts.descent_step * gx_mid
-        p_new = ReactivePoint(tuple(xhat_new), tuple(theta_new))
-
-        gx, q = _grads_full(inst, p_new)
-        gnorm = float(np.linalg.norm(gx))
-        gap = lp_ascent_gap(q, p_new.theta)
-        if opts.record_trace:
-            trace.rows.append(
-                TraceRow(k, *p_new.xhat, *p_new.theta,
-                         objective_jtilde(inst, p_new), gnorm, gap, step, math.nan)
-            )
-
-        moved = math.hypot(
-            xhat_new[0] - p.xhat[0], xhat_new[1] - p.xhat[1],
-            theta_new[0] - p.theta[0], theta_new[1] - p.theta[1],
-        )
-        p = p_new
-        if gnorm <= opts.epsilon and gap <= opts.epsilon:
-            trace.terminated_by = Termination.EPSILON_FNE
-            break
-        stall_count = stall_count + 1 if moved < opts.stall_tol else 0
-        if stall_count >= opts.stall_iters:
-            trace.terminated_by = Termination.STALLED
-            break
-    else:
-        trace.terminated_by = Termination.MAX_ITERS
-
-    cert = FneCertificate(gnorm, gap, opts.epsilon, gnorm <= opts.epsilon and gap <= opts.epsilon)
-    if opts.canonicalize and trace.terminated_by is Termination.EPSILON_FNE:
-        p, cert = _canonical(inst, p, cert)
-    return p, trace, cert
-
-
-def point_to_json(p: ReactivePoint, cert: FneCertificate | None = None,
-                  trace: SolverTrace | None = None, **extra) -> str:
-    payload: dict = {**p.to_dict(), **extra}
-    if cert is not None:
-        payload["certificate"] = cert.to_dict()
-    if trace is not None:
-        payload["iterations"] = trace.iterations
-        payload["terminated_by"] = trace.terminated_by.value
-    return json.dumps(payload, sort_keys=True)
+    return _solve(inst, init, opts, ccp=False)

@@ -67,14 +67,17 @@ class TestSolveNonsensing:
         assert code == 2
         assert "sigma2" in stderr
 
-    def test_numerical_failure_exit_code(self, capsys):
-        # c = 0 with cheap jamming pushes the root into the phi -> 1 boundary
-        code, _, stderr = run(
-            capsys, "solve-nonsensing", "--dist", "gaussian", "--sigma2", "2",
-            "--c", "0", "--d", "1",
+    @pytest.mark.parametrize("c,d", [("0", "0.5"), ("1", "0")])
+    def test_boundary_instances_always_jam(self, tmp_path, capsys, c, d):
+        out = tmp_path / "eq.json"
+        code, _, _ = run(
+            capsys, "solve-nonsensing", "--dist", "gaussian", "--sigma2", "1",
+            "--c", c, "--d", d, "--verify-saddle", "21", "--out", str(out),
         )
-        assert code == 3
-        assert "numerical failure" in stderr
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["regime"] == "AlwaysJam" and payload["phi_star"] == 1.0
+        assert payload["saddle_check"]["ok"] is True
 
 
 class TestSolveReactive:
@@ -138,6 +141,30 @@ class TestSolveReactive:
         )
         assert code == 0
         assert len(json.loads(out.read_text())["points"]) == 3
+
+
+    def test_numerical_failure_exit_code(self, capsys):
+        # a GDA descent step this large makes xhat diverge; the kernel stops
+        # the run at the first non-finite objective or gradient
+        code, _, stderr = run(
+            capsys, "solve-reactive", "--dist", "gaussian", "--sigma2", "1",
+            "--solver", "gda", "--lambda-gd", "50", "--max-iters", "2000",
+        )
+        assert code == 3
+        assert "numerical failure" in stderr
+
+    def test_polished_at_reported(self, tmp_path, capsys):
+        out = tmp_path / "fne.json"
+        code, _, _ = run(
+            capsys, "solve-reactive", "--dist", "gaussian", "--sigma2", "4.48127",
+            "--c", "0.183528", "--d", "1.47286", "--max-iters", "500", "--out", str(out),
+        )
+        assert code == 0
+        point = json.loads(out.read_text())["points"][0]
+        assert point["polished_at"] == point["iterations"] - 1
+        run(capsys, "solve-reactive", "--dist", "gaussian", "--sigma2", "1",
+            "--max-iters", "3", "--out", str(out))
+        assert json.loads(out.read_text())["points"][0]["polished_at"] is None
 
 
 class TestSimulateCommand:
@@ -251,6 +278,30 @@ class TestSweep:
         betas = [float(r["beta"]) for r in rows]
         assert all(x <= y + 1e-9 for x, y in zip(alphas, alphas[1:]))
         assert all(x <= y + 1e-9 for x, y in zip(betas, betas[1:]))
+
+    def test_fig2_checks_admissibility_once(self, tmp_path, capsys, monkeypatch,
+                                            bimodal_table):
+        import jamgame.cli
+        import jamgame.nonsensing
+
+        calls = []
+        check = jamgame.cli.check_symmetric_unimodal
+        for module in (jamgame.cli, jamgame.nonsensing):
+            monkeypatch.setattr(module, "check_symmetric_unimodal",
+                                lambda dist: calls.append(dist) or check(dist))
+        code, _, _ = run(
+            capsys, "sweep", "--mode", "fig2", "--dist", "gaussian", "--sigma2", "1",
+            "--c-grid", "0.5:1.5:3", "--d-grid", "0.5:1.5:3", "--out", str(tmp_path / "f.csv"),
+        )
+        assert code == 0 and len(calls) == 1
+        x, f = bimodal_table
+        csv_path = tmp_path / "bimodal.csv"
+        csv_path.write_text("\n".join(f"{float(a)!r},{float(b)!r}" for a, b in zip(x, f)) + "\n")
+        code, _, stderr = run(
+            capsys, "sweep", "--mode", "fig2", "--dist", "custom", "--pdf-csv", str(csv_path),
+            "--c-grid", "0.5:1.5:3", "--d-grid", "0.5:1.5:3",
+        )
+        assert code == 2 and "unimodality" in stderr
 
     def test_degenerate_grid_is_config_error(self, capsys):
         code, _, stderr = run(

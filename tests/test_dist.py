@@ -175,3 +175,16 @@ def test_truncation_defaults():
     # Laplace tails are fat: 10 scales would leave ~5e-5 of mass out
     assert laplace(scale=1.0).truncation_radius == pytest.approx(40.0)
     assert gaussian(1.0, truncation_radius=7.5).truncation_radius == 7.5
+
+
+def test_tabulated_cdf_table_matches_adaptive_reference():
+    # the table is built from one fixed Gauss-Legendre evaluation of every
+    # grid cell; the reference integrates each cell adaptively
+    x = np.linspace(-9.0, 9.0, 61)
+    tab = Tabulated(x, np.exp(-np.abs(x) ** 1.5))
+    grid = tab._cdf_x
+    masses = [integrate(PiecewiseIntegrand(tab.pdf, (), (a, b)), tol=1e-13).value
+              for a, b in zip(grid[:-1], grid[1:])]
+    ref = np.concatenate([[0.0], np.cumsum(masses)])
+    ref /= ref[-1]
+    assert np.max(np.abs(tab._cdf_y - ref)) <= 1e-14

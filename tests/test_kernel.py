@@ -1,0 +1,158 @@
+"""The closed-form partial-moment kernel against adaptive quadrature.
+
+The reference below is the pointwise formulation of the reduced game: the
+min (Jt) and max (G) of the transmit and silent branch costs and their
+branch-selected parameter derivatives, integrated against the density by
+``jamgame.quadrature.expectation``, which splits at the transmit-region
+roots and the density's own breakpoints. The kernel instead dots quadratic
+coefficients with truncated moments. The hypothesis profile is
+derandomised, so every run draws the same cases.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from jamgame import (
+    GameInstance,
+    ReactivePoint,
+    Tabulated,
+    dc_parts,
+    expectation,
+    gaussian,
+    grad_g,
+    grad_theta,
+    grad_xhat,
+    jam_marginal,
+    laplace,
+    objective,
+    objective_jtilde,
+    transmit_region,
+)
+
+KERNEL_TOL = 1e-12
+QUAD_TOL = 1e-13
+
+
+def _table(variance=1.7, shape=1.6, knots_per_side=24):
+    """Tabulated exp(-|x/a|^shape), the kind of table the CLI loads."""
+    a = math.sqrt(variance * math.gamma(1.0 / shape) / math.gamma(3.0 / shape))
+    half = np.linspace(0.0, a * 40.0 ** (1.0 / shape), knots_per_side + 1)
+    x = np.concatenate([-half[:0:-1], half])
+    return Tabulated(x, np.exp(-((np.abs(x) / a) ** shape)))
+
+
+TABLE = _table()
+FAMILIES = {
+    "gaussian": lambda s2: gaussian(s2),
+    "laplace": lambda s2: laplace(sigma2=s2),
+    "tabulated": lambda s2: TABLE,
+}
+
+
+def _reference(inst, p):
+    """[Jt, dJt/dxhat0, dJt/dxhat1, dJt/dalpha, dJt/dbeta, G, dG/dxhat0,
+    dG/dxhat1] by quadrature of the branch costs."""
+    x0, x1 = p.xhat
+    a, b = p.theta
+    d = inst.d
+    kinks = transmit_region(p.xhat, p.theta, inst.c, d).roots
+
+    def rows(x):
+        trans = b * (x - x1) ** 2 + inst.c - d * b
+        silent = a * (x - x1) ** 2 + (1.0 - a) * (x - x0) ** 2 - d * a
+        tx = trans <= silent  # ties transmit
+        sx = ~tx
+        dev0, dev1 = x - x0, x - x1
+        return np.stack([
+            np.minimum(trans, silent),
+            -2.0 * (1.0 - a) * dev0 * sx,
+            np.where(tx, -2.0 * b * dev1, -2.0 * a * dev1),
+            (dev1**2 - dev0**2 - d) * sx,
+            (dev1**2 - d) * tx,
+            np.maximum(trans, silent),
+            -2.0 * (1.0 - a) * dev0 * tx,
+            np.where(sx, -2.0 * b * dev1, -2.0 * a * dev1),
+        ], axis=1)
+
+    return expectation(inst.dist, rows, kinks=kinks, tol=QUAD_TOL)
+
+
+def _kernel(inst, p):
+    return np.concatenate([
+        [objective_jtilde(inst, p)], grad_xhat(inst, p), grad_theta(inst, p),
+        [dc_parts(inst, p)[1]], grad_g(inst, p),
+    ])
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@settings(derandomize=True, max_examples=90, deadline=None, database=None)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    sigma2=st.floats(0.5, 5.0),
+    c=st.floats(0.0, 2.0),
+    d=st.floats(0.0, 2.0),
+    u0=st.floats(-2.0, 2.0),
+    u1=st.floats(-2.0, 2.0),
+    alpha=unit,
+    beta=unit,
+)
+# the edges where the CCP step pins a coordinate or the silent set degenerates
+@example(family="gaussian", sigma2=2.0, c=1.0, d=1.0, u0=0.6, u1=-0.4, alpha=1.0, beta=0.3)
+@example(family="laplace", sigma2=1.5, c=0.7, d=1.2, u0=0.3, u1=-0.8, alpha=0.0, beta=0.0)
+@example(family="tabulated", sigma2=1.0, c=1.0, d=1.0, u0=0.8, u1=-0.2, alpha=0.6, beta=1.0)
+@example(family="gaussian", sigma2=1.0, c=1.0, d=1.0, u0=0.0, u1=-0.5, alpha=0.0, beta=1.0)
+@example(family="laplace", sigma2=3.0, c=2.0, d=1.0, u0=0.0, u1=0.0, alpha=0.0, beta=1.0)
+def test_kernel_matches_quadrature(family, sigma2, c, d, u0, u1, alpha, beta):
+    dist = FAMILIES[family](sigma2)
+    inst = GameInstance(dist, c, d)
+    p = ReactivePoint((u0 * dist.scale, u1 * dist.scale), (alpha, beta))
+    err = np.max(np.abs(_kernel(inst, p) - _reference(inst, p)))
+    assert err <= KERNEL_TOL, (family, p, err)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_partial_moments_match_quadrature(family):
+    dist = FAMILIES[family](2.0)
+    edges = [-math.inf, -3.1, -0.4, 0.0, 0.25, 1.7, math.inf]
+    for lo in edges:
+        for hi in edges:
+            got = dist.partial_moments(lo, hi)
+            if not lo < hi:
+                assert np.all(got == 0.0)
+                continue
+            R = dist.truncation_radius
+            inside = lambda x: ((x > lo) & (x < hi)).astype(float)
+            ref = [expectation(dist, lambda x, k=k: inside(x) * x**k,
+                               kinks=[e for e in (lo, hi) if abs(e) < R], tol=QUAD_TOL)
+                   for k in range(3)]
+            assert np.max(np.abs(got - ref)) <= KERNEL_TOL, (lo, hi)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_diagonal_identities(family):
+    # theta = (phi, phi) is the non-sensing game: its objective against the
+    # quadrature of the closed-form expression, and its jamming marginal
+    # (tail second moments) against the sum of the reactive theta gradient
+    inst = GameInstance(FAMILIES[family](2.0), 0.8, 1.1)
+    s = inst.dist.scale
+    for phi in (0.0, 0.3, 0.7887, 0.95):
+        for xhat in ((0.0, 0.0), (0.4 * s, -0.7 * s), (-1.1 * s, 0.2 * s)):
+            x0, x1 = xhat
+            jt = objective_jtilde(inst, ReactivePoint(xhat, (phi, phi)))
+            assert objective(inst, phi, xhat) == jt
+            closed = expectation(
+                inst.dist,
+                lambda x: np.minimum((1.0 - phi) * (x - x0) ** 2, inst.c)
+                + phi * ((x - x1) ** 2 - inst.d),
+                kinks=[x0 - math.sqrt(inst.c / (1.0 - phi)), x0 + math.sqrt(inst.c / (1.0 - phi))],
+                tol=QUAD_TOL,
+            )
+            assert jt == pytest.approx(closed, abs=KERNEL_TOL)
+        q = grad_theta(inst, ReactivePoint((0.0, 0.0), (phi, phi)))
+        assert q[0] + q[1] == pytest.approx(jam_marginal(inst, phi), abs=1e-14)

@@ -18,7 +18,6 @@ from jamgame import (
     verify_saddle,
 )
 from jamgame.nonsensing import (
-    BracketingError,
     InadmissibleDistributionError,
     NonSensingEquilibrium,
     TransmitRule,
@@ -142,9 +141,28 @@ class TestSolveEquilibrium:
                   for cc in np.linspace(0.2, 2.5, 12)]
         assert all(a >= b - 1e-9 for a, b in zip(phis_c, phis_c[1:]))
 
-    def test_zero_cost_boundary_error(self):
-        with pytest.raises(BracketingError):
-            solve_equilibrium(GameInstance(gaussian(2.0), 0.0, 1.0))
+    def test_zero_cost_boundary_always_jams(self):
+        # free transmission with jamming cheaper than the variance: the
+        # jamming marginal is variance - d > 0 for every phi, so phi* = 1;
+        # every transmission is blocked and the threshold 0 keeps the
+        # sensor transmitting, which the saddle check confirms
+        inst = GameInstance(gaussian(2.0), 0.0, 1.0)
+        eq = solve_equilibrium(inst)
+        assert eq.regime is Regime.ALWAYS_JAM
+        assert eq.phi_star == 1.0
+        assert eq.threshold == 0.0
+        assert eq.value == pytest.approx(inst.dist.variance - inst.d, abs=1e-12)
+        assert verify_saddle(inst, eq, phi_points=21, xhat_points=21).ok
+
+    def test_free_jamming_always_jams(self):
+        # d = 0: the jamming marginal is the tail second moment, >= 0 for
+        # every phi, so phi* = 1 and the sensor never transmits
+        inst = GameInstance(laplace(sigma2=1.5), 1.0, 0.0)
+        eq = solve_equilibrium(inst)
+        assert eq.regime is Regime.ALWAYS_JAM
+        assert eq.phi_star == 1.0 and math.isinf(eq.threshold)
+        assert eq.value == pytest.approx(inst.dist.variance, abs=1e-12)
+        assert verify_saddle(inst, eq, phi_points=21, xhat_points=21).ok
 
     def test_zero_cost_with_expensive_jamming_is_fine(self):
         eq = solve_equilibrium(GameInstance(gaussian(1.0), 0.0, 2.0))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from jamgame import (
     grad_theta,
     grad_xhat,
     jam_marginal,
+    laplace,
     objective,
     objective_jtilde,
     pga_step,
@@ -425,6 +427,35 @@ class TestPgaCcp:
         assert trace.rows[1].step_size == pytest.approx(0.1)
         assert trace.rows[4].step_size == pytest.approx(0.1 / 2.0)
 
+    def test_iterations_counted_without_trace(self, g1):
+        # the count comes from the solver, not from the recorded rows: a
+        # recorded trace holds row 0 plus one row per iteration
+        for solve in (solve_pga_ccp, solve_gda):
+            _, full, _ = solve(g1, opts=SolverOptions(max_iters=60))
+            _, bare, _ = solve(g1, opts=SolverOptions(max_iters=60, record_trace=False))
+            assert full.iterations > 0
+            assert bare.iterations == full.iterations
+            assert bare.rows == []
+            assert len(full.rows) == full.iterations + 1
+
+    @pytest.mark.parametrize("make_dist,sigma2,c,d", [
+        (gaussian, 3.6097, 0.371189, 1.89533),
+        (gaussian, 4.48127, 0.183528, 1.47286),
+        (gaussian, 1.16887, 0.304005, 1.1201),
+        (lambda v: laplace(sigma2=v), 1.39782, 1.30493, 0.366801),
+    ], ids=["gaussian-3.61", "gaussian-4.48", "gaussian-1.17", "laplace-1.40"])
+    def test_newton_jump_certifies_slow_instances(self, make_dist, sigma2, c, d):
+        # without the jump these stop uncertified at 500 iterations (theta
+        # 2-cycles or creeps toward a bound); the jump lands on a certified
+        # point of the face and the next ordinary iteration certifies it
+        inst = GameInstance(make_dist(sigma2), c, d)
+        point, trace, cert = solve_pga_ccp(inst, opts=SolverOptions(max_iters=500))
+        assert cert.certified and trace.terminated_by is Termination.EPSILON_FNE
+        assert trace.polished_at is not None
+        assert trace.iterations == trace.polished_at + 1
+        assert all(r.ccp_descent <= 1e-9 for r in trace.rows[1:])
+        assert certify_fne(inst, point, 1e-5).certified
+
 
 class TestGda:
     def test_reaches_same_fne_as_pga_ccp(self, pga_g1, gda_g1):
@@ -455,6 +486,19 @@ class TestGda:
     def test_gda_rows_mark_ccp_field_nan(self, gda_g1):
         _, trace, _ = gda_g1
         assert all(math.isnan(r.ccp_descent) for r in trace.rows)
+
+    def test_divergence_raises_floating_point_error(self, g1):
+        # a descent step this large makes xhat blow up; the kernel stops at
+        # the first coefficient that overflows, without numpy warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError):
+                solve_gda(g1, opts=SolverOptions(descent_step=50.0, max_iters=2000))
+
+    def test_no_newton_jump(self, gda_g1):
+        # GDA stays the plain baseline
+        _, trace, _ = gda_g1
+        assert trace.polished_at is None
 
     def test_agrees_with_pga_ccp_on_boundary_instance(self, g2):
         # two independent algorithms settle on the same always-block
