@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -338,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-saddle", type=int, default=0, metavar="N",
                    help="verify the saddle inequalities on N-point deviation grids")
     p.add_argument("--saddle-tol", type=float, default=1e-6)
-    p.set_defaults(func=cmd_solve_nonsensing)
 
     p = sub.add_parser("solve-reactive", help="epsilon-FNE search, channel-sensing jammer")
     _add_dist_args(p)
@@ -354,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multistart", type=int, default=0,
                    help="additional random starts (seeded); all results are reported")
     p.add_argument("--trace-out", default=None, help="per-iteration trace CSV path")
-    p.set_defaults(func=cmd_solve_reactive)
 
     p = sub.add_parser("simulate", help="Monte Carlo check of a policy bundle")
     _add_dist_args(p)
@@ -366,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xhat1", type=float, default=0.0)
     p.add_argument("--n", type=int, default=1_000_000)
     p.add_argument("--trace-out", default=None, help="per-event CSV (first 10^4 draws)")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="figure-style CSV grids")
     _add_dist_args(p)
@@ -377,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1e-5)
     p.add_argument("--step-size", type=float, default=0.1)
     p.add_argument("--max-iters", type=int, default=100_000)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("compare", help="PGA-CCP vs GDA from an identical start")
     _add_dist_args(p)
@@ -386,13 +383,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-ga", type=float, default=0.1)
     p.add_argument("--lambda-gd", type=float, default=0.01)
     p.add_argument("--max-iters", type=int, default=100_000)
-    p.set_defaults(func=cmd_compare)
 
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every call of ``main`` reuses; nothing may modify it."""
+    return build_parser()
+
+
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Read --config (if given) and install its values as subcommand defaults."""
+    """Read --config (if given) and insert its entries as flags right after
+    the subcommand, so explicit flags, which come later, still win."""
+    if not any(a.startswith("--config") for a in argv):
+        return argv
     probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     probe.add_argument("--config", default=None)
     known, _ = probe.parse_known_args(argv)
@@ -404,43 +409,36 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     if not read:
         raise ConfigError(f"config file not found: {known.config}")
 
-    command = next((a for a in argv if not a.startswith("-") and a != known.config), None)
+    at = next((i for i, a in enumerate(argv) if not a.startswith("-") and a != known.config), None)
+    command = None if at is None else argv[at]
     values: dict[str, str] = {}
     for section in ("common", command or ""):
         if section and cp.has_section(section):
             values.update(dict(cp.items(section)))
 
-    # locate the subparser and set defaults so explicit flags still win
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction) and command in action.choices:
-            subparser = action.choices[command]
-            defaults = {}
-            for key, raw in values.items():
-                destkey = key.replace("-", "_")
-                matching = next(
-                    (a for a in subparser._actions if a.dest == destkey), None
-                )
-                if matching is None:
-                    raise ConfigError(f"unknown config key [{command}] {key}")
-                if matching.nargs in (2,):
-                    defaults[destkey] = [matching.type(v) for v in raw.split()]
-                elif matching.type is not None:
-                    defaults[destkey] = matching.type(raw)
-                elif isinstance(matching.const, bool) or isinstance(matching.default, bool):
-                    defaults[destkey] = raw.strip().lower() in ("1", "true", "yes")
-                else:
-                    defaults[destkey] = raw
-            subparser.set_defaults(**defaults)
-    return argv
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if command not in subparsers.choices:
+        return argv
+    flags = {a.dest: a for a in subparsers.choices[command]._actions
+             if isinstance(a, argparse._StoreAction)}
+    tokens: list[str] = []
+    for key, raw in values.items():
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
+            raise ConfigError(f"unknown config key [{command}] {key}")
+        flag = action.option_strings[0]
+        tokens += [flag, *raw.split()] if action.nargs == 2 else [f"{flag}={raw}"]
+    return argv[: at + 1] + tokens + argv[at + 1 :]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)
-        return args.func(args)
+        # looked up per call, so a replaced module attribute takes effect
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (IntegrationError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -22,6 +22,10 @@ import numpy as np
 
 from .dist import SourceDistribution, check_symmetric_unimodal
 
+# The jammer always jams when the jamming marginal is still nonnegative at
+# this phi (1 - phi = 2^-39, about 1.8e-12).
+PHI_MAX = 1.0 - 2.0**-39
+
 
 class Regime(Enum):
     NO_JAM = "NoJam"
@@ -115,12 +119,6 @@ def jam_marginal(inst: GameInstance, phi: float) -> float:
     return inst.dist.tail_second_moment(tau) - inst.d
 
 
-def _jam_marginal_derivative(inst: GameInstance, phi: float) -> float:
-    # d/dphi [M(tau(phi)) - d] with M'(t) = -2 t^2 f(t), tau' = tau / (2(1-phi))
-    tau = math.sqrt(inst.c / (1.0 - phi))
-    return -float(inst.dist.pdf(tau)) * tau**3 / (1.0 - phi)
-
-
 @dataclass(frozen=True)
 class NonSensingEquilibrium:
     """Saddle point for the non-sensing jammer.
@@ -151,23 +149,47 @@ class NonSensingEquilibrium:
         return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
-def _marginal_root(inst: GameInstance, hi: float, xtol: float) -> float:
-    """Root of the jamming marginal in (0, hi), where it changes sign:
-    bisection, then one Newton step if it stays inside the bracket."""
-    lo = 0.0
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if jam_marginal(inst, mid) >= 0.0:
-            lo = mid
+def _cbrt(v: float) -> float:
+    """Cube root of v > 0 (math.cbrt needs Python 3.11)."""
+    return v ** (1.0 / 3.0)
+
+
+def _threshold_root(inst: GameInstance, g0: float, xtol: float) -> float:
+    """phi at the root of M(tau) = d, where the jamming marginal falls from
+    g0 > 0 at tau = sqrt(c) to a negative value at sqrt(c / (1 - PHI_MAX)).
+
+    Newton's method solves ln M = ln d in v = tau^3, with the closed-form
+    slope dM/dv = -2 f(tau) / 3, that is M'(tau) = -2 tau^2 f(tau). Near the
+    origin M is nearly linear in tau^3 (M ~ variance - 2 f(0) tau^3 / 3),
+    and in the tails ln M bends slowly, so the steps seldom fall short or
+    overshoot. A step that leaves the bracket (or a density or tail moment
+    that underflows far out) bisects the bracket geometrically instead. The
+    search stops when a step changes v by at most xtol relative, which moves
+    phi = 1 - c / tau^2 by less than xtol.
+    """
+    c, d, dist = inst.c, inst.d, inst.dist
+    lo, hi = c**1.5, (c / (1.0 - PHI_MAX)) ** 1.5  # the bracket in v: M > d at lo, M < d at hi
+    v, m = lo, g0 + d
+    while True:
+        f = dist._density(_cbrt(v))
+        newton = v + 1.5 * m * math.log(m / d) / f if f > 0.0 and m > 0.0 else math.inf
+        if abs(newton - v) <= xtol * v:
+            v = newton
+            break
+        if lo < newton < hi:
+            v = newton
         else:
-            hi = mid
-    phi = 0.5 * (lo + hi)
-    slope = _jam_marginal_derivative(inst, phi)
-    if slope < 0.0:
-        newton = phi - jam_marginal(inst, phi) / slope
-        if lo <= newton <= hi:
-            phi = newton
-    return phi
+            v = math.sqrt(lo * hi)
+            if hi - lo <= xtol * lo or not lo < v < hi:
+                break
+        m = dist.tail_second_moment(_cbrt(v))
+        if m == d:
+            break
+        if m > d:
+            lo = v
+        else:
+            hi = v
+    return 1.0 - c / _cbrt(v) ** 2
 
 
 def solve_equilibrium(
@@ -175,14 +197,16 @@ def solve_equilibrium(
     xtol: float = 1e-10,
     check_admissible: bool = True,
 ) -> NonSensingEquilibrium:
-    """Closed-form equilibrium: regime split plus monotone root-find.
+    """Closed-form equilibrium: regime split plus a monotone root-find.
 
-    Bisection brackets the unique root of the (strictly decreasing) jamming
-    marginal, then a single Newton step with the closed-form derivative
-    polishes the final digit. When the marginal is still nonnegative at
-    phi = 1 - 1e-12 the jammer always jams (phi_star = 1, value
-    variance - d). Distributions failing the admissibility check are
-    refused rather than solved incorrectly.
+    The jamming marginal decides the regime from two values: negative at
+    phi = 0 means no jamming; still nonnegative at phi = PHI_MAX means the
+    jammer always jams (phi_star = 1, value variance - d). Otherwise phi*
+    = 1 - c / tau^2 at the root tau of M(tau) = d, found by safeguarded
+    Newton steps on the threshold with the closed-form slope
+    M'(tau) = -2 tau^2 f(tau); ``xtol`` bounds the last step in phi units.
+    Distributions failing the admissibility check are refused rather than
+    solved incorrectly.
     """
     if check_admissible:
         report = check_symmetric_unimodal(inst.dist)
@@ -193,14 +217,10 @@ def solve_equilibrium(
     regime = Regime.NO_JAM if g0 < 0.0 else Regime.INTERIOR_JAM
     phi = 0.0
     if g0 > 0.0:
-        delta = 0.25
-        while jam_marginal(inst, 1.0 - delta) >= 0.0:
-            delta *= 0.5
-            if delta < 1e-12:
-                regime, phi = Regime.ALWAYS_JAM, 1.0
-                break
+        if jam_marginal(inst, PHI_MAX) >= 0.0:
+            regime, phi = Regime.ALWAYS_JAM, 1.0
         else:
-            phi = _marginal_root(inst, 1.0 - delta, xtol)
+            phi = _threshold_root(inst, g0, xtol)
 
     if regime is Regime.ALWAYS_JAM:
         tau = math.inf if inst.c > 0.0 else 0.0
@@ -230,7 +250,7 @@ def fixed_policy_objective(
     from .reactive import ReactivePoint, _evaluate
 
     p = ReactivePoint(xhat, (phi, phi))
-    return float(_evaluate(inst, p, silent=(rule.silent_lo, rule.silent_hi))[0][0])
+    return _evaluate(inst, p, silent=(rule.silent_lo, rule.silent_hi))[0][0]
 
 
 @dataclass

@@ -138,7 +138,7 @@ def transmit_region(
 
 def _evaluate(
     inst: GameInstance, p: ReactivePoint, silent: tuple[float, float] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[list[float], list[float]]:
     """Rows [value, d/dxhat0, d/dxhat1, d/dalpha, d/dbeta] of Jt and of G.
 
     The transmit cost A, the silent cost B and their derivatives are
@@ -147,37 +147,41 @@ def _evaluate(
     Jt = E[A] + E[B - A; S] and G = E[max(A, B)] = E[B] - E[B - A; S]. The
     derivatives split the same way (S moves only where A = B), so every
     entry is a coefficient row dotted with the full-line moments or the
-    moments of S. ``silent`` replaces the best-response interval.
+    moments of S. ``silent`` replaces the best-response interval. The
+    arithmetic is on Python floats, which overflow to inf without a warning;
+    the finite checks raise before anything non-finite reaches numpy.
     """
     x0, x1 = p.xhat
     a, b = p.theta
     c, d = inst.c, inst.d
-    q = np.array([
-        [
-            [b * x1 * x1 + c - d * b, -2.0 * b * x1, b],
-            [0.0, 0.0, 0.0],
-            [2.0 * b * x1, -2.0 * b, 0.0],
-            [0.0, 0.0, 0.0],
-            [x1 * x1 - d, -2.0 * x1, 1.0],
-        ],
-        [
-            [a * x1 * x1 + (1.0 - a) * x0 * x0 - d * a, -2.0 * (a * x1 + (1.0 - a) * x0), 1.0],
-            [2.0 * (1.0 - a) * x0, -2.0 * (1.0 - a), 0.0],
-            [2.0 * a * x1, -2.0 * a, 0.0],
-            [x1 * x1 - x0 * x0 - d, 2.0 * (x0 - x1), 0.0],
-            [0.0, 0.0, 0.0],
-        ],
-    ])
-    if not np.isfinite(q).all():
+    # with theta in the unit box, every coefficient is finite when this sum is
+    if not math.isfinite(x0 * x0 + x1 * x1 + c + d):
         raise FloatingPointError(f"cost coefficients overflow at xhat={p.xhat!r}")
-    q_a, q_b = q
+    q_a = (
+        (b * x1 * x1 + c - d * b, -2.0 * b * x1, b),
+        (0.0, 0.0, 0.0),
+        (2.0 * b * x1, -2.0 * b, 0.0),
+        (0.0, 0.0, 0.0),
+        (x1 * x1 - d, -2.0 * x1, 1.0),
+    )
+    q_b = (
+        (a * x1 * x1 + (1.0 - a) * x0 * x0 - d * a, -2.0 * (a * x1 + (1.0 - a) * x0), 1.0),
+        (2.0 * (1.0 - a) * x0, -2.0 * (1.0 - a), 0.0),
+        (2.0 * a * x1, -2.0 * a, 0.0),
+        (x1 * x1 - x0 * x0 - d, 2.0 * (x0 - x1), 0.0),
+        (0.0, 0.0, 0.0),
+    )
     if silent is None:
         silent = transmit_region(p.xhat, p.theta, c, d).silent_interval()
-    full = inst.dist.full_moments
-    on_silent = (q_b - q_a) @ inst.dist.partial_moments(*silent)
-    jt = q_a @ full + on_silent
-    g = q_b @ full - on_silent
-    if not np.isfinite(jt).all() or not np.isfinite(g).all():
+    f0, f1, f2 = inst.dist._full
+    s0, s1, s2 = inst.dist._moments(*silent)
+    jt: list[float] = []
+    g: list[float] = []
+    for (a0, a1, a2), (b0, b1, b2) in zip(q_a, q_b):
+        on_silent = (b0 - a0) * s0 + (b1 - a1) * s1 + (b2 - a2) * s2
+        jt.append(a0 * f0 + a1 * f1 + a2 * f2 + on_silent)
+        g.append(b0 * f0 + b1 * f1 + b2 * f2 - on_silent)
+    if not all(map(math.isfinite, jt + g)):
         raise FloatingPointError(
             f"non-finite objective or gradient at xhat={p.xhat!r}, theta={p.theta!r}"
         )
@@ -186,17 +190,17 @@ def _evaluate(
 
 def objective_jtilde(inst: GameInstance, p: ReactivePoint) -> float:
     """Reduced objective Jt = E[min of the two branch costs]."""
-    return float(_evaluate(inst, p)[0][0])
+    return _evaluate(inst, p)[0][0]
 
 
 def grad_xhat(inst: GameInstance, p: ReactivePoint) -> np.ndarray:
     """Partial gradient of Jt in the representation symbols."""
-    return _evaluate(inst, p)[0][1:3]
+    return np.array(_evaluate(inst, p)[0][1:3])
 
 
 def grad_theta(inst: GameInstance, p: ReactivePoint) -> np.ndarray:
     """Partial gradient of Jt in the jamming probabilities."""
-    return _evaluate(inst, p)[0][3:]
+    return np.array(_evaluate(inst, p)[0][3:])
 
 
 def dc_parts(inst: GameInstance, p: ReactivePoint) -> tuple[float, float]:
@@ -206,12 +210,12 @@ def dc_parts(inst: GameInstance, p: ReactivePoint) -> tuple[float, float]:
     G is the expectation of the max of the branches.
     """
     jt, g = _evaluate(inst, p)
-    return float(jt[0] + g[0]), float(g[0])
+    return jt[0] + g[0], g[0]
 
 
 def grad_g(inst: GameInstance, p: ReactivePoint) -> np.ndarray:
     """Gradient of the convex part G in xhat."""
-    return _evaluate(inst, p)[1][1:3]
+    return np.array(_evaluate(inst, p)[1][1:3])
 
 
 def pga_step(theta, grad, step: float) -> np.ndarray:
@@ -230,7 +234,7 @@ def ccp_step(inst: GameInstance, xhat, theta) -> np.ndarray:
     or alpha + beta = 0) pinned to 0.
     """
     a, b = theta
-    g = grad_g(inst, ReactivePoint(tuple(xhat), (float(a), float(b))))
+    g = _evaluate(inst, ReactivePoint(tuple(xhat), (float(a), float(b))))[1][1:3]
     new0 = g[0] / (2.0 * (1.0 - a)) if a < 1.0 else 0.0
     new1 = g[1] / (2.0 * (a + b)) if a + b > 0.0 else 0.0
     return np.array([new0, new1])
@@ -272,7 +276,7 @@ def certify_fne(inst: GameInstance, p: ReactivePoint, epsilon: float) -> FneCert
     return _certificate(_evaluate(inst, p)[0], p, epsilon)
 
 
-def _certificate(jt: np.ndarray, p: ReactivePoint, epsilon: float) -> FneCertificate:
+def _certificate(jt: list[float], p: ReactivePoint, epsilon: float) -> FneCertificate:
     grad_norm = math.hypot(jt[1], jt[2])
     gap = lp_ascent_gap(jt[3:], p.theta)
     return FneCertificate(grad_norm, gap, epsilon, grad_norm <= epsilon and gap <= epsilon)

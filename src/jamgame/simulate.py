@@ -215,11 +215,12 @@ def simulate(
             if writer is not None and traced < TRACE_LIMIT:
                 take = min(TRACE_LIMIT - traced, m)
                 ytags = np.where(jam[:take], "B", np.where(tx[:take], "x", "idle"))
-                for i in range(take):
-                    writer.writerow(
-                        [repr(float(x[i])), int(tx[i]), int(jam[i]), ytags[i],
-                         repr(float(xhat[i])), repr(float(cost[i]))]
-                    )
+                # str of a Python float is its repr, so whole columns can go at once
+                writer.writerows(zip(
+                    x[:take].tolist(), tx[:take].astype(int).tolist(),
+                    jam[:take].astype(int).tolist(), ytags.tolist(),
+                    xhat[:take].tolist(), cost[:take].tolist(),
+                ))
                 traced += take
             done += m
     finally:

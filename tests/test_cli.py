@@ -374,6 +374,30 @@ class TestDeterminismAndConfig:
         assert code == 0
         assert json.loads(out.read_text())["phi_star"] == 0.0
 
+    def test_config_values_do_not_leak_into_later_calls(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "[solve-nonsensing]\nsigma2 = 2\n"
+            "[solve-reactive]\nsigma2 = 1\ninit-xhat = 0.25 -0.5\nmax-iters = 0\n"
+        )
+        out = tmp_path / "out.json"
+        code, _, _ = run(capsys, "--config", str(cfg), "solve-nonsensing", "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["phi_star"] == pytest.approx(0.7887, abs=1e-3)
+        code, _, stderr = run(capsys, "solve-nonsensing")
+        assert code == 2
+        assert "--sigma2 is required" in stderr
+
+        # a two-value entry is split into its two values
+        code, _, _ = run(capsys, "--config", str(cfg), "solve-reactive", "--out", str(out))
+        assert code == 4
+        point = json.loads(out.read_text())["points"][0]
+        assert (point["xhat0"], point["xhat1"], point["iterations"]) == (0.25, -0.5, 0)
+        code, _, _ = run(capsys, "solve-reactive", "--sigma2", "1", "--max-iters", "1",
+                         "--out", str(out))
+        point = json.loads(out.read_text())["points"][0]
+        assert point["iterations"] == 1
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[solve-nonsensing]\nnot_a_flag = 3\n")

@@ -190,6 +190,110 @@ class TestSolveEquilibrium:
         assert payload["xhat0"] == 0.0
 
 
+def _halving_bisection_phi(inst: GameInstance, xtol: float = 1e-10) -> tuple[Regime, float]:
+    """The root-find in phi that solve_equilibrium used before the threshold
+    Newton method: halve 1 - phi until the jamming marginal turns negative
+    (always jam if it never does above 1 - 1e-12), bisect to xtol, then take
+    one Newton step with the phi-derivative if it stays in the bracket."""
+    g0 = jam_marginal(inst, 0.0)
+    if g0 <= 0.0:
+        return (Regime.NO_JAM if g0 < 0.0 else Regime.INTERIOR_JAM), 0.0
+    delta = 0.25
+    while jam_marginal(inst, 1.0 - delta) >= 0.0:
+        delta *= 0.5
+        if delta < 1e-12:
+            return Regime.ALWAYS_JAM, 1.0
+    lo, hi = 0.0, 1.0 - delta
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if jam_marginal(inst, mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    phi = 0.5 * (lo + hi)
+    tau = math.sqrt(inst.c / (1.0 - phi))
+    slope = -float(inst.dist.pdf(tau)) * tau**3 / (1.0 - phi)
+    if slope < 0.0:
+        newton = phi - jam_marginal(inst, phi) / slope
+        if lo <= newton <= hi:
+            phi = newton
+    return Regime.INTERIOR_JAM, phi
+
+
+def _exp_power_table(variance=1.3, shape=1.5, knots_per_side=30):
+    a = math.sqrt(variance * math.gamma(1.0 / shape) / math.gamma(3.0 / shape))
+    half = np.linspace(0.0, a * 40.0 ** (1.0 / shape), knots_per_side + 1)
+    x = np.concatenate([-half[:0:-1], half])
+    return Tabulated(x, np.exp(-((np.abs(x) / a) ** shape)))
+
+
+ROOT_FAMILIES = {
+    "gaussian": lambda: gaussian(1.0),
+    "laplace": lambda: laplace(sigma2=2.0),
+    "tabulated": _exp_power_table,
+}
+
+
+@pytest.mark.parametrize("family", list(ROOT_FAMILIES))
+def test_threshold_newton_matches_phi_bisection(family, monkeypatch):
+    dist = ROOT_FAMILIES[family]()
+    grid = np.linspace(0.05, 3.0, 14)
+    cases = [(float(c), float(d)) for c in grid for d in grid]
+    cases += [(0.0, 0.5), (0.0, dist.variance), (0.0, 2.0 * dist.variance), (1.0, 0.0),
+              (0.0, 0.0), (0.5, 1.5 * dist.variance), (2.0, 4.0 * dist.variance)]
+
+    calls = 0
+    tail = type(dist).tail_second_moment
+
+    def counted(self, t):
+        nonlocal calls
+        calls += 1
+        return tail(self, t)
+
+    counts = []
+    for c, d in cases:
+        inst = GameInstance(dist, c, d)
+        regime, phi = _halving_bisection_phi(inst)
+        calls = 0
+        with monkeypatch.context() as m:
+            m.setattr(type(dist), "tail_second_moment", counted)
+            eq = solve_equilibrium(inst, check_admissible=False)
+        assert eq.regime is regime, (c, d)
+        assert abs(eq.phi_star - phi) <= 1e-12, (c, d, eq.phi_star, phi)
+        if regime is Regime.INTERIOR_JAM and phi > 0.0:
+            counts.append(calls)
+    # the grid has interior roots, and the bisection in phi spent 38 on average
+    assert len(counts) >= 40
+    assert np.mean(counts) <= 10 and max(counts) <= 16
+
+
+def test_cube_root_inverts_cubes_across_the_bracket():
+    # the threshold search works in v = tau^3 and needs no math.cbrt
+    from jamgame.nonsensing import _cbrt
+
+    for tau in np.geomspace(1e-6, 1e6, 61):
+        assert _cbrt(float(tau) ** 3) == pytest.approx(float(tau), rel=2e-15)
+
+
+def test_xtol_bounds_the_error_in_phi():
+    inst = GameInstance(laplace(sigma2=3.0), 0.4, 0.2)
+    exact = solve_equilibrium(inst).phi_star
+    for xtol in (1e-2, 1e-4, 1e-6):
+        assert abs(solve_equilibrium(inst, xtol=xtol).phi_star - exact) <= xtol
+
+
+def test_regime_decided_at_the_last_halving_point():
+    # d just below and just above M(tau) at phi = 1 - 2^-39, the last point
+    # the halving search in phi tested
+    dist, c = gaussian(1.0), 9.0 * 2.0**-39  # tau = 3 at that point
+    m = dist.tail_second_moment(math.sqrt(c / 2.0**-39))
+    for d, regime in ((m * (1.0 - 1e-9), Regime.ALWAYS_JAM),
+                      (m * (1.0 + 1e-9), Regime.INTERIOR_JAM)):
+        inst = GameInstance(dist, c, d)
+        assert solve_equilibrium(inst).regime is regime
+        assert _halving_bisection_phi(inst)[0] is regime
+
+
 class TestVerifySaddle:
     def test_interior_equilibrium_clean(self, g2, eq_g2):
         rep = verify_saddle(g2, eq_g2, phi_points=101, xhat_points=101, tol=1e-6)

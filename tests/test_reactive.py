@@ -378,14 +378,15 @@ class TestPgaCcp:
 
     def test_symmetric_init_is_a_stationary_trap_pointwise(self, g1):
         # at xhat = (0, 0) every xhat gradient vanishes and the CCP step
-        # returns (0, 0) up to quadrature noise, for any theta
+        # returns (0, 0) up to rounding, for any theta
         for theta in [(0.5, 0.5), (0.2, 0.8)]:
             assert np.max(np.abs(grad_xhat(g1, ReactivePoint((0.0, 0.0), theta)))) < 1e-12
             assert np.max(np.abs(ccp_step(g1, (0.0, 0.0), theta))) < 1e-10
 
     def test_symmetric_init_run_still_certifies(self, g1):
-        # in floating point the symmetric manifold is unstable: quadrature
-        # noise (~1e-16) seeds an escape and the run certifies anyway
+        # in floating point the symmetric manifold is unstable: rounding in
+        # the closed-form kernel (the two roots of the silent interval are
+        # not exact mirrors, ~1e-16) seeds an escape and the run certifies
         point, trace, cert = solve_pga_ccp(g1, ReactivePoint((0.0, 0.0), (0.5, 0.5)))
         assert cert.certified
         early = trace.rows[: 5]

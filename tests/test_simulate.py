@@ -19,6 +19,7 @@ from jamgame import (
     solve_equilibrium,
     transmit_region,
 )
+from jamgame.simulate import TRACE_LIMIT
 
 from conftest import TABLE1
 
@@ -170,6 +171,27 @@ class TestSerialization:
         path = tmp_path / "events.csv"
         simulate(g1, bundle_from_nonsensing(eq_g1), n=15_000, seed=6, trace_path=path)
         assert len(path.read_text().splitlines()) == 10_001
+
+    def test_event_trace_matches_per_row_formatting(self, g1, tmp_path):
+        # the same draws formatted one row at a time with repr(float(.));
+        # the trace spans three chunks and stops inside the third
+        bundle = bundle_from_reactive(ReactivePoint((0.5, -0.4), (0.3, 0.6)), g1)
+        path = tmp_path / "events.csv"
+        simulate(g1, bundle, n=12_000, seed=9, trace_path=path, chunk=4_500)
+        rng = np.random.Generator(np.random.Philox(key=9))
+        u = np.clip(rng.random((TRACE_LIMIT, 2)), 2.0**-53, 1.0 - 2.0**-53)
+        x = g1.dist.ppf(u[:, 0])
+        tx = bundle.transmit(x)
+        jam = u[:, 1] < np.where(tx, bundle.jam.beta, bundle.jam.alpha)
+        xhat = np.where(jam, bundle.xhat[1], np.where(tx, x, bundle.xhat[0]))
+        cost = (x - xhat) ** 2 + g1.c * tx - g1.d * jam
+        rows = ["x,u,j,y,xhat,cost"]
+        for i in range(TRACE_LIMIT):
+            tag = "B" if jam[i] else ("x" if tx[i] else "idle")
+            rows.append(",".join([repr(float(x[i])), str(int(tx[i])), str(int(jam[i])), tag,
+                                  repr(float(xhat[i])), repr(float(cost[i]))]))
+        assert {"B", "x", "idle"} <= {r.split(",")[3] for r in rows[1:]}
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
 
 
 class TestAnalyticCost:
