@@ -21,14 +21,7 @@ import sys
 import numpy as np
 
 from . import dist
-from .dist import check_symmetric_unimodal
-from .nonsensing import (
-    GameInstance,
-    InadmissibleDistributionError,
-    solve_equilibrium,
-    verify_saddle,
-)
-from .quadrature import IntegrationError
+from .nonsensing import GameInstance, solve_equilibrium, verify_saddle
 from .reactive import (
     ReactivePoint,
     SolverOptions,
@@ -58,12 +51,11 @@ def build_distribution(args) -> dist.SourceDistribution:
     if args.dist == "gaussian":
         if args.sigma2 is None:
             raise ConfigError("--sigma2 is required for --dist gaussian")
-        return dist.gaussian(args.sigma2, args.truncation_radius)
+        return dist.gaussian(args.sigma2)
     if args.dist == "laplace":
         if (args.scale is None) == (args.sigma2 is None):
             raise ConfigError("--dist laplace needs exactly one of --scale / --sigma2")
-        return dist.laplace(scale=args.scale, sigma2=args.sigma2,
-                            truncation_radius=args.truncation_radius)
+        return dist.laplace(scale=args.scale, sigma2=args.sigma2)
     if args.dist == "custom":
         if not args.pdf_csv:
             raise ConfigError("--pdf-csv is required for --dist custom")
@@ -97,11 +89,7 @@ def _grid(spec: str, name: str) -> np.ndarray:
 
 def cmd_solve_nonsensing(args) -> int:
     inst = build_instance(args)
-    try:
-        eq = solve_equilibrium(inst)
-    except InadmissibleDistributionError as exc:
-        print(f"refusing to solve: {exc.report.describe()}", file=sys.stderr)
-        return EXIT_CONFIG
+    eq = solve_equilibrium(inst)
     payload = dict(eq.to_dict(), schema_version=SCHEMA_VERSION, c=inst.c, d=inst.d,
                    sigma2=inst.dist.variance, family=inst.dist.family.value)
     print(f"regime         {eq.regime.value}")
@@ -243,17 +231,13 @@ def cmd_sweep(args) -> int:
         cs = _grid(args.c_grid, "--c-grid")
         ds = _grid(args.d_grid, "--d-grid")
         base = build_distribution(args)
-        report = check_symmetric_unimodal(base)
-        if not report.ok:
-            raise InadmissibleDistributionError(report)
         lines.append("# optimal non-sensing jamming probability over a (c, d) grid")
         lines.append("# grid ranges are a tool choice, not part of the problem statement")
         lines.append(f"# family={base.family.value} sigma2={_fmt(base.variance)}")
         lines.append("c,d,phi_star,regime,value")
         for c in cs:
             for d in ds:
-                eq = solve_equilibrium(GameInstance(base, float(c), float(d)),
-                                       check_admissible=False)
+                eq = solve_equilibrium(GameInstance(base, float(c), float(d)))
                 lines.append(",".join([
                     _fmt(c), _fmt(d), _fmt(eq.phi_star), eq.regime.value, _fmt(eq.value),
                 ]))
@@ -317,7 +301,6 @@ def _add_dist_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma2", type=float, default=None, help="variance")
     p.add_argument("--scale", type=float, default=None, help="Laplace scale b")
     p.add_argument("--pdf-csv", default=None, help="two-column (x, f(x)) CSV for --dist custom")
-    p.add_argument("--truncation-radius", type=float, default=None)
     p.add_argument("--c", type=float, default=1.0, help="per-transmission cost")
     p.add_argument("--d", type=float, default=1.0, help="per-jamming cost")
     p.add_argument("--seed", type=int, default=0)
@@ -439,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         # looked up per call, so a replaced module attribute takes effect
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except (IntegrationError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ValueError, OSError) as exc:

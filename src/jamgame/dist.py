@@ -3,8 +3,10 @@
 Everything downstream (thresholds, equilibria, gradients) assumes the
 measurement density f is symmetric and unimodal about its mean, which is
 normalized to zero. This module supplies the density evaluations, moments,
-tail second moments, inverse-CDF sampling and the admissibility check that
-gates the solvers.
+tail second moments and inverse-CDF sampling, and makes every density
+admissible by construction: the Gaussian and Laplace families are
+symmetric and unimodal by their formulas (the tests check them over many
+variances), and a tabulated density is checked once, when it is built.
 """
 
 from __future__ import annotations
@@ -24,6 +26,14 @@ _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Gauss-Legendre rule applied to every cell of a tabulated density's grid
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+
+# Tuning of check_symmetric_unimodal: points of its grid on [0, R], the
+# largest |f(t) - f(-t)| and the largest rise of f moving away from 0 that
+# it tolerates, and how far below 1 the mass over [-R, R] may fall.
+CHECK_GRID_POINTS = 2001
+SYMMETRY_TOL = 1e-12
+UNIMODAL_TOL = 1e-12
+NORMALIZATION_TOL = 1e-8
 
 
 class Family(Enum):
@@ -47,9 +57,10 @@ class SourceDistribution:
     variance : float
         Second moment about the (zero) mean.
     truncation_radius : float
-        Half-width of the grid the admissibility check scans (and, for a
-        table, of the support). The closed-form moments of the Gaussian and
-        Laplace families integrate the whole line.
+        Half-width of a table's support, which its admissibility check
+        scans. For the Gaussian (10 sigma) and Laplace (40 b) families it is
+        fixed and only bounds the domain of a quadrature reference: their
+        closed-form moments integrate the whole line.
     breakpoints : tuple of float
         Interior points where the density is not smooth (quadrature splits
         there). Empty for Gaussian.
@@ -89,9 +100,14 @@ class SourceDistribution:
         0 <= t <= inf (symmetric closed-form families)."""
         raise NotImplementedError
 
-    def _moments(self, lo: float, hi: float) -> tuple[float, float, float]:
-        """``partial_moments`` as floats: the add-the-mirrored-tails sum of the
-        symmetric families."""
+    def partial_moments(self, lo: float, hi: float) -> tuple[float, float, float]:
+        """Truncated moments E[X^k; lo < X < hi] for k = 0, 1, 2.
+
+        Either end may be infinite; an empty interval gives zeros. The
+        symmetric families add the upper-tail moments of the part right of 0
+        to the mirrored ones of the part left of it, so no difference of two
+        values near 1 loses the tails.
+        """
         if not lo < hi:
             return (0.0, 0.0, 0.0)
         r0, r1, r2 = self._upper_tail(max(lo, 0.0))
@@ -100,26 +116,10 @@ class SourceDistribution:
         m0, m1, m2 = self._upper_tail(max(-lo, 0.0))
         return ((r0 - s0) + (l0 - m0), (r1 - s1) - (l1 - m1), (r2 - s2) + (l2 - m2))
 
-    def partial_moments(self, lo: float, hi: float) -> np.ndarray:
-        """Truncated moments E[X^k; lo < X < hi] for k = 0, 1, 2.
-
-        Either end may be infinite; an empty interval gives zeros. The
-        symmetric families add the upper-tail moments of the part right of 0
-        to the mirrored ones of the part left of it, so no difference of two
-        values near 1 loses the tails.
-        """
-        return np.array(self._moments(lo, hi))
-
     @cached_property
-    def _full(self) -> tuple[float, float, float]:
-        return self._moments(-math.inf, math.inf)
-
-    @cached_property
-    def full_moments(self) -> np.ndarray:
-        """(E[1], E[X], E[X^2]) over the whole support; read-only."""
-        m = np.array(self._full)
-        m.flags.writeable = False
-        return m
+    def full_moments(self) -> tuple[float, float, float]:
+        """(E[1], E[X], E[X^2]) over the whole support."""
+        return self.partial_moments(-math.inf, math.inf)
 
     def tail_second_moment(self, t: float) -> float:
         """Two-sided tail second moment M(t) = E[X^2; |X| > t].
@@ -157,16 +157,12 @@ class Gaussian(SourceDistribution):
 
     family = Family.GAUSSIAN
 
-    def __init__(self, sigma2: float, truncation_radius: float | None = None):
+    def __init__(self, sigma2: float):
         if sigma2 <= 0:
             raise ValueError("sigma2 must be positive")
         self.scale = math.sqrt(sigma2)
         self.variance = float(sigma2)
-        self.truncation_radius = (
-            10.0 * self.scale if truncation_radius is None else float(truncation_radius)
-        )
-        if self.truncation_radius <= 0:
-            raise ValueError("truncation_radius must be positive")
+        self.truncation_radius = 10.0 * self.scale
 
     def pdf(self, x):
         x = self._check_finite(x)
@@ -196,30 +192,27 @@ class Laplace(SourceDistribution):
     """Zero-mean Laplace density with scale b (variance 2 b^2).
 
     The density has a kink at the origin, which is exposed through
-    ``breakpoints`` so quadrature splits there. The default truncation
-    radius is 40 b: Laplace tails are heavy enough that the 10-sigma rule
-    used for the Gaussian would leave ~5e-5 of mass outside the domain.
+    ``breakpoints`` so quadrature splits there. The truncation radius, the
+    domain of a quadrature reference, is 40 b: Laplace tails are heavy
+    enough that the 10-sigma rule used for the Gaussian would leave ~5e-5 of
+    mass outside it.
     """
 
     family = Family.LAPLACE
     breakpoints = (0.0,)
 
-    def __init__(self, scale: float, truncation_radius: float | None = None):
+    def __init__(self, scale: float):
         if scale <= 0:
             raise ValueError("scale must be positive")
         self.scale = float(scale)
         self.variance = 2.0 * scale * scale
-        self.truncation_radius = (
-            40.0 * self.scale if truncation_radius is None else float(truncation_radius)
-        )
-        if self.truncation_radius <= 0:
-            raise ValueError("truncation_radius must be positive")
+        self.truncation_radius = 40.0 * self.scale
 
     @classmethod
-    def from_variance(cls, sigma2: float, truncation_radius: float | None = None) -> "Laplace":
+    def from_variance(cls, sigma2: float) -> "Laplace":
         if sigma2 <= 0:
             raise ValueError("sigma2 must be positive")
-        return cls(math.sqrt(sigma2 / 2.0), truncation_radius)
+        return cls(math.sqrt(sigma2 / 2.0))
 
     def pdf(self, x):
         x = self._check_finite(x)
@@ -256,7 +249,10 @@ class Tabulated(SourceDistribution):
     so each grid cell takes a fixed Gauss-Legendre rule.
 
     The table must have strictly increasing x spanning both signs, strictly
-    positive f, and a numerically zero mean after normalization.
+    positive f, and a numerically zero mean after normalization, and the
+    interpolated density must pass ``check_symmetric_unimodal``; otherwise
+    construction raises ``ValueError`` (``InadmissibleDistributionError``
+    for a failed check, carrying its report).
     """
 
     family = Family.TABULATED
@@ -289,6 +285,9 @@ class Tabulated(SourceDistribution):
         self.mean = 0.0
         self.variance = float(second)
         self.scale = math.sqrt(self.variance)
+        report = check_symmetric_unimodal(self)
+        if not report.ok:
+            raise InadmissibleDistributionError(report)
 
     @classmethod
     def from_csv(cls, path) -> "Tabulated":
@@ -363,7 +362,7 @@ class Tabulated(SourceDistribution):
         below = np.clip(np.searchsorted(self._cdf_x, ends, side="right") - 1, 0, self._cdf_x.size - 2)
         return self._cum[below] + self._cell_moments(self._cdf_x[below], ends)
 
-    def _moments(self, lo: float, hi: float) -> tuple[float, float, float]:
+    def partial_moments(self, lo: float, hi: float) -> tuple[float, float, float]:
         R = self.truncation_radius
         lo, hi = max(lo, -R), min(hi, R)
         if not lo < hi:
@@ -383,17 +382,16 @@ class Tabulated(SourceDistribution):
         return max(left, 0.0) + max(self.variance - right, 0.0)
 
 
-def gaussian(sigma2: float, truncation_radius: float | None = None) -> Gaussian:
-    return Gaussian(sigma2, truncation_radius)
+def gaussian(sigma2: float) -> Gaussian:
+    return Gaussian(sigma2)
 
 
-def laplace(scale: float | None = None, sigma2: float | None = None,
-            truncation_radius: float | None = None) -> Laplace:
+def laplace(scale: float | None = None, sigma2: float | None = None) -> Laplace:
     if (scale is None) == (sigma2 is None):
         raise ValueError("give exactly one of scale, sigma2")
     if scale is not None:
-        return Laplace(scale, truncation_radius)
-    return Laplace.from_variance(sigma2, truncation_radius)
+        return Laplace(scale)
+    return Laplace.from_variance(sigma2)
 
 
 @dataclass
@@ -418,23 +416,25 @@ class AdmissibilityReport:
         return "; ".join(lines)
 
 
-def check_symmetric_unimodal(
-    d: SourceDistribution,
-    grid_points: int = 2001,
-    symmetry_tol: float = 1e-12,
-    unimodal_tol: float = 1e-12,
-    normalization_tol: float = 1e-8,
-) -> AdmissibilityReport:
+class InadmissibleDistributionError(ValueError):
+    """The density fails the symmetric/unimodal admissibility check."""
+
+    def __init__(self, report: AdmissibilityReport):
+        self.report = report
+        super().__init__(f"distribution is not admissible: {report.describe()}")
+
+
+def check_symmetric_unimodal(d: SourceDistribution) -> AdmissibilityReport:
     """Report symmetry, unimodality and normalization violations on a grid.
 
     The grid runs over [0, truncation_radius] and includes the density's own
     breakpoints (a bimodal table fails exactly where the pdf re-increases
-    past its inter-mode valley).
+    past its inter-mode valley). ``Tabulated`` runs it at construction.
     """
     R = d.truncation_radius
     t = np.unique(
         np.concatenate(
-            [np.linspace(0.0, R, grid_points), np.abs(np.asarray(d.breakpoints, dtype=float))]
+            [np.linspace(0.0, R, CHECK_GRID_POINTS), np.abs(np.asarray(d.breakpoints, dtype=float))]
         )
     )
     t = t[(t >= 0) & (t <= R)]
@@ -442,14 +442,14 @@ def check_symmetric_unimodal(
 
     fp = np.asarray(d.pdf(t), dtype=float)
     fm = np.asarray(d.pdf(-t), dtype=float)
-    bad = np.abs(fp - fm) > symmetry_tol
+    bad = np.abs(fp - fm) > SYMMETRY_TOL
     if np.any(bad):
         i = int(np.argmax(np.abs(fp - fm)))
         report.violations.append(
             ("symmetry", float(t[i]), f"|f(t)-f(-t)| = {abs(fp[i]-fm[i]):.3e}")
         )
 
-    rises = np.diff(fp) > unimodal_tol
+    rises = np.diff(fp) > UNIMODAL_TOL
     if np.any(rises):
         i = int(np.argmax(np.diff(fp)))
         report.violations.append(
@@ -463,9 +463,9 @@ def check_symmetric_unimodal(
     from .quadrature import PiecewiseIntegrand, integrate
 
     mass = integrate(
-        PiecewiseIntegrand(d.pdf, d.breakpoints, (-R, R)), tol=min(1e-10, normalization_tol / 10)
+        PiecewiseIntegrand(d.pdf, d.breakpoints, (-R, R)), tol=min(1e-10, NORMALIZATION_TOL / 10)
     ).value
     report.normalization = mass
-    if not (1.0 - normalization_tol <= mass <= 1.0 + 1e-12):
+    if not (1.0 - NORMALIZATION_TOL <= mass <= 1.0 + 1e-12):
         report.violations.append(("normalization", 0.0, f"integral over [-R, R] = {mass:.12f}"))
     return report

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dist import SourceDistribution, check_symmetric_unimodal
+from .dist import SourceDistribution
 
 # The jammer always jams when the jamming marginal is still nonnegative at
 # this phi (1 - phi = 2^-39, about 1.8e-12).
@@ -31,14 +31,6 @@ class Regime(Enum):
     NO_JAM = "NoJam"
     INTERIOR_JAM = "InteriorJam"
     ALWAYS_JAM = "AlwaysJam"
-
-
-class InadmissibleDistributionError(ValueError):
-    """The density fails the symmetric/unimodal admissibility check."""
-
-    def __init__(self, report):
-        self.report = report
-        super().__init__(f"distribution is not admissible: {report.describe()}")
 
 
 @dataclass(frozen=True)
@@ -192,11 +184,7 @@ def _threshold_root(inst: GameInstance, g0: float, xtol: float) -> float:
     return 1.0 - c / _cbrt(v) ** 2
 
 
-def solve_equilibrium(
-    inst: GameInstance,
-    xtol: float = 1e-10,
-    check_admissible: bool = True,
-) -> NonSensingEquilibrium:
+def solve_equilibrium(inst: GameInstance, xtol: float = 1e-10) -> NonSensingEquilibrium:
     """Closed-form equilibrium: regime split plus a monotone root-find.
 
     The jamming marginal decides the regime from two values: negative at
@@ -205,14 +193,9 @@ def solve_equilibrium(
     = 1 - c / tau^2 at the root tau of M(tau) = d, found by safeguarded
     Newton steps on the threshold with the closed-form slope
     M'(tau) = -2 tau^2 f(tau); ``xtol`` bounds the last step in phi units.
-    Distributions failing the admissibility check are refused rather than
-    solved incorrectly.
+    No admissibility check runs here: every ``SourceDistribution`` is
+    symmetric and unimodal by construction (a table is checked when built).
     """
-    if check_admissible:
-        report = check_symmetric_unimodal(inst.dist)
-        if not report.ok:
-            raise InadmissibleDistributionError(report)
-
     g0 = jam_marginal(inst, 0.0)
     regime = Regime.NO_JAM if g0 < 0.0 else Regime.INTERIOR_JAM
     phi = 0.0

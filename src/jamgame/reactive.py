@@ -173,8 +173,8 @@ def _evaluate(
     )
     if silent is None:
         silent = transmit_region(p.xhat, p.theta, c, d).silent_interval()
-    f0, f1, f2 = inst.dist._full
-    s0, s1, s2 = inst.dist._moments(*silent)
+    f0, f1, f2 = inst.dist.full_moments
+    s0, s1, s2 = inst.dist.partial_moments(*silent)
     jt: list[float] = []
     g: list[float] = []
     for (a0, a1, a2), (b0, b1, b2) in zip(q_a, q_b):
@@ -340,7 +340,6 @@ class SolverOptions:
     max_iters: int = 100_000
     stall_tol: float = 1e-12
     stall_iters: int = 50
-    canonicalize: bool = True
     record_trace: bool = True
 
     def __post_init__(self):
@@ -356,9 +355,7 @@ class SolverOptions:
     def step_at(self, k: int) -> float:
         if self.step_schedule == "fixed":
             return self.step_size
-        if self.step_schedule == "sqrt":
-            return self.step_size / math.sqrt(k)
-        raise ValueError(f"unknown step schedule {self.step_schedule!r}")
+        return self.step_size / math.sqrt(k)
 
 
 def default_init(inst: GameInstance) -> ReactivePoint:
@@ -467,8 +464,7 @@ def _solve(inst: GameInstance, init: ReactivePoint | None, opts: SolverOptions |
     trace.iterations = k
     if cert.certified:
         trace.terminated_by = Termination.EPSILON_FNE
-        if opts.canonicalize:
-            p, cert = _canonical(inst, p, cert)
+        p, cert = _canonical(inst, p, cert)
     return p, trace, cert
 
 
@@ -486,9 +482,9 @@ def solve_pga_ccp(
     records the jump. Runs until the epsilon-FNE conditions hold, the
     iteration budget is exhausted, or the iterates stall; non-certified
     termination is reported through the certificate, not an exception.
-    When certified and ``opts.canonicalize`` is set, the returned point is
-    the xhat0 > 0 mirror representative (an equally certified equilibrium
-    under a symmetric density); the trace keeps the raw trajectory.
+    When certified, the returned point is the xhat0 > 0 mirror
+    representative (an equally certified equilibrium under a symmetric
+    density); the trace keeps the raw trajectory.
     """
     return _solve(inst, init, opts, ccp=True)
 

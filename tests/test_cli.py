@@ -50,15 +50,21 @@ class TestSolveNonsensing:
         assert code == 0
         assert json.loads(out.read_text())["saddle_check"]["ok"] is True
 
-    def test_bimodal_refusal(self, tmp_path, capsys, bimodal_table):
+    @pytest.mark.parametrize("argv", [
+        ["solve-nonsensing"],
+        ["solve-reactive", "--max-iters", "20"],
+        ["simulate", "--phi", "0.3", "--n", "1000"],
+        ["compare", "--max-iters", "20"],
+        ["sweep", "--mode", "fig2", "--c-grid", "0.5:1.5:3", "--d-grid", "0.5:1.5:3"],
+    ], ids=lambda argv: argv[0])
+    def test_bimodal_refusal(self, tmp_path, capsys, bimodal_table, argv):
+        # every command that loads --dist custom refuses the table at load
         x, f = bimodal_table
         csv_path = tmp_path / "bimodal.csv"
         csv_path.write_text(
             "\n".join(f"{float(a)!r},{float(b)!r}" for a, b in zip(x, f)) + "\n"
         )
-        code, _, stderr = run(
-            capsys, "solve-nonsensing", "--dist", "custom", "--pdf-csv", str(csv_path),
-        )
+        code, _, stderr = run(capsys, *argv, "--dist", "custom", "--pdf-csv", str(csv_path))
         assert code == 2
         assert "unimodality" in stderr
 
@@ -279,29 +285,39 @@ class TestSweep:
         assert all(x <= y + 1e-9 for x, y in zip(alphas, alphas[1:]))
         assert all(x <= y + 1e-9 for x, y in zip(betas, betas[1:]))
 
-    def test_fig2_checks_admissibility_once(self, tmp_path, capsys, monkeypatch,
-                                            bimodal_table):
+    def test_fig2_checks_admissibility_once(self, tmp_path, capsys, monkeypatch):
+        # a closed-form family is admissible by construction and never
+        # checked; a table is checked once, when it is loaded, before any solve
         import jamgame.cli
+        import jamgame.dist
         import jamgame.nonsensing
 
-        calls = []
-        check = jamgame.cli.check_symmetric_unimodal
-        for module in (jamgame.cli, jamgame.nonsensing):
-            monkeypatch.setattr(module, "check_symmetric_unimodal",
-                                lambda dist: calls.append(dist) or check(dist))
+        events = []
+        check = jamgame.dist.check_symmetric_unimodal
+        for module in (jamgame.dist, jamgame.cli, jamgame.nonsensing):
+            if hasattr(module, "check_symmetric_unimodal"):
+                monkeypatch.setattr(module, "check_symmetric_unimodal",
+                                    lambda d: events.append("check") or check(d))
+        solve = jamgame.cli.solve_equilibrium
+        monkeypatch.setattr(jamgame.cli, "solve_equilibrium",
+                            lambda inst, **kw: events.append("solve") or solve(inst, **kw))
+        grids = ("--c-grid", "0.5:1.5:3", "--d-grid", "0.5:1.5:3")
         code, _, _ = run(
-            capsys, "sweep", "--mode", "fig2", "--dist", "gaussian", "--sigma2", "1",
-            "--c-grid", "0.5:1.5:3", "--d-grid", "0.5:1.5:3", "--out", str(tmp_path / "f.csv"),
+            capsys, "sweep", "--mode", "fig2", "--dist", "gaussian", "--sigma2", "1", *grids,
+            "--out", str(tmp_path / "f.csv"),
         )
-        assert code == 0 and len(calls) == 1
-        x, f = bimodal_table
-        csv_path = tmp_path / "bimodal.csv"
-        csv_path.write_text("\n".join(f"{float(a)!r},{float(b)!r}" for a, b in zip(x, f)) + "\n")
-        code, _, stderr = run(
+        assert code == 0 and events == ["solve"] * 9
+
+        events.clear()
+        x = np.linspace(-8.5, 8.5, 801)
+        csv_path = tmp_path / "gauss.csv"
+        csv_path.write_text("\n".join(f"{float(a)!r},{float(b)!r}"
+                                       for a, b in zip(x, np.exp(-0.5 * x * x))) + "\n")
+        code, _, _ = run(
             capsys, "sweep", "--mode", "fig2", "--dist", "custom", "--pdf-csv", str(csv_path),
-            "--c-grid", "0.5:1.5:3", "--d-grid", "0.5:1.5:3",
+            *grids, "--out", str(tmp_path / "t.csv"),
         )
-        assert code == 2 and "unimodality" in stderr
+        assert code == 0 and events == ["check"] + ["solve"] * 9
 
     def test_degenerate_grid_is_config_error(self, capsys):
         code, _, stderr = run(

@@ -10,6 +10,7 @@ from jamgame import (
     gaussian,
     laplace,
 )
+from jamgame.dist import InadmissibleDistributionError
 from jamgame.quadrature import PiecewiseIntegrand, integrate
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -109,14 +110,21 @@ def test_sampling_ks(make):
 
 
 def test_admissibility_clean_families():
-    assert check_symmetric_unimodal(gaussian(1.0)).ok
-    assert check_symmetric_unimodal(laplace(scale=1.0)).ok
+    # nothing checks the closed-form families at run time; their formulas
+    # are admissible at every scale
+    for sigma2 in (1e-6, 1e-2, 1.0, 1e2, 1e6):
+        for d in (gaussian(sigma2), laplace(sigma2=sigma2)):
+            report = check_symmetric_unimodal(d)
+            assert report.ok, (d.family, sigma2, report.describe())
 
 
 def test_admissibility_flags_bimodal(bimodal_table):
+    # a table is checked once, when it is built, and refused there
     x, f = bimodal_table
-    tab = Tabulated(x, f)
-    report = check_symmetric_unimodal(tab)
+    with pytest.raises(InadmissibleDistributionError) as refused:
+        Tabulated(x, f)
+    assert isinstance(refused.value, ValueError)
+    report = refused.value.report
     assert not report.ok
     kinds = {kind for kind, _, _ in report.violations}
     assert "unimodality" in kinds
@@ -174,7 +182,6 @@ def test_truncation_defaults():
     assert gaussian(4.0).truncation_radius == pytest.approx(20.0)
     # Laplace tails are fat: 10 scales would leave ~5e-5 of mass out
     assert laplace(scale=1.0).truncation_radius == pytest.approx(40.0)
-    assert gaussian(1.0, truncation_radius=7.5).truncation_radius == 7.5
 
 
 def test_tabulated_cdf_table_matches_adaptive_reference():

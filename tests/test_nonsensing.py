@@ -17,8 +17,8 @@ from jamgame import (
     threshold_policy,
     verify_saddle,
 )
+from jamgame.dist import InadmissibleDistributionError
 from jamgame.nonsensing import (
-    InadmissibleDistributionError,
     NonSensingEquilibrium,
     TransmitRule,
     fixed_policy_objective,
@@ -169,10 +169,29 @@ class TestSolveEquilibrium:
         assert eq.regime is Regime.NO_JAM
 
     def test_refuses_inadmissible_distribution(self, bimodal_table):
+        # the refusal comes where the table is built, so no instance of an
+        # inadmissible density reaches the solver
         x, f = bimodal_table
-        inst = GameInstance(Tabulated(x, f), 1.0, 1.0)
-        with pytest.raises(InadmissibleDistributionError):
-            solve_equilibrium(inst)
+        with pytest.raises(InadmissibleDistributionError) as refused:
+            Tabulated(x, f)
+        report = refused.value.report
+        locs = [loc for kind, loc, _ in report.violations if kind == "unimodality"]
+        assert locs and all(0.0 < loc < 3.0 for loc in locs)
+
+    def test_closed_form_solves_run_no_admissibility_check(self, monkeypatch):
+        import jamgame.dist
+        import jamgame.nonsensing
+
+        calls = []
+        check = jamgame.dist.check_symmetric_unimodal
+        for module in (jamgame.dist, jamgame.nonsensing):
+            if hasattr(module, "check_symmetric_unimodal"):
+                monkeypatch.setattr(module, "check_symmetric_unimodal",
+                                    lambda d: calls.append(d) or check(d))
+        for d in (gaussian(2.0), laplace(sigma2=2.0)):
+            eq = solve_equilibrium(GameInstance(d, 1.0, 1.0))
+            assert eq.regime is Regime.INTERIOR_JAM
+        assert calls == []
 
     def test_laplace_instance_solves(self, lap1):
         eq = solve_equilibrium(lap1)
@@ -257,7 +276,7 @@ def test_threshold_newton_matches_phi_bisection(family, monkeypatch):
         calls = 0
         with monkeypatch.context() as m:
             m.setattr(type(dist), "tail_second_moment", counted)
-            eq = solve_equilibrium(inst, check_admissible=False)
+            eq = solve_equilibrium(inst)
         assert eq.regime is regime, (c, d)
         assert abs(eq.phi_star - phi) <= 1e-12, (c, d, eq.phi_star, phi)
         if regime is Regime.INTERIOR_JAM and phi > 0.0:
