@@ -223,10 +223,17 @@ class Laplace(SourceDistribution):
         return np.where(x < 0, 0.5 * np.exp(x / self.scale), 1.0 - 0.5 * np.exp(-x / self.scale))
 
     def ppf(self, u):
+        """b log(2u) below the median and -b log(2(1 - u)) from it on, as one
+        log of the nearer tail's mass: 1 - u is exact for u >= 0.5, so every
+        bit, the -0.0 at u = 0.5 included, is that of the two-branch form."""
         u = np.asarray(u, dtype=float)
-        lo = self.scale * np.log(np.maximum(2.0 * u, 1e-300))
-        hi = -self.scale * np.log(np.maximum(2.0 * (1.0 - u), 1e-300))
-        return np.where(u < 0.5, lo, hi)
+        tail = np.subtract(1.0, u, out=np.empty_like(u))
+        np.minimum(tail, u, out=tail)
+        tail *= 2.0
+        np.maximum(tail, 1e-300, out=tail)
+        np.log(tail, out=tail)
+        tail *= np.array([-self.scale, self.scale]).take((u < 0.5).view(np.uint8))
+        return tail
 
     def _density(self, t: float) -> float:
         return math.exp(-abs(t) / self.scale) / (2.0 * self.scale)
@@ -352,9 +359,50 @@ class Tabulated(SourceDistribution):
         x = np.asarray(x, dtype=float)
         return np.interp(x, self._cdf_x, self._cdf_y, left=0.0, right=1.0)
 
+    @cached_property
+    def _ppf_index(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """Bucket index over u and per-row slopes for ``ppf``, built on its
+        first call so that a table that is never sampled does not pay for it.
+
+        ``bucket[k]`` is the last grid row with ``cdf_y <= k/K``; K is a
+        power of two (so u K is exact) of about 16 buckets a row. The CDF
+        rises by less than an ulp over some tail cells, which leaves runs of
+        equal ``cdf_y`` and zero-width cells; their infinite slopes are
+        never read, since the row found for u is always the last of its run.
+        ``cdf_y`` gets an infinite sentinel and the slopes a 0 for the last
+        row, where u >= 1 lands.
+        """
+        y, x = self._cdf_y, self._cdf_x
+        K = 1 << (16 * y.size).bit_length()
+        bucket = np.searchsorted(y, np.arange(K + 1) / K, side="right") - 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.diff(x) / np.diff(y)
+        return K, bucket, np.append(y, np.inf), np.append(slope, 0.0)
+
     def ppf(self, u):
+        """Inverse CDF for u in [0, 1], bit for bit
+        ``np.interp(u, cdf_y, cdf_x)`` (u > 1 gives the right end, as there).
+
+        The row below u is read from its bucket; the few u that lie past
+        the bucket's first row (about one in a hundred) take a binary
+        search. The value is np.interp's ``slope (u - y) + x``, written as
+        ``x - slope (y - u)``: it rounds the same, and on an exact hit of a
+        -0.0 knot it keeps the sign that np.interp's equality branch
+        returns. (The one difference: a cell narrower than about 1e-300 in
+        ``cdf_y`` overflows its slope, and an exact hit on its left end
+        gives nan where np.interp gives the knot.)
+        """
         u = np.asarray(u, dtype=float)
-        return np.interp(u, self._cdf_y, self._cdf_x)
+        K, bucket, y, slope = self._ppf_index
+        flat = u.ravel()
+        row = bucket.take((flat * K).astype(np.intp), mode="clip")
+        far = np.flatnonzero(y.take(row + 1) <= flat)
+        row[far] = np.searchsorted(y, flat[far], side="right") - 1
+        out = y.take(row)
+        out -= flat
+        out *= slope.take(row)
+        np.subtract(self._cdf_x.take(row), out, out=out)
+        return out.reshape(u.shape)[()]
 
     def _cumulative(self, ends: np.ndarray) -> np.ndarray:
         """Moments of [-R, t] for each t in ``ends`` (inside [-R, R]): the

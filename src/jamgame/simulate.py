@@ -4,13 +4,15 @@ Draws measurements, applies a deterministic threshold transmission rule, a
 (possibly reactive) Bernoulli jamming policy and the symbol estimator, and
 aggregates the realized cost (X - Xhat)^2 + c U - d J with its standard
 error. Randomness comes from a counter-based Philox stream with a fixed
-two-uniforms-per-draw layout, so draw i depends only on (seed, i) and
-results are reproducible under any chunking of the draw range.
+two-uniforms-per-draw layout, so draw i depends only on (seed, i): the
+draws, the event counts and the event trace are the same under any
+chunking of the draw range, and a rerun is byte for byte the same. The
+cost sums are taken chunk by chunk, so ``empirical_cost`` and ``std_error``
+of two chunkings agree only to rounding.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -22,6 +24,8 @@ from .nonsensing import GameInstance, NonSensingEquilibrium
 from .reactive import ReactivePoint, objective_jtilde, transmit_region
 
 TRACE_LIMIT = 10_000
+# channel output of an event-trace row, by transmit + 2 * jam
+_EVENT_TAGS = ("idle", "x", "B", "B")
 
 
 class JamKind(Enum):
@@ -183,43 +187,56 @@ def simulate(
         raise ValueError("n must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=seed))
     x0, x1 = policies.xhat
+    # picked by a 0/1 flag: the blocking probability by the transmit flag,
+    # the symbol the receiver falls back to by the jam flag
+    p_block = np.array([policies.jam.alpha, policies.jam.beta])
+    symbol = np.array([x0, x1], dtype=float)
     total = 0.0
     total_sq = 0.0
     counts = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
-    writer = None
     trace_file = None
     traced = 0
     if trace_path is not None:
         trace_file = open(trace_path, "w", newline="")
-        writer = csv.writer(trace_file, lineterminator="\n")
-        writer.writerow(["x", "u", "j", "y", "xhat", "cost"])
+        trace_file.write("x,u,j,y,xhat,cost\n")
 
     try:
         done = 0
         while done < n:
             m = min(chunk, n - done)
-            u = np.clip(rng.random((m, 2)), 2.0**-53, 1.0 - 2.0**-53)
+            u = rng.random((m, 2))
+            np.clip(u, 2.0**-53, 1.0 - 2.0**-53, out=u)
             x = np.asarray(inst.dist.ppf(u[:, 0]), dtype=float)
             tx = policies.transmit(x)
-            p_block = np.where(tx, policies.jam.beta, policies.jam.alpha)
-            jam = u[:, 1] < p_block
-            xhat = np.where(jam, x1, np.where(tx, x, x0))
-            cost = (x - xhat) ** 2 + inst.c * tx - inst.d * jam
+            jam = u[:, 1] < p_block.take(tx.view(np.uint8))
+            # x - xhat: the fallback symbol's error, times 0 on a clean
+            # reception, where the receiver replays x; squared it is the
+            # same +0.0 as x - x
+            cost = x - symbol.take(jam.view(np.uint8))
+            cost *= jam | ~tx
+            np.square(cost, out=cost)
+            cost += inst.c * tx
+            cost -= inst.d * jam
 
             total += float(np.sum(cost))
             total_sq += float(np.sum(cost * cost))
-            for uu in (0, 1):
-                for jj in (0, 1):
-                    counts[(uu, jj)] += int(np.sum((tx == bool(uu)) & (jam == bool(jj))))
+            n_tx, n_jam, n_both = (int(np.count_nonzero(b)) for b in (tx, jam, tx & jam))
+            counts[(1, 1)] += n_both
+            counts[(1, 0)] += n_tx - n_both
+            counts[(0, 1)] += n_jam - n_both
+            counts[(0, 0)] += m - n_tx - n_jam + n_both
 
-            if writer is not None and traced < TRACE_LIMIT:
+            if trace_file is not None and traced < TRACE_LIMIT:
                 take = min(TRACE_LIMIT - traced, m)
-                ytags = np.where(jam[:take], "B", np.where(tx[:take], "x", "idle"))
-                # str of a Python float is its repr, so whole columns can go at once
-                writer.writerows(zip(
-                    x[:take].tolist(), tx[:take].astype(int).tolist(),
-                    jam[:take].astype(int).tolist(), ytags.tolist(),
-                    xhat[:take].tolist(), cost[:take].tolist(),
+                t, j = tx[:take], jam[:take]
+                xhat = np.where(j, x1, np.where(t, x[:take], x0))
+                # str of a Python float is its repr
+                trace_file.write("".join(
+                    f"{xv!r},{tv},{jv},{_EVENT_TAGS[tv + 2 * jv]},{hv!r},{cv!r}\n"
+                    for xv, tv, jv, hv, cv in zip(
+                        x[:take].tolist(), t.view(np.uint8).tolist(), j.view(np.uint8).tolist(),
+                        xhat.tolist(), cost[:take].tolist(),
+                    )
                 ))
                 traced += take
             done += m

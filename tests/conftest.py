@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from jamgame import (
     GameInstance,
     SolverOptions,
+    Tabulated,
     default_init,
     gaussian,
     laplace,
@@ -93,3 +96,12 @@ def bimodal_table():
     x = np.linspace(-12.0, 12.0, 401)
     f = 0.5 * (np.exp(-0.5 * (x - 3) ** 2) + np.exp(-0.5 * (x + 3) ** 2)) / np.sqrt(2 * np.pi)
     return x, f
+
+
+def exp_power_table(variance, shape, knots_per_side=20):
+    """Table of the symmetric unimodal density exp(-|x/a|^shape) with the
+    given variance, on knots out to where the density is exp(-40)."""
+    a = math.sqrt(variance * math.gamma(1.0 / shape) / math.gamma(3.0 / shape))
+    half = np.linspace(0.0, a * 40.0 ** (1.0 / shape), knots_per_side + 1)
+    x = np.concatenate([-half[:0:-1], half])
+    return Tabulated(x, np.exp(-((np.abs(x) / a) ** shape)))

@@ -13,6 +13,8 @@ from jamgame import (
 from jamgame.dist import InadmissibleDistributionError
 from jamgame.quadrature import PiecewiseIntegrand, integrate
 
+from conftest import exp_power_table
+
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -96,8 +98,8 @@ KS_CRIT_P001 = 1.9495  # asymptotic Kolmogorov critical value at alpha = 0.001
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: gaussian(1.0), lambda: laplace(sigma2=1.0)],
-    ids=["gaussian", "laplace"],
+    [lambda: gaussian(1.0), lambda: laplace(sigma2=1.0), lambda: exp_power_table(1.25, 1.5)],
+    ids=["gaussian", "laplace", "tabulated"],
 )
 def test_sampling_ks(make):
     d = make()
@@ -107,6 +109,59 @@ def test_sampling_ks(make):
     grid = np.arange(1, n + 1) / n
     ks = max(np.max(np.abs(cdf - grid)), np.max(np.abs(cdf - (grid - 1.0 / n))))
     assert ks < KS_CRIT_P001 / math.sqrt(n)
+
+
+def _philox_uniforms(seed, n):
+    u = np.random.Generator(np.random.Philox(key=seed)).random(n)
+    return np.clip(u, 2.0**-53, 1.0 - 2.0**-53)
+
+
+def test_laplace_ppf_matches_two_log_form():
+    # the one-log inverse against the two-branch formula, bit for bit,
+    # including the sign of the zero at the median
+    d = laplace(sigma2=2.0)
+    b = d.scale
+    edges = np.array([2.0**-53, 0.5 - 2.0**-54, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53])
+    for u in (_philox_uniforms(5, 10**6), edges):
+        lo = b * np.log(np.maximum(2.0 * u, 1e-300))
+        hi = -b * np.log(np.maximum(2.0 * (1.0 - u), 1e-300))
+        ref = np.where(u < 0.5, lo, hi)
+        got = d.ppf(u)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def _gaussian_table(x):
+    return Tabulated(x, np.exp(-0.5 * x * x) / SQRT_2PI)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: exp_power_table(1.25, 1.5), lambda: exp_power_table(2.75, 2.2),
+     lambda: exp_power_table(4.25, 1.8),
+     lambda: _gaussian_table(np.linspace(-8.5, 8.5, 801)),
+     lambda: _gaussian_table(np.where(np.arange(41) == 20, -0.0, np.linspace(-9.0, 9.0, 41)))],
+    ids=["exp-power-1.5", "exp-power-2.2", "exp-power-1.8", "gaussian-grid", "negative-zero-knot"],
+)
+def test_tabulated_ppf_matches_interp(make):
+    t = make()
+    y = t._cdf_y
+    # the CDF is flat over some tail cells, so some table values repeat
+    assert np.any(np.diff(y) == 0)
+    for u in (_philox_uniforms(6, 10**6), y, np.nextafter(y, 2.0), np.nextafter(y[1:], -1.0),
+              np.array([0.0, 1.0]), np.array([[0.25, 0.5], [0.75, 1.0]])):
+        ref = np.interp(u, t._cdf_y, t._cdf_x)
+        got = t.ppf(u)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+    # an exact hit on a knot returns the knot, a -0.0 one with its sign
+    assert np.array_equal(np.signbit(t.ppf(y)), np.signbit(t._cdf_x))
+    # past the last table value, the right end, as np.interp gives
+    assert np.array_equal(t.ppf(np.array([1.0 + 2.0**-52, 2.0])), np.full(2, t._cdf_x[-1]))
+    for u in (0.3, np.array(0.3)):
+        assert np.ndim(t.ppf(u)) == 0
+        assert t.ppf(u) == np.interp(u, t._cdf_y, t._cdf_x)
 
 
 def test_admissibility_clean_families():

@@ -24,6 +24,8 @@ from jamgame.nonsensing import (
     fixed_policy_objective,
 )
 
+from conftest import exp_power_table
+
 
 def test_game_instance_rejects_negative_costs():
     with pytest.raises(ValueError):
@@ -239,17 +241,10 @@ def _halving_bisection_phi(inst: GameInstance, xtol: float = 1e-10) -> tuple[Reg
     return Regime.INTERIOR_JAM, phi
 
 
-def _exp_power_table(variance=1.3, shape=1.5, knots_per_side=30):
-    a = math.sqrt(variance * math.gamma(1.0 / shape) / math.gamma(3.0 / shape))
-    half = np.linspace(0.0, a * 40.0 ** (1.0 / shape), knots_per_side + 1)
-    x = np.concatenate([-half[:0:-1], half])
-    return Tabulated(x, np.exp(-((np.abs(x) / a) ** shape)))
-
-
 ROOT_FAMILIES = {
     "gaussian": lambda: gaussian(1.0),
     "laplace": lambda: laplace(sigma2=2.0),
-    "tabulated": _exp_power_table,
+    "tabulated": lambda: exp_power_table(1.3, 1.5, knots_per_side=30),
 }
 
 

@@ -21,7 +21,7 @@ from jamgame import (
 )
 from jamgame.simulate import TRACE_LIMIT
 
-from conftest import TABLE1
+from conftest import TABLE1, exp_power_table
 
 
 def binom_se(p_hat, n):
@@ -131,6 +131,18 @@ class TestDeterminism:
         assert r1.empirical_cost == r2.empirical_cost
         assert r1.event_counts == r2.event_counts
 
+    def test_chunking_keeps_counts_and_costs_to_rounding(self, g2, eq_g2):
+        # the draws and counts do not depend on the chunking; the cost sums
+        # are taken per chunk, so the two chunkings round differently (at
+        # n = 10**6 they differ in the last bit of empirical_cost)
+        bundle = bundle_from_nonsensing(eq_g2)
+        r1 = simulate(g2, bundle, n=10**6, seed=78, chunk=1 << 17)
+        r2 = simulate(g2, bundle, n=10**6, seed=78, chunk=997)
+        assert r1.event_counts == r2.event_counts
+        assert (r1.p_transmit, r1.p_jam) == (r2.p_transmit, r2.p_jam)
+        assert r1.empirical_cost == pytest.approx(r2.empirical_cost, rel=1e-12, abs=0)
+        assert r1.std_error == pytest.approx(r2.std_error, rel=1e-12, abs=0)
+
 
 class TestSerialization:
     def test_result_json_fields(self, g1, eq_g1):
@@ -172,26 +184,28 @@ class TestSerialization:
         simulate(g1, bundle_from_nonsensing(eq_g1), n=15_000, seed=6, trace_path=path)
         assert len(path.read_text().splitlines()) == 10_001
 
-    def test_event_trace_matches_per_row_formatting(self, g1, tmp_path):
+    def test_event_trace_matches_per_row_formatting(self, g1, lap1, tmp_path):
         # the same draws formatted one row at a time with repr(float(.));
         # the trace spans three chunks and stops inside the third
-        bundle = bundle_from_reactive(ReactivePoint((0.5, -0.4), (0.3, 0.6)), g1)
-        path = tmp_path / "events.csv"
-        simulate(g1, bundle, n=12_000, seed=9, trace_path=path, chunk=4_500)
-        rng = np.random.Generator(np.random.Philox(key=9))
-        u = np.clip(rng.random((TRACE_LIMIT, 2)), 2.0**-53, 1.0 - 2.0**-53)
-        x = g1.dist.ppf(u[:, 0])
-        tx = bundle.transmit(x)
-        jam = u[:, 1] < np.where(tx, bundle.jam.beta, bundle.jam.alpha)
-        xhat = np.where(jam, bundle.xhat[1], np.where(tx, x, bundle.xhat[0]))
-        cost = (x - xhat) ** 2 + g1.c * tx - g1.d * jam
-        rows = ["x,u,j,y,xhat,cost"]
-        for i in range(TRACE_LIMIT):
-            tag = "B" if jam[i] else ("x" if tx[i] else "idle")
-            rows.append(",".join([repr(float(x[i])), str(int(tx[i])), str(int(jam[i])), tag,
-                                  repr(float(xhat[i])), repr(float(cost[i]))]))
-        assert {"B", "x", "idle"} <= {r.split(",")[3] for r in rows[1:]}
-        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+        table = GameInstance(exp_power_table(2.75, 2.2), 1.0, 1.0)
+        for inst in (g1, lap1, table):
+            bundle = bundle_from_reactive(ReactivePoint((0.5, -0.4), (0.3, 0.6)), inst)
+            path = tmp_path / f"events-{inst.dist.family.value}.csv"
+            simulate(inst, bundle, n=12_000, seed=9, trace_path=path, chunk=4_500)
+            rng = np.random.Generator(np.random.Philox(key=9))
+            u = np.clip(rng.random((TRACE_LIMIT, 2)), 2.0**-53, 1.0 - 2.0**-53)
+            x = inst.dist.ppf(u[:, 0])
+            tx = bundle.transmit(x)
+            jam = u[:, 1] < np.where(tx, bundle.jam.beta, bundle.jam.alpha)
+            xhat = np.where(jam, bundle.xhat[1], np.where(tx, x, bundle.xhat[0]))
+            cost = (x - xhat) ** 2 + inst.c * tx - inst.d * jam
+            rows = ["x,u,j,y,xhat,cost"]
+            for i in range(TRACE_LIMIT):
+                tag = "B" if jam[i] else ("x" if tx[i] else "idle")
+                rows.append(",".join([repr(float(x[i])), str(int(tx[i])), str(int(jam[i])), tag,
+                                      repr(float(xhat[i])), repr(float(cost[i]))]))
+            assert {"B", "x", "idle"} <= {r.split(",")[3] for r in rows[1:]}
+            assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
 
 
 class TestAnalyticCost:
