@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import functools
 import json
 import math
@@ -114,12 +115,14 @@ def cmd_solve_nonsensing(args) -> int:
 
 
 def _solver_options(args) -> SolverOptions:
+    # the trace rows are recorded only for --trace-out, the one place they are written
     return SolverOptions(
         step_size=args.lambda_ga if args.solver == "gda" else args.step_size,
         descent_step=args.lambda_gd,
         step_schedule=args.schedule,
         epsilon=args.eps,
         max_iters=args.max_iters,
+        record_trace=args.trace_out is not None,
     )
 
 
@@ -142,9 +145,10 @@ def cmd_solve_reactive(args) -> int:
     if args.multistart > 0:
         rng = np.random.Generator(np.random.Philox(key=args.seed))
         s = inst.dist.scale
+        start_opts = dataclasses.replace(opts, record_trace=False)
         for _ in range(args.multistart):
             start = ReactivePoint(tuple(rng.uniform(-2 * s, 2 * s, 2)), tuple(rng.uniform(0, 1, 2)))
-            results.append(_run_solver(inst, args.solver, start, opts))
+            results.append(_run_solver(inst, args.solver, start, start_opts))
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -249,7 +253,7 @@ def cmd_sweep(args) -> int:
         for s2 in s2s:
             inst = GameInstance(dist.gaussian(float(s2)), args.c, args.d)
             opts = SolverOptions(step_size=args.step_size, epsilon=args.eps,
-                                 max_iters=args.max_iters)
+                                 max_iters=args.max_iters, record_trace=False)
             p, t, cert = solve_pga_ccp(inst, None, opts)
             lines.append(",".join([
                 _fmt(s2), _fmt(p.theta[0]), _fmt(p.theta[1]),

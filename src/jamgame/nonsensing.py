@@ -233,7 +233,7 @@ def fixed_policy_objective(
     from .reactive import ReactivePoint, _evaluate
 
     p = ReactivePoint(xhat, (phi, phi))
-    return _evaluate(inst, p, silent=(rule.silent_lo, rule.silent_hi))[0][0]
+    return _evaluate(inst, *p.xhat, *p.theta, silent=(rule.silent_lo, rule.silent_hi))[0][0]
 
 
 @dataclass

@@ -137,9 +137,11 @@ def transmit_region(
 
 
 def _evaluate(
-    inst: GameInstance, p: ReactivePoint, silent: tuple[float, float] | None = None
+    inst: GameInstance, x0: float, x1: float, a: float, b: float,
+    silent: tuple[float, float] | None = None,
 ) -> tuple[list[float], list[float]]:
-    """Rows [value, d/dxhat0, d/dxhat1, d/dalpha, d/dbeta] of Jt and of G.
+    """Rows [value, d/dxhat0, d/dxhat1, d/dalpha, d/dbeta] of Jt and of G at
+    xhat = (x0, x1), theta = (a, b).
 
     The transmit cost A, the silent cost B and their derivatives are
     quadratics in x, held as coefficient rows over (1, x, x^2). On the
@@ -151,12 +153,10 @@ def _evaluate(
     arithmetic is on Python floats, which overflow to inf without a warning;
     the finite checks raise before anything non-finite reaches numpy.
     """
-    x0, x1 = p.xhat
-    a, b = p.theta
     c, d = inst.c, inst.d
     # with theta in the unit box, every coefficient is finite when this sum is
     if not math.isfinite(x0 * x0 + x1 * x1 + c + d):
-        raise FloatingPointError(f"cost coefficients overflow at xhat={p.xhat!r}")
+        raise FloatingPointError(f"cost coefficients overflow at xhat={(x0, x1)!r}")
     q_a = (
         (b * x1 * x1 + c - d * b, -2.0 * b * x1, b),
         (0.0, 0.0, 0.0),
@@ -172,7 +172,7 @@ def _evaluate(
         (0.0, 0.0, 0.0),
     )
     if silent is None:
-        silent = transmit_region(p.xhat, p.theta, c, d).silent_interval()
+        silent = transmit_region((x0, x1), (a, b), c, d).silent_interval()
     f0, f1, f2 = inst.dist.full_moments
     s0, s1, s2 = inst.dist.partial_moments(*silent)
     jt: list[float] = []
@@ -183,24 +183,24 @@ def _evaluate(
         g.append(b0 * f0 + b1 * f1 + b2 * f2 - on_silent)
     if not all(map(math.isfinite, jt + g)):
         raise FloatingPointError(
-            f"non-finite objective or gradient at xhat={p.xhat!r}, theta={p.theta!r}"
+            f"non-finite objective or gradient at xhat={(x0, x1)!r}, theta={(a, b)!r}"
         )
     return jt, g
 
 
 def objective_jtilde(inst: GameInstance, p: ReactivePoint) -> float:
     """Reduced objective Jt = E[min of the two branch costs]."""
-    return _evaluate(inst, p)[0][0]
+    return _evaluate(inst, *p.xhat, *p.theta)[0][0]
 
 
 def grad_xhat(inst: GameInstance, p: ReactivePoint) -> np.ndarray:
     """Partial gradient of Jt in the representation symbols."""
-    return np.array(_evaluate(inst, p)[0][1:3])
+    return np.array(_evaluate(inst, *p.xhat, *p.theta)[0][1:3])
 
 
 def grad_theta(inst: GameInstance, p: ReactivePoint) -> np.ndarray:
     """Partial gradient of Jt in the jamming probabilities."""
-    return np.array(_evaluate(inst, p)[0][3:])
+    return np.array(_evaluate(inst, *p.xhat, *p.theta)[0][3:])
 
 
 def dc_parts(inst: GameInstance, p: ReactivePoint) -> tuple[float, float]:
@@ -209,20 +209,33 @@ def dc_parts(inst: GameInstance, p: ReactivePoint) -> tuple[float, float]:
     F is the quadratic E[A] + E[B] (the sum of both branch expectations);
     G is the expectation of the max of the branches.
     """
-    jt, g = _evaluate(inst, p)
+    jt, g = _evaluate(inst, *p.xhat, *p.theta)
     return jt[0] + g[0], g[0]
 
 
 def grad_g(inst: GameInstance, p: ReactivePoint) -> np.ndarray:
     """Gradient of the convex part G in xhat."""
-    return np.array(_evaluate(inst, p)[1][1:3])
+    return np.array(_evaluate(inst, *p.xhat, *p.theta)[1][1:3])
+
+
+def _ascend(t: float, q: float, step: float) -> float:
+    """One coordinate of the projected ascent step, rounded as ``np.clip``
+    rounds it (a -0.0 and a nan pass through)."""
+    return min(max(t + step * q, 0.0), 1.0)
 
 
 def pga_step(theta, grad, step: float) -> np.ndarray:
     """Projected gradient ascent step: clamp theta + step * grad to the box."""
     if step <= 0:
         raise ValueError("step must be positive")
-    return np.clip(np.asarray(theta, dtype=float) + step * np.asarray(grad, dtype=float), 0.0, 1.0)
+    return np.array([_ascend(float(t), float(q), step) for t, q in zip(theta, grad, strict=True)])
+
+
+def _ccp_xhat(g: list[float], a: float, b: float) -> tuple[float, float]:
+    """The CCP update from the row of G at (xhat, theta = (a, b))."""
+    new0 = g[1] / (2.0 * (1.0 - a)) if a < 1.0 else 0.0
+    new1 = g[2] / (2.0 * (a + b)) if a + b > 0.0 else 0.0
+    return new0, new1
 
 
 def ccp_step(inst: GameInstance, xhat, theta) -> np.ndarray:
@@ -233,11 +246,8 @@ def ccp_step(inst: GameInstance, xhat, theta) -> np.ndarray:
     xhat' = Adagger(theta) g(xhat, theta), with singular directions (alpha = 1,
     or alpha + beta = 0) pinned to 0.
     """
-    a, b = theta
-    g = _evaluate(inst, ReactivePoint(tuple(xhat), (float(a), float(b))))[1][1:3]
-    new0 = g[0] / (2.0 * (1.0 - a)) if a < 1.0 else 0.0
-    new1 = g[1] / (2.0 * (a + b)) if a + b > 0.0 else 0.0
-    return np.array([new0, new1])
+    p = ReactivePoint(tuple(xhat), tuple(float(v) for v in theta))
+    return np.array(_ccp_xhat(_evaluate(inst, *p.xhat, *p.theta)[1], *p.theta))
 
 
 @dataclass(frozen=True)
@@ -273,12 +283,12 @@ def lp_ascent_gap(grad: Iterable[float], theta: Iterable[float]) -> float:
 def certify_fne(inst: GameInstance, p: ReactivePoint, epsilon: float) -> FneCertificate:
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    return _certificate(_evaluate(inst, p)[0], p, epsilon)
+    return _certificate(_evaluate(inst, *p.xhat, *p.theta)[0], p.theta, epsilon)
 
 
-def _certificate(jt: list[float], p: ReactivePoint, epsilon: float) -> FneCertificate:
+def _certificate(jt: list[float], theta: tuple[float, float], epsilon: float) -> FneCertificate:
     grad_norm = math.hypot(jt[1], jt[2])
-    gap = lp_ascent_gap(jt[3:], p.theta)
+    gap = lp_ascent_gap(jt[3:], theta)
     return FneCertificate(grad_norm, gap, epsilon, grad_norm <= epsilon and gap <= epsilon)
 
 
@@ -373,15 +383,15 @@ def _canonical(inst: GameInstance, p: ReactivePoint, cert: FneCertificate) -> tu
     return p, cert
 
 
-def _newton_jump(inst: GameInstance, p: ReactivePoint, q: np.ndarray,
-                 epsilon: float) -> ReactivePoint | None:
+def _newton_jump(inst: GameInstance, p: ReactivePoint, q: tuple[float, float],
+                 epsilon: float) -> tuple[ReactivePoint, list[float]] | None:
     """Solve the first-order system of p's theta face, starting from p.
 
     The unknowns are xhat and the theta coordinates strictly inside (0, 1);
     coordinates at a bound stay there. If that does not give a certified
     point, each free coordinate in turn is fixed at the bound its gradient
-    ``q`` points to. Returns the first solution that ``certify_fne`` accepts
-    at ``epsilon``, or None.
+    ``q`` points to. Returns the first solution that certifies at
+    ``epsilon``, with its row of Jt, or None.
     """
     free = [i for i in (0, 1) if 0.0 < p.theta[i] < 1.0]
     faces = [{}] + [{i: 1.0 if q[i] > 0.0 else 0.0} for i in free]
@@ -389,21 +399,23 @@ def _newton_jump(inst: GameInstance, p: ReactivePoint, q: np.ndarray,
         base = [fixed.get(i, p.theta[i]) for i in (0, 1)]
         unknown = [i for i in free if i not in fixed]
 
-        def point(z) -> ReactivePoint:
+        def theta_at(z) -> list[float]:
             theta = list(base)
             for j, i in enumerate(unknown):
                 theta[i] = min(max(float(z[2 + j]), 0.0), 1.0)
-            return ReactivePoint((z[0], z[1]), tuple(theta))
+            return theta
 
         def residual(z):
-            jt = _evaluate(inst, point(z))[0]
+            # a non-finite z raises in _evaluate, which ends this face
+            jt = _evaluate(inst, float(z[0]), float(z[1]), *theta_at(z))[0]
             return [jt[1], jt[2]] + [jt[3 + i] for i in unknown]
 
         try:
             z = fsolve(residual, [*p.xhat] + [base[i] for i in unknown], full_output=True)[0]
-            candidate = point(z)
-            if certify_fne(inst, candidate, epsilon).certified:
-                return candidate
+            candidate = ReactivePoint((z[0], z[1]), tuple(theta_at(z)))
+            jt = _evaluate(inst, *candidate.xhat, *candidate.theta)[0]
+            if _certificate(jt, candidate.theta, epsilon).certified:
+                return candidate, jt
         except (ValueError, ArithmeticError):  # the iterate left the finite domain
             continue
     return None
@@ -413,39 +425,51 @@ def _solve(inst: GameInstance, init: ReactivePoint | None, opts: SolverOptions |
            ccp: bool) -> tuple[ReactivePoint, SolverTrace, FneCertificate]:
     """The loop both solvers share: a projected ascent step on theta, then
     a CCP step (``ccp``) or a gradient descent step on xhat. Only PGA-CCP
-    records the CCP descent and tries the Newton jump."""
+    records the CCP descent and tries the Newton jump.
+
+    The iterate is carried as the floats x0, x1, a, b. The evaluation at
+    (xhat, theta') that gives the CCP step (or GDA's gradient) also gives
+    Jt(xhat, theta'), the start of the recorded CCP descent. A
+    ``ReactivePoint`` is made only for the jump start and the returned
+    point; for a nan theta or an infinite xhat the loop raises the
+    ValueError that one would.
+    """
     opts = opts or SolverOptions()
     p = init or default_init(inst)
+    (x0, x1), (a, b) = p.xhat, p.theta
+    eps = opts.epsilon
     trace = SolverTrace()
-    jt = _evaluate(inst, p)[0]
-    cert = _certificate(jt, p, opts.epsilon)
+    jt = _evaluate(inst, x0, x1, a, b)[0]
+    cert = _certificate(jt, (a, b), eps)
     no_descent = 0.0 if ccp else math.nan
     if opts.record_trace:
         trace.rows.append(
-            TraceRow(0, *p.xhat, *p.theta, float(jt[0]), cert.grad_norm, cert.lp_gap, 0.0,
-                     no_descent)
+            TraceRow(0, x0, x1, a, b, jt[0], cert.grad_norm, cert.lp_gap, 0.0, no_descent)
         )
-    best = (max(cert.grad_norm, cert.lp_gap), p, jt[3:])
+    best = (max(cert.grad_norm, cert.lp_gap), x0, x1, a, b, jt[3], jt[4])
     stall_count = 0
     k = 0
     while not cert.certified and k < opts.max_iters:
         k += 1
         step = opts.step_at(k)
-        at_theta = ReactivePoint(p.xhat, tuple(pga_step(p.theta, jt[3:], step)))
+        a_new, b_new = _ascend(a, jt[3], step), _ascend(b, jt[4], step)
+        if a_new != a_new or b_new != b_new:
+            raise ValueError("theta must lie in the unit box")
+        jt_mid, g = _evaluate(inst, x0, x1, a_new, b_new)
         if ccp:
-            xhat_new = ccp_step(inst, p.xhat, at_theta.theta)
+            n0, n1 = _ccp_xhat(g, a_new, b_new)
         else:
-            xhat_new = np.asarray(p.xhat) - opts.descent_step * grad_xhat(inst, at_theta)
-        p_new = ReactivePoint(tuple(xhat_new), at_theta.theta)
-        jt = _evaluate(inst, p_new)[0]
-        cert = _certificate(jt, p_new, opts.epsilon)
+            n0, n1 = x0 - opts.descent_step * jt_mid[1], x1 - opts.descent_step * jt_mid[2]
+        if not (math.isfinite(n0) and math.isfinite(n1)):
+            raise ValueError("xhat must be finite")
+        jt = _evaluate(inst, n0, n1, a_new, b_new)[0]
+        cert = _certificate(jt, (a_new, b_new), eps)
         if opts.record_trace:
-            j_after = float(jt[0])
-            descent = j_after - objective_jtilde(inst, at_theta) if ccp else math.nan
-            trace.rows.append(TraceRow(k, *p_new.xhat, *p_new.theta, j_after, cert.grad_norm,
+            descent = jt[0] - jt_mid[0] if ccp else math.nan
+            trace.rows.append(TraceRow(k, n0, n1, a_new, b_new, jt[0], cert.grad_norm,
                                        cert.lp_gap, step, descent))
-        moved = math.dist((*p.xhat, *p.theta), (*p_new.xhat, *p_new.theta))
-        p = p_new
+        moved = math.dist((x0, x1, a, b), (n0, n1, a_new, b_new))
+        x0, x1, a, b = n0, n1, a_new, b_new
         if cert.certified:
             break
         stall_count = stall_count + 1 if moved < opts.stall_tol else 0
@@ -454,14 +478,18 @@ def _solve(inst: GameInstance, init: ReactivePoint | None, opts: SolverOptions |
             break
         if not ccp:
             continue
-        best = min(best, (max(cert.grad_norm, cert.lp_gap), p, jt[3:]), key=lambda b: b[0])
+        score = max(cert.grad_norm, cert.lp_gap)
+        if score < best[0]:
+            best = (score, x0, x1, a, b, jt[3], jt[4])
         if k % POLISH_EVERY == 0 and k < opts.max_iters:
-            jumped = _newton_jump(inst, best[1], best[2], opts.epsilon)
+            jumped = _newton_jump(inst, ReactivePoint(best[1:3], best[3:5]), best[5:], eps)
             if jumped is not None:
-                p, jt = jumped, _evaluate(inst, jumped)[0]
+                landed, jt = jumped
+                (x0, x1), (a, b) = landed.xhat, landed.theta
                 trace.polished_at = k
 
     trace.iterations = k
+    p = ReactivePoint((x0, x1), (a, b))
     if cert.certified:
         trace.terminated_by = Termination.EPSILON_FNE
         p, cert = _canonical(inst, p, cert)

@@ -10,7 +10,7 @@ from jamgame import (
     gaussian,
     laplace,
 )
-from jamgame.dist import InadmissibleDistributionError
+from jamgame.dist import _GL_W, _GL_X, InadmissibleDistributionError
 from jamgame.quadrature import PiecewiseIntegrand, integrate
 
 from conftest import exp_power_table
@@ -162,6 +162,150 @@ def test_tabulated_ppf_matches_interp(make):
     for u in (0.3, np.array(0.3)):
         assert np.ndim(t.ppf(u)) == 0
         assert t.ppf(u) == np.interp(u, t._cdf_y, t._cdf_x)
+
+
+def _numpy_cumulative(t, ends):
+    """The table's cumulative moments as the numpy kernel computed them: one
+    Gauss-Legendre rule per cell through ``PchipInterpolator.__call__`` and
+    ``sum(axis=1)``, for an array of ends."""
+    ends = np.asarray(ends, dtype=float)
+    below = np.clip(np.searchsorted(t._cdf_x, ends, side="right") - 1, 0, t._cdf_x.size - 2)
+    lo = t._cdf_x[below]
+    half = 0.5 * (ends - lo)
+    z = (0.5 * (ends + lo))[:, None] + half[:, None] * _GL_X
+    wf = half[:, None] * _GL_W * t._norm * np.exp(t._logf(z))
+    cells = np.stack([wf.sum(axis=1), (wf * z).sum(axis=1), (wf * z * z).sum(axis=1)], axis=1)
+    return t._cum[below] + cells
+
+
+def _numpy_partial_moments(t, lo, hi):
+    R = t.truncation_radius
+    lo, hi = np.maximum(lo, -R), np.minimum(hi, R)
+    empty = ~(lo < hi)
+    m = _numpy_cumulative(t, hi) - _numpy_cumulative(t, lo)
+    m[:, 0] = np.maximum(m[:, 0], 0.0)
+    m[:, 2] = np.maximum(m[:, 2], 0.0)
+    m[empty] = 0.0
+    return m
+
+
+def _numpy_tail_second_moment(t, s):
+    left = _numpy_cumulative(t, -s)[:, 2]
+    right = _numpy_cumulative(t, s)[:, 2]
+    tail = np.maximum(left, 0.0) + np.maximum(t.variance - right, 0.0)
+    return np.where(s >= t.truncation_radius, 0.0, tail)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: exp_power_table(1.25, 1.5), lambda: exp_power_table(2.75, 2.2),
+     lambda: exp_power_table(4.25, 1.8), lambda: _gaussian_table(np.linspace(-8.5, 8.5, 801))],
+    ids=["exp-power-1.5", "exp-power-2.2", "exp-power-1.8", "gaussian-grid"],
+)
+def test_tabulated_moments_match_numpy_kernel(make):
+    # the float kernel gives every bit of the numpy one, the sign of a zero
+    # included
+    t = make()
+    R = t.truncation_radius
+    rng = np.random.default_rng(17)
+    ends = np.concatenate([t._cdf_x, t._knots, [R, -R, 1.5 * R, -1.5 * R, 0.0, -0.0]])
+    pairs = np.sort(rng.uniform(-1.1 * R, 1.1 * R, (10**4, 2)), axis=1)
+    # the last two blocks are empty intervals
+    lo = np.concatenate([pairs[:, 0], ends, np.full(ends.size, -R), ends, ends + 1e-3])
+    hi = np.concatenate([pairs[:, 1], np.full(ends.size, R), ends, ends, ends])
+    got = np.array([t.partial_moments(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
+    assert got.tobytes() == _numpy_partial_moments(t, lo, hi).tobytes()
+
+    s = np.concatenate([np.abs(rng.uniform(-1.1 * R, 1.1 * R, 10**4)), np.abs(ends),
+                        [0.0, R, np.nextafter(R, 0.0), 2.0 * R]])
+    got = np.array([t.tail_second_moment(v) for v in s.tolist()])
+    assert got.tobytes() == _numpy_tail_second_moment(t, s).tobytes()
+
+
+def _nonmirrored_gaussian(sigma, negative=400, positive=433, reach=8.5):
+    """Gaussian table on knots that are not mirrored about 0."""
+    x = np.concatenate([np.linspace(-reach * sigma, 0.0, negative, endpoint=False),
+                        np.linspace(0.0, reach * sigma, positive)])
+    return x, np.exp(-0.5 * (x / sigma) ** 2) / (sigma * SQRT_2PI)
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
+def test_admissibility_accepts_nonmirrored_table(sigma):
+    # the interpolant on these knots is symmetric only to the interpolation
+    # error, |f(t) - f(-t)| ~ 6e-6 of the peak, with a mean of ~1e-9 sigma
+    t = Tabulated(*_nonmirrored_gaussian(sigma))
+    assert t.scale == pytest.approx(sigma, rel=1e-6)
+    assert t.tail_second_moment(sigma) == pytest.approx(
+        gaussian(sigma**2).tail_second_moment(sigma), rel=1e-6
+    )
+
+
+@pytest.mark.parametrize("knots", [801, 201, 61])
+def test_admissibility_refuses_skewed_table(knots):
+    # a two-piece normal (sigma 1 left of its mode, 1.2 right of it), shifted
+    # so that its mean is 0, is refused by the symmetry test
+    x = np.linspace(-9.0, 9.0, knots)
+    z = x + math.sqrt(2.0 / math.pi) * 0.2
+    f = np.exp(-0.5 * (z / np.where(z < 0, 1.0, 1.2)) ** 2)
+    with pytest.raises(InadmissibleDistributionError) as refused:
+        Tabulated(x, f)
+    kinds = {kind for kind, _, _ in refused.value.report.violations}
+    assert "symmetry" in kinds
+
+
+def _two_piece(x, shift):
+    # sigma 1 left of the mode and 1.2 right of it; the mode at -shift
+    z = x + shift
+    return np.exp(-0.5 * (z / np.where(z < 0, 1.0, 1.2)) ** 2)
+
+
+@pytest.mark.parametrize("shift", [0.0, math.sqrt(2.0 / math.pi) * 0.2], ids=["mode-0", "mean-0"])
+def test_admissibility_ignores_knots_beyond_radius(shift):
+    # one far row beyond R = 9 is never interpolated, so its gap grants no
+    # allowance: the mode-at-0 table fails the mean test (0.16 s), the
+    # shifted one the symmetry test
+    x = np.linspace(-9.0, 9.0, 801)
+    with pytest.raises(ValueError, match="nonzero mean" if shift == 0.0 else "symmetry"):
+        Tabulated(np.append(x, 60.0), np.append(_two_piece(x, shift), 1e-30))
+
+
+def test_admissibility_far_row_keeps_allowance():
+    # nor does that gap take away the allowance of the gaps that are used:
+    # this table's mean, about 6e-6 s, is inside it
+    x, f = _nonmirrored_gaussian(1.0, 40, 47)
+    Tabulated(np.append(x, 60.0), np.append(f, 1e-30))
+
+
+@pytest.mark.parametrize("gap", [3.0, 0.8])
+def test_admissibility_refuses_asymmetric_tail(gap):
+    # a Gaussian whose right tail is 1.5 times its left one beyond 3 s: a
+    # sparse tail (3 s) grants no allowance, so the mean test refuses it, and
+    # a measured one (0.8 s) grants it relative to the tail's own density,
+    # not the peak's, so the symmetry test does
+    tail = np.arange(3.0 + gap, 9.0, gap)
+    x = np.concatenate([-tail[::-1], np.linspace(-3.0, 3.0, 241), tail])
+    f = np.exp(-0.5 * x * x) * np.where(x > 3.0, 1.5, 1.0)
+    with pytest.raises(ValueError, match="nonzero mean" if gap > 1.0 else "symmetry"):
+        Tabulated(x, f)
+
+
+@pytest.mark.parametrize("shift", [0.0, math.sqrt(2.0 / math.pi) * 0.2], ids=["mode-0", "mean-0"])
+def test_admissibility_refuses_skewed_table_with_sparse_tails(shift):
+    # tail gaps of 3 s lie beyond the measured range, so they grant no
+    # allowance to either test
+    x = np.concatenate([[-9.0, -6.0], np.linspace(-3.0, 3.0, 241), [6.0, 9.0]])
+    with pytest.raises(ValueError):
+        Tabulated(x, _two_piece(x, shift))
+
+
+def test_admissibility_sparse_tails_need_mirrored_knots():
+    # with no allowance the strict tests still accept mirrored
+    # knots and refuse the same Gaussian on knots that are not mirrored
+    x = np.concatenate([[-9.0, -6.0], np.linspace(-3.0, 3.0, 241), [6.0, 9.0]])
+    Tabulated(x, np.exp(-0.5 * x * x))
+    x = np.concatenate([[-9.0, -6.5], np.linspace(-3.0, 3.0, 241), [5.5, 9.0]])
+    with pytest.raises(ValueError):
+        Tabulated(x, np.exp(-0.5 * x * x))
 
 
 def test_admissibility_clean_families():

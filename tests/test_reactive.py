@@ -27,9 +27,15 @@ from jamgame import (
     solve_pga_ccp,
     transmit_region,
 )
-from jamgame.reactive import default_init, lp_ascent_gap
+from jamgame.reactive import (
+    POLISH_EVERY,
+    SolverTrace,
+    TraceRow,
+    default_init,
+    lp_ascent_gap,
+)
 
-from conftest import TABLE1
+from conftest import TABLE1, exp_power_table
 
 
 def fd_gradient(f, x, h=1e-5):
@@ -537,3 +543,164 @@ class TestTraceCsv:
             "k", "xhat0", "xhat1", "alpha", "beta", "objective",
             "grad_xhat_norm", "lp_gap",
         ]
+
+
+def _reference_jump(inst, p, q, epsilon):
+    """The Newton jump as the ReactivePoint loop made it: fsolve on the face's
+    first-order system, with a ReactivePoint for every residual."""
+    from scipy.optimize import fsolve
+
+    free = [i for i in (0, 1) if 0.0 < p.theta[i] < 1.0]
+    faces = [{}] + [{i: 1.0 if q[i] > 0.0 else 0.0} for i in free]
+    for fixed in faces:
+        base = [fixed.get(i, p.theta[i]) for i in (0, 1)]
+        unknown = [i for i in free if i not in fixed]
+
+        def point(z):
+            theta = list(base)
+            for j, i in enumerate(unknown):
+                theta[i] = min(max(float(z[2 + j]), 0.0), 1.0)
+            return ReactivePoint((z[0], z[1]), tuple(theta))
+
+        def residual(z):
+            at = point(z)
+            return list(grad_xhat(inst, at)) + [grad_theta(inst, at)[i] for i in unknown]
+
+        try:
+            z = fsolve(residual, [*p.xhat] + [base[i] for i in unknown], full_output=True)[0]
+            candidate = point(z)
+            if certify_fne(inst, candidate, epsilon).certified:
+                return candidate
+        except (ValueError, ArithmeticError):
+            continue
+    return None
+
+
+def _reference_solve(inst, init, opts, ccp):
+    """The solver loop on the public functions: np.clip for the ascent, a
+    ReactivePoint per step, the CCP step (or grad_xhat), and
+    objective_jtilde for both ends of the CCP descent."""
+    p = init or default_init(inst)
+    trace = SolverTrace()
+    cert = certify_fne(inst, p, opts.epsilon)
+    q = grad_theta(inst, p)
+    if opts.record_trace:
+        trace.rows.append(TraceRow(0, *p.xhat, *p.theta, objective_jtilde(inst, p),
+                                   cert.grad_norm, cert.lp_gap, 0.0, 0.0 if ccp else math.nan))
+    best = (max(cert.grad_norm, cert.lp_gap), p, q)
+    stall_count = 0
+    k = 0
+    while not cert.certified and k < opts.max_iters:
+        k += 1
+        step = opts.step_at(k)
+        theta = np.clip(np.asarray(p.theta) + step * np.asarray(q), 0.0, 1.0)
+        at_theta = ReactivePoint(p.xhat, tuple(theta))
+        if ccp:
+            # ccp_step as it was written: the pseudo-inverse solve on grad G
+            a, b = at_theta.theta
+            g = grad_g(inst, at_theta)
+            xhat_new = np.array([g[0] / (2.0 * (1.0 - a)) if a < 1.0 else 0.0,
+                                 g[1] / (2.0 * (a + b)) if a + b > 0.0 else 0.0])
+            assert np.array_equal(xhat_new, ccp_step(inst, p.xhat, at_theta.theta))
+        else:
+            xhat_new = np.asarray(p.xhat) - opts.descent_step * grad_xhat(inst, at_theta)
+        p_new = ReactivePoint(tuple(xhat_new), at_theta.theta)
+        cert = certify_fne(inst, p_new, opts.epsilon)
+        q = grad_theta(inst, p_new)
+        if opts.record_trace:
+            j_after = objective_jtilde(inst, p_new)
+            descent = j_after - objective_jtilde(inst, at_theta) if ccp else math.nan
+            trace.rows.append(TraceRow(k, *p_new.xhat, *p_new.theta, j_after, cert.grad_norm,
+                                       cert.lp_gap, step, descent))
+        moved = math.dist((*p.xhat, *p.theta), (*p_new.xhat, *p_new.theta))
+        p = p_new
+        if cert.certified:
+            break
+        stall_count = stall_count + 1 if moved < opts.stall_tol else 0
+        if stall_count >= opts.stall_iters:
+            trace.terminated_by = Termination.STALLED
+            break
+        if not ccp:
+            continue
+        best = min(best, (max(cert.grad_norm, cert.lp_gap), p, q), key=lambda b: b[0])
+        if k % POLISH_EVERY == 0 and k < opts.max_iters:
+            jumped = _reference_jump(inst, best[1], best[2], opts.epsilon)
+            if jumped is not None:
+                p, q = jumped, grad_theta(inst, jumped)
+                trace.polished_at = k
+    trace.iterations = k
+    if cert.certified:
+        trace.terminated_by = Termination.EPSILON_FNE
+        if p.xhat[0] < 0.0:
+            p = p.mirrored()
+            cert = certify_fne(inst, p, opts.epsilon)
+    return p, trace, cert
+
+
+def _bits(*values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def _multistart_point(inst, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    s = inst.dist.scale
+    return ReactivePoint(tuple(rng.uniform(-2 * s, 2 * s, 2)), tuple(rng.uniform(0, 1, 2)))
+
+
+class TestLoopMatchesReference:
+    """The float loop gives every bit the ReactivePoint loop gave: each trace
+    field (nan for GDA's descent, in the same bits), the counts, the stop,
+    the jump, the returned point and its certificate."""
+
+    INSTANCES = {
+        "gaussian": lambda: GameInstance(gaussian(3.6097), 0.371189, 1.89533),
+        "laplace": lambda: GameInstance(laplace(sigma2=1.39782), 1.30493, 0.366801),
+        "table": lambda: GameInstance(exp_power_table(2.75, 2.2), 0.8, 1.1),
+    }
+
+    @staticmethod
+    def assert_same(got, ref):
+        (p, trace, cert), (p_ref, trace_ref, cert_ref) = got, ref
+        assert len(trace.rows) == len(trace_ref.rows)
+        for row, row_ref in zip(trace.rows, trace_ref.rows):
+            fields = [getattr(row, f) for f in TraceRow.FIELDS]
+            fields_ref = [getattr(row_ref, f) for f in TraceRow.FIELDS]
+            assert _bits(*fields) == _bits(*fields_ref)
+        assert trace.iterations == trace_ref.iterations
+        assert trace.terminated_by is trace_ref.terminated_by
+        assert trace.polished_at == trace_ref.polished_at
+        assert _bits(*p.xhat, *p.theta) == _bits(*p_ref.xhat, *p_ref.theta)
+        assert cert == cert_ref
+
+    @pytest.mark.parametrize("family", ["gaussian", "laplace", "table"])
+    @pytest.mark.parametrize("ccp", [True, False], ids=["pga-ccp", "gda"])
+    @pytest.mark.parametrize("start", ["default", "multistart", "mirrored"])
+    def test_solves_match(self, family, ccp, start):
+        inst = self.INSTANCES[family]()
+        s = inst.dist.scale
+        init = {"default": None, "multistart": _multistart_point(inst, 12345),
+                "mirrored": ReactivePoint((-s, s), (0.5, 0.5))}[start]
+        opts = SolverOptions(descent_step=0.1, max_iters=500)
+        run = solve_pga_ccp if ccp else solve_gda
+        got = run(inst, init, opts)
+        self.assert_same(got, _reference_solve(inst, init, opts, ccp))
+        if ccp and start == "default" and family != "table":
+            assert got[1].polished_at is not None  # these two runs jump
+
+    @pytest.mark.parametrize("ccp", [True, False], ids=["pga-ccp", "gda"])
+    def test_max_iters_and_stall_stops_match(self, ccp):
+        inst = self.INSTANCES["gaussian"]()
+        run = solve_pga_ccp if ccp else solve_gda
+        for opts, stop in ((SolverOptions(max_iters=7), Termination.MAX_ITERS),
+                           (SolverOptions(stall_tol=1.0, stall_iters=3), Termination.STALLED),
+                           (SolverOptions(max_iters=0), Termination.MAX_ITERS)):
+            got = run(inst, None, opts)
+            assert got[1].terminated_by is stop
+            self.assert_same(got, _reference_solve(inst, None, opts, ccp))
+
+    def test_untraced_solve_matches(self):
+        inst = self.INSTANCES["laplace"]()
+        opts = SolverOptions(max_iters=500, record_trace=False)
+        got = solve_pga_ccp(inst, None, opts)
+        assert got[1].rows == []
+        self.assert_same(got, _reference_solve(inst, None, opts, True))
