@@ -34,11 +34,9 @@ from .quadrature import PiecewiseIntegrand, expectation, integrate
 from .reactive import (
     FneCertificate,
     ReactivePoint,
-    RegionShape,
     SolverOptions,
     SolverTrace,
     Termination,
-    TransmitRegion,
     ccp_step,
     certify_fne,
     dc_parts,
@@ -48,9 +46,9 @@ from .reactive import (
     grad_xhat,
     objective_jtilde,
     pga_step,
+    silent_interval,
     solve_gda,
     solve_pga_ccp,
-    transmit_region,
 )
 from .simulate import (
     JamKind,

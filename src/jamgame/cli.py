@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import dist
-from .nonsensing import GameInstance, solve_equilibrium, verify_saddle
+from .nonsensing import GameInstance, solve_equilibrium, threshold_policy, verify_saddle
 from .reactive import (
     ReactivePoint,
     SolverOptions,
@@ -196,10 +196,10 @@ def cmd_simulate(args) -> int:
     if args.policy:
         bundle = _load_policy(args.policy)
     elif args.phi is not None:
-        tau = math.sqrt(inst.c / (1.0 - args.phi)) if args.phi < 1.0 else math.inf
+        rule = threshold_policy(inst.c, args.phi, args.xhat0)
         bundle = PolicyBundle(
-            silent_lo=args.xhat0 - tau,
-            silent_hi=args.xhat0 + tau,
+            silent_lo=rule.silent_lo,
+            silent_hi=rule.silent_hi,
             jam=JamPolicy.non_sensing(args.phi),
             xhat=(args.xhat0, args.xhat1),
         )
@@ -229,7 +229,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    inst_args = args
     lines: list[str] = []
     if args.mode == "fig2":
         cs = _grid(args.c_grid, "--c-grid")
@@ -263,8 +262,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"unknown sweep mode {args.mode!r}")
 
     text = "\n".join(lines) + "\n"
-    if inst_args.out:
-        _write_text(inst_args.out, text)
+    if args.out:
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

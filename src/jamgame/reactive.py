@@ -35,7 +35,9 @@ from scipy.optimize import fsolve
 
 from .nonsensing import GameInstance
 
-POLISH_EVERY = 10  # PGA-CCP tries a Newton jump every this many iterations
+# PGA-CCP tries a jump every this many iterations; ``fsolve`` solves for it
+# with MINPACK's hybrid Powell method and a finite-difference Jacobian
+POLISH_EVERY = 10
 
 
 @dataclass(frozen=True)
@@ -66,53 +68,18 @@ class ReactivePoint:
         }
 
 
-class RegionShape(Enum):
-    ALWAYS_TRANSMIT = "AlwaysTransmit"
-    NEVER_TRANSMIT = "NeverTransmit"
-    OUTSIDE_INTERVAL = "OutsideInterval"
-    HALF_LINE = "HalfLine"
-
-
-@dataclass(frozen=True)
-class TransmitRegion:
-    """Sign classification of D(x) = silent cost - transmit cost.
-
-    D is a quadratic with leading coefficient 1 - beta >= 0; the sensor
-    transmits where D(x) >= 0 (ties transmit, a measure-zero convention).
-    For beta < 1 with two real roots the silent set is the open interval
-    between them; for beta = 1 the quadratic degenerates to a line.
-    """
-
-    a2: float
-    a1: float
-    a0: float
-    roots: tuple[float, ...]
-    shape: RegionShape
-
-    def d_value(self, x):
-        x = np.asarray(x, dtype=float)
-        return (self.a2 * x + self.a1) * x + self.a0
-
-    def transmit(self, x):
-        return self.d_value(x) >= 0.0
-
-    def silent_interval(self) -> tuple[float, float]:
-        """Silent set as one (possibly empty or unbounded) open interval."""
-        if self.shape is RegionShape.ALWAYS_TRANSMIT:
-            return (0.0, 0.0)
-        if self.shape is RegionShape.NEVER_TRANSMIT:
-            return (-math.inf, math.inf)
-        if self.shape is RegionShape.OUTSIDE_INTERVAL:
-            return (self.roots[0], self.roots[1])
-        # half line: silent where the line is negative
-        (r,) = self.roots
-        return (-math.inf, r) if self.a1 > 0 else (r, math.inf)
-
-
-def transmit_region(
+def silent_interval(
     xhat: tuple[float, float], theta: tuple[float, float], c: float, d: float
-) -> TransmitRegion:
-    """Best-response transmission region for fixed (xhat, theta)."""
+) -> tuple[float, float]:
+    """The open interval on which the best-responding sensor stays silent.
+
+    The sensor transmits where D(x) = silent cost - transmit cost =
+    a2 x^2 + a1 x + a0 is >= 0 (ties transmit, a measure-zero convention).
+    The leading coefficient a2 = 1 - beta is >= 0, so for beta < 1 the
+    silent set lies between the two real roots, if any; for beta = 1 D is a
+    line and the silent set a half-line, or D is constant. An empty silent
+    set is (0.0, 0.0) and an empty transmit set (-inf, inf).
+    """
     x0, x1 = xhat
     a, b = theta
     a2 = 1.0 - b
@@ -125,15 +92,12 @@ def transmit_region(
             # stable quadratic formula: avoid cancellation in the small root
             q = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1 if a1 != 0 else 1.0))
             r1, r2 = q / a2, (a0 / q if q != 0.0 else -a1 / a2)
-            lo, hi = sorted((r1, r2))
-            return TransmitRegion(a2, a1, a0, (lo, hi), RegionShape.OUTSIDE_INTERVAL)
-        return TransmitRegion(a2, a1, a0, (), RegionShape.ALWAYS_TRANSMIT)
-
-    # beta = 1: linear (or constant) comparison
+            return (r2, r1) if r2 < r1 else (r1, r2)  # as sorted() orders them
+        return (0.0, 0.0)
     if a1 != 0.0:
-        return TransmitRegion(a2, a1, a0, (-a0 / a1,), RegionShape.HALF_LINE)
-    shape = RegionShape.ALWAYS_TRANSMIT if a0 >= 0.0 else RegionShape.NEVER_TRANSMIT
-    return TransmitRegion(a2, a1, a0, (), shape)
+        r = -a0 / a1
+        return (-math.inf, r) if a1 > 0 else (r, math.inf)
+    return (0.0, 0.0) if a0 >= 0.0 else (-math.inf, math.inf)
 
 
 def _evaluate(
@@ -149,9 +113,10 @@ def _evaluate(
     Jt = E[A] + E[B - A; S] and G = E[max(A, B)] = E[B] - E[B - A; S]. The
     derivatives split the same way (S moves only where A = B), so every
     entry is a coefficient row dotted with the full-line moments or the
-    moments of S. ``silent`` replaces the best-response interval. The
-    arithmetic is on Python floats, which overflow to inf without a warning;
-    the finite checks raise before anything non-finite reaches numpy.
+    moments of S. S is ``silent_interval`` of the point unless ``silent``
+    replaces it. The arithmetic is on Python floats, which overflow to inf
+    without a warning; the finite checks raise before anything non-finite
+    reaches numpy.
     """
     c, d = inst.c, inst.d
     # with theta in the unit box, every coefficient is finite when this sum is
@@ -172,7 +137,7 @@ def _evaluate(
         (0.0, 0.0, 0.0),
     )
     if silent is None:
-        silent = transmit_region((x0, x1), (a, b), c, d).silent_interval()
+        silent = silent_interval((x0, x1), (a, b), c, d)
     f0, f1, f2 = inst.dist.full_moments
     s0, s1, s2 = inst.dist.partial_moments(*silent)
     jt: list[float] = []
@@ -504,8 +469,9 @@ def solve_pga_ccp(
     """Alternate projected gradient ascent on theta with CCP steps on xhat.
 
     Every POLISH_EVERY iterations the solver solves the first-order system
-    of the best iterate's theta face with Newton's method (``fsolve``) and
-    jumps to the result when it certifies and an iteration remains; that
+    of the best iterate's theta face with MINPACK's hybrid Powell method
+    and a finite-difference Jacobian (``fsolve``), and jumps to the result
+    when it certifies and an iteration remains; that
     next ordinary iteration then certifies it, and ``trace.polished_at``
     records the jump. Runs until the epsilon-FNE conditions hold, the
     iteration budget is exhausted, or the iterates stall; non-certified

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .nonsensing import GameInstance, NonSensingEquilibrium
-from .reactive import ReactivePoint, objective_jtilde, transmit_region
+from .reactive import ReactivePoint, objective_jtilde, silent_interval
 
 TRACE_LIMIT = 10_000
 # channel output of an event-trace row, by transmit + 2 * jam
@@ -136,7 +136,7 @@ def bundle_from_nonsensing(eq: NonSensingEquilibrium) -> PolicyBundle:
 
 
 def bundle_from_reactive(p: ReactivePoint, inst: GameInstance) -> PolicyBundle:
-    lo, hi = transmit_region(p.xhat, p.theta, inst.c, inst.d).silent_interval()
+    lo, hi = silent_interval(p.xhat, p.theta, inst.c, inst.d)
     return PolicyBundle(
         silent_lo=lo,
         silent_hi=hi,
@@ -273,7 +273,7 @@ def analytic_cost(inst: GameInstance, bundle: PolicyBundle) -> float | None:
         return fixed_policy_objective(inst, rule, bundle.xhat, bundle.jam.phi)
 
     p = ReactivePoint(bundle.xhat, (bundle.jam.alpha, bundle.jam.beta))
-    lo, hi = transmit_region(p.xhat, p.theta, inst.c, inst.d).silent_interval()
+    lo, hi = silent_interval(p.xhat, p.theta, inst.c, inst.d)
     stored = (bundle.silent_lo, bundle.silent_hi)
     if all(
         (math.isinf(a) and math.isinf(b) and a == b) or abs(a - b) <= 1e-9 * max(1.0, abs(a))

@@ -228,6 +228,13 @@ class TestSimulateCommand:
         code, _, stderr = run(capsys, "simulate", "--dist", "gaussian", "--sigma2", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("phi", ["1.5", "-0.5"])
+    def test_inline_phi_out_of_range_is_config_error(self, capsys, phi):
+        code, _, stderr = run(capsys, "simulate", "--dist", "gaussian", "--sigma2", "1",
+                              "--phi", phi, "--n", "1000")
+        assert code == 2
+        assert "phi must lie in [0, 1]" in stderr
+
 
 class TestSweep:
     def test_fig2_grid(self, tmp_path, capsys):

@@ -3,10 +3,10 @@
 The reference below is the pointwise formulation of the reduced game: the
 min (Jt) and max (G) of the transmit and silent branch costs and their
 branch-selected parameter derivatives, integrated against the density by
-``jamgame.quadrature.expectation``, which splits at the transmit-region
-roots and the density's own breakpoints. The kernel instead dots quadratic
-coefficients with truncated moments. The hypothesis profile is
-derandomised, so every run draws the same cases.
+``jamgame.quadrature.expectation``, which splits at the finite ends of
+the silent interval and at the density's own breakpoints. The kernel
+instead dots quadratic coefficients with truncated moments. The
+hypothesis profile is derandomised, so every run draws the same cases.
 """
 
 import math
@@ -30,7 +30,7 @@ from jamgame import (
     laplace,
     objective,
     objective_jtilde,
-    transmit_region,
+    silent_interval,
 )
 
 KERNEL_TOL = 1e-12
@@ -59,7 +59,8 @@ def _reference(inst, p):
     x0, x1 = p.xhat
     a, b = p.theta
     d = inst.d
-    kinks = transmit_region(p.xhat, p.theta, inst.c, d).roots
+    lo, hi = silent_interval(p.xhat, p.theta, inst.c, d)
+    kinks = [e for e in (lo, hi) if math.isfinite(e)] if lo < hi else []
 
     def rows(x):
         trans = b * (x - x1) ** 2 + inst.c - d * b

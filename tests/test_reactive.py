@@ -3,13 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jamgame import (
     GameInstance,
     ReactivePoint,
-    RegionShape,
     SolverOptions,
     Termination,
+    TransmitRule,
     ccp_step,
     certify_fne,
     dc_parts,
@@ -23,9 +25,9 @@ from jamgame import (
     objective,
     objective_jtilde,
     pga_step,
+    silent_interval,
     solve_gda,
     solve_pga_ccp,
-    transmit_region,
 )
 from jamgame.reactive import (
     POLISH_EVERY,
@@ -56,56 +58,113 @@ def random_interior_points(rng, n, scale=1.0):
         yield ReactivePoint(xhat, theta)
 
 
-class TestTransmitRegion:
+def d_coefficients(xhat, theta, c, d):
+    """(a2, a1, a0) of D(x) = silent cost - transmit cost = a2 x^2 + a1 x + a0."""
+    (x0, x1), (a, b) = xhat, theta
+    return (
+        1.0 - b,
+        -2.0 * ((a - b) * x1 + (1.0 - a) * x0),
+        (a - b) * x1 * x1 + (1.0 - a) * x0 * x0 - c + d * (b - a),
+    )
+
+
+class TestSilentInterval:
     def test_diagonal_theta_reduces_to_symmetric_thresholds(self):
         phi = 0.36
-        r = transmit_region((0.0, 0.0), (phi, phi), c=1.0, d=1.0)
-        assert r.shape is RegionShape.OUTSIDE_INTERVAL
+        lo, hi = silent_interval((0.0, 0.0), (phi, phi), c=1.0, d=1.0)
         tau = math.sqrt(1.0 / (1.0 - phi))
-        assert r.roots[0] == pytest.approx(-tau, abs=1e-12)
-        assert r.roots[1] == pytest.approx(tau, abs=1e-12)
+        assert lo == pytest.approx(-tau, abs=1e-12)
+        assert hi == pytest.approx(tau, abs=1e-12)
 
     def test_reference_point_is_asymmetric_and_matches_root_oracle(self):
         a, b, x0, x1 = TABLE1[1.0]
-        r = transmit_region((x0, x1), (a, b), c=1.0, d=1.0)
-        assert r.shape is RegionShape.OUTSIDE_INTERVAL
-        oracle = np.sort(np.roots([r.a2, r.a1, r.a0]).real)
-        assert r.roots[0] == pytest.approx(oracle[0], abs=1e-10)
-        assert r.roots[1] == pytest.approx(oracle[1], abs=1e-10)
-        assert abs(r.roots[0] + r.roots[1]) > 0.1  # not mirror-symmetric
+        lo, hi = silent_interval((x0, x1), (a, b), c=1.0, d=1.0)
+        assert math.isfinite(lo) and math.isfinite(hi) and lo < hi
+        oracle = np.sort(np.roots(d_coefficients((x0, x1), (a, b), 1.0, 1.0)).real)
+        assert lo == pytest.approx(oracle[0], abs=1e-10)
+        assert hi == pytest.approx(oracle[1], abs=1e-10)
+        assert abs(lo + hi) > 0.1  # not mirror-symmetric
 
     def test_transmit_indicator_matches_roots(self):
-        r = transmit_region((0.4, -0.2), (0.1, 0.3), c=1.0, d=1.0)
-        lo, hi = r.roots
+        lo, hi = silent_interval((0.4, -0.2), (0.1, 0.3), c=1.0, d=1.0)
         xs = np.array([lo - 1.0, 0.5 * (lo + hi), hi + 1.0])
-        assert list(r.transmit(xs)) == [True, False, True]
+        assert list(TransmitRule(lo, hi).transmit(xs)) == [True, False, True]
 
     def test_beta_one_constant_cases(self):
         # alpha=0, beta=1, xhat=(0,0): the comparison degenerates to the
         # constant d - c
-        always = transmit_region((0.0, 0.0), (0.0, 1.0), c=1.0, d=1.0)
-        assert always.shape is RegionShape.ALWAYS_TRANSMIT
-        never = transmit_region((0.0, 0.0), (0.0, 1.0), c=2.0, d=1.0)
-        assert never.shape is RegionShape.NEVER_TRANSMIT
+        assert silent_interval((0.0, 0.0), (0.0, 1.0), c=1.0, d=1.0) == (0.0, 0.0)
+        assert silent_interval((0.0, 0.0), (0.0, 1.0), c=2.0, d=1.0) == (-math.inf, math.inf)
 
     def test_beta_one_half_line(self):
-        r = transmit_region((0.0, -0.5), (0.0, 1.0), c=1.0, d=1.0)
-        assert r.shape is RegionShape.HALF_LINE
-        # linear coefficient a1 = -2[(0-1)(-0.5)] = -1: transmit left of the root
-        assert r.a1 == pytest.approx(-1.0)
-        root = r.roots[0]
-        assert r.transmit(root - 1.0) and not r.transmit(root + 1.0)
+        interval = silent_interval((0.0, -0.5), (0.0, 1.0), c=1.0, d=1.0)
+        # linear coefficient a1 = -2[(0-1)(-0.5)] = -1: transmit left of the
+        # root -a0/a1 = -0.25, silent right of it
+        assert d_coefficients((0.0, -0.5), (0.0, 1.0), 1.0, 1.0)[1] == pytest.approx(-1.0)
+        assert interval == (-0.25, math.inf)
+        rule = TransmitRule(*interval)
+        root = interval[0]
+        assert rule.transmit(root - 1.0) and not rule.transmit(root + 1.0)
 
     def test_always_transmit_when_free(self):
-        r = transmit_region((0.0, 0.0), (0.0, 0.0), c=0.0, d=1.0)
-        assert r.shape is RegionShape.ALWAYS_TRANSMIT
+        assert silent_interval((0.0, 0.0), (0.0, 0.0), c=0.0, d=1.0) == (0.0, 0.0)
 
     def test_silent_interval_shapes(self):
-        r = transmit_region((0.5169, -0.4831), (0.0760, 0.3172), 1.0, 1.0)
-        assert r.silent_interval() == r.roots
-        assert transmit_region((0.0, 0.0), (0.0, 1.0), 1.0, 1.0).silent_interval() == (0.0, 0.0)
-        lo, hi = transmit_region((0.0, 0.0), (0.0, 1.0), 2.0, 1.0).silent_interval()
+        lo, hi = silent_interval((0.5169, -0.4831), (0.0760, 0.3172), 1.0, 1.0)
+        assert math.isfinite(lo) and math.isfinite(hi) and lo < hi
+        assert silent_interval((0.0, 0.0), (0.0, 1.0), 1.0, 1.0) == (0.0, 0.0)
+        lo, hi = silent_interval((0.0, 0.0), (0.0, 1.0), 2.0, 1.0)
         assert math.isinf(lo) and math.isinf(hi)
+
+
+def classified_silent_interval(xhat, theta, c, d):
+    """The silent interval as the shape classification of D computed it:
+    roots of the stable quadratic formula sorted by ``sorted``, a half-line,
+    or an empty silent or transmit set."""
+    a2, a1, a0 = d_coefficients(xhat, theta, c, d)
+    if a2 > 0.0:
+        disc = a1 * a1 - 4.0 * a2 * a0
+        if disc > 0.0:
+            q = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1 if a1 != 0 else 1.0))
+            r1, r2 = q / a2, (a0 / q if q != 0.0 else -a1 / a2)
+            lo, hi = sorted((r1, r2))
+            return (lo, hi)
+        return (0.0, 0.0)
+    if a1 != 0.0:
+        r = -a0 / a1
+        return (-math.inf, r) if a1 > 0 else (r, math.inf)
+    return (0.0, 0.0) if a0 >= 0.0 else (-math.inf, math.inf)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(
+    x0=st.floats(-3.0, 3.0),
+    x1=st.floats(-3.0, 3.0),
+    alpha=st.floats(0.0, 1.0),
+    beta=st.floats(0.0, 1.0),
+    c=st.floats(0.0, 3.0),
+    d=st.floats(0.0, 3.0),
+)
+# beta = 1 with a1 = 0 and a0 of either sign
+@example(x0=0.0, x1=0.0, alpha=0.0, beta=1.0, c=1.0, d=1.0)
+@example(x0=0.0, x1=0.0, alpha=0.0, beta=1.0, c=2.0, d=1.0)
+@example(x0=-0.0, x1=0.0, alpha=1.0, beta=1.0, c=0.0, d=0.0)
+# beta = 1 half-lines of either slope
+@example(x0=0.0, x1=-0.5, alpha=0.0, beta=1.0, c=1.0, d=1.0)
+@example(x0=0.0, x1=0.5, alpha=0.0, beta=1.0, c=1.0, d=1.0)
+@example(x0=0.7, x1=-0.2, alpha=0.3, beta=1.0, c=0.4, d=1.5)
+# a discriminant of exactly 0: (1 - phi)(x - xhat0)^2 - c with c = 0
+@example(x0=0.0, x1=0.0, alpha=0.5, beta=0.5, c=0.0, d=1.0)
+@example(x0=1.0, x1=0.0, alpha=0.5, beta=0.5, c=0.0, d=1.0)
+# a1 = 0 with a positive discriminant
+@example(x0=0.0, x1=0.0, alpha=0.2, beta=0.6, c=1.0, d=0.5)
+@example(x0=0.5, x1=-1.0, alpha=0.5, beta=0.25, c=1.0, d=1.0)
+# the diagonal alpha = beta
+@example(x0=0.4, x1=-0.9, alpha=0.36, beta=0.36, c=1.0, d=1.0)
+@example(x0=-1.2, x1=0.3, alpha=0.0, beta=0.0, c=0.7, d=2.0)
+def test_silent_interval_matches_classification_bit_for_bit(x0, x1, alpha, beta, c, d):
+    args = ((x0, x1), (alpha, beta), c, d)
+    assert repr(silent_interval(*args)) == repr(classified_silent_interval(*args))
 
 
 class TestObjective:

@@ -15,9 +15,9 @@ from jamgame import (
     bundle_from_reactive,
     gaussian,
     objective_jtilde,
+    silent_interval,
     simulate,
     solve_equilibrium,
-    transmit_region,
 )
 from jamgame.simulate import TRACE_LIMIT
 
@@ -84,7 +84,7 @@ class TestChannelStatistics:
         inst = g1
         p = ReactivePoint((x0, x1), (a, b))
         bundle = bundle_from_reactive(p, inst)
-        lo, hi = transmit_region(p.xhat, p.theta, inst.c, inst.d).silent_interval()
+        lo, hi = silent_interval(p.xhat, p.theta, inst.c, inst.d)
         mass_tx = 1.0 - float(inst.dist.cdf(hi) - inst.dist.cdf(lo))
         n = 10**6
         res = simulate(inst, bundle, n=n, seed=31)
@@ -125,10 +125,13 @@ class TestDeterminism:
         assert r1 == r2
 
     def test_chunking_does_not_change_results(self, g2, eq_g2):
+        # the counts are exact under any chunking; the cost is summed per
+        # chunk, so it is compared to rounding (bit equality at this n would
+        # only mean the two chunked sums happen to round alike)
         bundle = bundle_from_nonsensing(eq_g2)
         r1 = simulate(g2, bundle, n=50_000, seed=78, chunk=1 << 17)
         r2 = simulate(g2, bundle, n=50_000, seed=78, chunk=997)
-        assert r1.empirical_cost == r2.empirical_cost
+        assert r1.empirical_cost == pytest.approx(r2.empirical_cost, rel=1e-12, abs=0)
         assert r1.event_counts == r2.event_counts
 
     def test_chunking_keeps_counts_and_costs_to_rounding(self, g2, eq_g2):
