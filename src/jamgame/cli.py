@@ -192,8 +192,14 @@ def _load_policy(path: str) -> PolicyBundle:
 
 
 def cmd_simulate(args) -> int:
+    given = [flag for flag, value in (("--policy", args.policy), ("--phi", args.phi),
+                                      ("--alpha", args.alpha), ("--beta", args.beta))
+             if value is not None]
+    # --alpha with --beta is the one pair that gives a single policy
+    if len(given) > 1 and given[0] in ("--policy", "--phi"):
+        raise ConfigError(f"{given[0]} and {given[1]} give conflicting policies; give one")
     inst = build_instance(args)
-    if args.policy:
+    if args.policy is not None:
         bundle = _load_policy(args.policy)
     elif args.phi is not None:
         rule = threshold_policy(inst.c, args.phi, args.xhat0)

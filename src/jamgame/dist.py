@@ -182,7 +182,11 @@ class Gaussian(SourceDistribution):
         return ndtr(np.asarray(x, dtype=float) / self.scale)
 
     def ppf(self, u):
-        return self.scale * ndtri(np.asarray(u, dtype=float))
+        # scaled in place: the same product as scale * ndtri(u), without a
+        # second array
+        z = ndtri(np.asarray(u, dtype=float))
+        z *= self.scale
+        return z
 
     def _density(self, t: float) -> float:
         u = t / self.scale

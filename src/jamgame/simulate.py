@@ -9,12 +9,21 @@ draws, the event counts and the event trace are the same under any
 chunking of the draw range, and a rerun is byte for byte the same. The
 cost sums are taken chunk by chunk, so ``empirical_cost`` and ``std_error``
 of two chunkings agree only to rounding.
+
+The draws run one chunk ahead on a helper thread: while the calling thread
+inverts, tallies and traces chunk k, the helper fills chunk k + 1 from the
+stream. NumPy and SciPy release the interpreter lock in the Philox fill and
+in the array kernels of the inverse CDFs, so the two overlap on two cores.
+The helper is the only user of the generator and draws the chunks in
+order, and the sums are added on the calling thread in chunk order, so no
+output depends on thread timing.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -169,6 +178,13 @@ class SimResult:
         return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
+def _draw(rng: np.random.Generator, m: int) -> np.ndarray:
+    """The next m draws' two uniforms, kept off 0 and 1 for the inverse CDF."""
+    u = rng.random((m, 2))
+    np.clip(u, 2.0**-53, 1.0 - 2.0**-53, out=u)
+    return u
+
+
 def simulate(
     inst: GameInstance,
     policies: PolicyBundle,
@@ -182,10 +198,22 @@ def simulate(
     Per draw: sample X, transmit per the threshold rule, block with the
     action-conditional probability, estimate from the channel output, and
     account the quadratic error plus transmission/jamming costs.
+
+    The uniforms of the next chunk are drawn on one helper thread while
+    this one works on the current chunk. ``inst.dist.ppf`` and the tally
+    stay on the calling thread: a density need not be thread-safe, and one
+    that is wrapped or instrumented (a profiler's span stack, say) sees
+    every call on the caller's thread. Only the helper uses the generator,
+    in chunk order, so the result does not depend on thread timing. The
+    helper is joined, and a draw not yet started is cancelled, before this
+    function returns or raises.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=seed))
+    sizes = [min(chunk, n - done) for done in range(0, n, chunk)]
     x0, x1 = policies.xhat
     # picked by a 0/1 flag: the blocking probability by the transmit flag,
     # the symbol the receiver falls back to by the jam flag
@@ -196,16 +224,16 @@ def simulate(
     counts = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
     trace_file = None
     traced = 0
-    if trace_path is not None:
-        trace_file = open(trace_path, "w", newline="")
-        trace_file.write("x,u,j,y,xhat,cost\n")
-
+    helper = ThreadPoolExecutor(1)
     try:
-        done = 0
-        while done < n:
-            m = min(chunk, n - done)
-            u = rng.random((m, 2))
-            np.clip(u, 2.0**-53, 1.0 - 2.0**-53, out=u)
+        pending = helper.submit(_draw, rng, sizes[0])
+        if trace_path is not None:
+            trace_file = open(trace_path, "w", newline="")
+            trace_file.write("x,u,j,y,xhat,cost\n")
+        for k, m in enumerate(sizes):
+            u = pending.result()
+            if k + 1 < len(sizes):
+                pending = helper.submit(_draw, rng, sizes[k + 1])
             x = np.asarray(inst.dist.ppf(u[:, 0]), dtype=float)
             tx = policies.transmit(x)
             jam = u[:, 1] < p_block.take(tx.view(np.uint8))
@@ -239,8 +267,8 @@ def simulate(
                     )
                 ))
                 traced += take
-            done += m
     finally:
+        helper.shutdown(wait=True, cancel_futures=True)
         if trace_file is not None:
             trace_file.close()
 

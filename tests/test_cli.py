@@ -228,6 +228,27 @@ class TestSimulateCommand:
         code, _, stderr = run(capsys, "simulate", "--dist", "gaussian", "--sigma2", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--phi", "0.3", "--alpha", "0.9", "--beta", "0.1"], ("--phi", "--alpha")),
+        (["--phi", "0.3", "--beta", "0.1"], ("--phi", "--beta")),
+        (["--policy", "POLICY", "--phi", "0.3"], ("--policy", "--phi")),
+        (["--policy", "POLICY", "--alpha", "0.9", "--beta", "0.1"], ("--policy", "--alpha")),
+    ])
+    def test_conflicting_policy_flags_are_config_error(self, tmp_path, capsys, flags, named):
+        pol = tmp_path / "policy.json"
+        pol.write_text(json.dumps({
+            "transmit": {"silent_lo": -1.0, "silent_hi": 1.0},
+            "jam": {"kind": "NonSensing", "alpha": 0.3, "beta": 0.3},
+            "estimator": {"xhat0": 0.0, "xhat1": 0.0},
+        }))
+        out = tmp_path / "sim.json"
+        argv = [str(pol) if f == "POLICY" else f for f in flags]
+        code, stdout, stderr = run(capsys, "simulate", "--dist", "gaussian", "--sigma2", "1",
+                                   *argv, "--n", "1000", "--out", str(out))
+        assert code == 2
+        assert all(flag in stderr for flag in named)
+        assert stdout == "" and not out.exists()
+
     @pytest.mark.parametrize("phi", ["1.5", "-0.5"])
     def test_inline_phi_out_of_range_is_config_error(self, capsys, phi):
         code, _, stderr = run(capsys, "simulate", "--dist", "gaussian", "--sigma2", "1",

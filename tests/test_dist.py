@@ -131,6 +131,23 @@ def test_laplace_ppf_matches_two_log_form():
         assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
+@pytest.mark.parametrize("sigma2", [1e-6, 0.3, 2.0, 1e6])
+def test_gaussian_ppf_matches_scaled_ndtri(sigma2):
+    # the in-place scaling against the product form, bit for bit, for an
+    # array and for a scalar
+    from scipy.special import ndtri
+
+    d = gaussian(sigma2)
+    edges = np.array([2.0**-53, 0.5 - 2.0**-54, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53])
+    for u in (_philox_uniforms(6, 10**5), edges):
+        ref = d.scale * ndtri(u)
+        got = d.ppf(u)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+    assert d.ppf(0.25) == d.scale * ndtri(0.25)
+    assert np.ndim(d.ppf(0.25)) == 0
+
+
 def _gaussian_table(x):
     return Tabulated(x, np.exp(-0.5 * x * x) / SQRT_2PI)
 

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,12 +16,13 @@ from jamgame import (
     bundle_from_nonsensing,
     bundle_from_reactive,
     gaussian,
+    laplace,
     objective_jtilde,
     silent_interval,
     simulate,
     solve_equilibrium,
 )
-from jamgame.simulate import TRACE_LIMIT
+from jamgame.simulate import TRACE_LIMIT, SimResult
 
 from conftest import TABLE1, exp_power_table
 
@@ -145,6 +148,164 @@ class TestDeterminism:
         assert (r1.p_transmit, r1.p_jam) == (r2.p_transmit, r2.p_jam)
         assert r1.empirical_cost == pytest.approx(r2.empirical_cost, rel=1e-12, abs=0)
         assert r1.std_error == pytest.approx(r2.std_error, rel=1e-12, abs=0)
+
+
+def serial_simulate(inst, policies, n, seed, trace_path=None, chunk=1 << 17):
+    """The single-threaded loop that ``simulate`` pipelines: draw, invert,
+    tally and trace each chunk in turn on this thread."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    x0, x1 = policies.xhat
+    p_block = np.array([policies.jam.alpha, policies.jam.beta])
+    symbol = np.array([x0, x1], dtype=float)
+    total = total_sq = 0.0
+    counts = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
+    rows, done = [], 0
+    while done < n:
+        m = min(chunk, n - done)
+        u = rng.random((m, 2))
+        np.clip(u, 2.0**-53, 1.0 - 2.0**-53, out=u)
+        x = np.asarray(inst.dist.ppf(u[:, 0]), dtype=float)
+        tx = policies.transmit(x)
+        jam = u[:, 1] < p_block.take(tx.view(np.uint8))
+        cost = x - symbol.take(jam.view(np.uint8))
+        cost *= jam | ~tx
+        np.square(cost, out=cost)
+        cost += inst.c * tx
+        cost -= inst.d * jam
+        total += float(np.sum(cost))
+        total_sq += float(np.sum(cost * cost))
+        n_tx, n_jam, n_both = (int(np.count_nonzero(b)) for b in (tx, jam, tx & jam))
+        counts[(1, 1)] += n_both
+        counts[(1, 0)] += n_tx - n_both
+        counts[(0, 1)] += n_jam - n_both
+        counts[(0, 0)] += m - n_tx - n_jam + n_both
+        for i in range(min(TRACE_LIMIT - len(rows), m)):
+            t, j = int(tx[i]), int(jam[i])
+            xhat = x1 if j else (x[i] if t else x0)
+            tag = ("idle", "x", "B", "B")[t + 2 * j]
+            rows.append(f"{float(x[i])!r},{t},{j},{tag},{float(xhat)!r},{float(cost[i])!r}\n")
+        done += m
+    if trace_path is not None:
+        with open(trace_path, "w", newline="") as fh:
+            fh.write("x,u,j,y,xhat,cost\n" + "".join(rows))
+    mean = total / n
+    var = max(total_sq / n - mean * mean, 0.0) * (n / max(n - 1, 1))
+    return SimResult(
+        n=n,
+        empirical_cost=mean,
+        std_error=math.sqrt(var / n),
+        p_transmit=(counts[(1, 0)] + counts[(1, 1)]) / n,
+        p_jam=(counts[(0, 1)] + counts[(1, 1)]) / n,
+        event_counts=counts,
+    )
+
+
+ORACLE_DENSITIES = {
+    "gaussian": lambda: gaussian(2.0),
+    "laplace": lambda: laplace(sigma2=1.0),
+    "table": lambda: exp_power_table(2.75, 2.2),
+}
+
+
+class TestPipelineOracle:
+    @pytest.mark.parametrize("family", sorted(ORACLE_DENSITIES))
+    @pytest.mark.parametrize("kind", ["nonsensing", "reactive"])
+    @pytest.mark.parametrize("chunk", [997, 4500])
+    def test_bit_for_bit_serial_loop(self, family, kind, chunk, tmp_path):
+        # every chunk boundary case, the trace limit inside the last chunk
+        # at 3 * 4500 + 5 draws included
+        inst = GameInstance(ORACLE_DENSITIES[family](), 1.0, 0.7)
+        if kind == "nonsensing":
+            bundle = bundle_from_nonsensing(solve_equilibrium(inst))
+        else:
+            bundle = bundle_from_reactive(ReactivePoint((0.5, -0.4), (0.3, 0.6)), inst)
+        for n in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+            got_path, ref_path = tmp_path / f"got-{n}.csv", tmp_path / f"ref-{n}.csv"
+            got = simulate(inst, bundle, n, seed=n + chunk, trace_path=got_path, chunk=chunk)
+            ref = serial_simulate(inst, bundle, n, seed=n + chunk, trace_path=ref_path,
+                                  chunk=chunk)
+            assert got == ref
+            assert got_path.read_bytes() == ref_path.read_bytes()
+
+
+class SpyDensity:
+    """A density whose ``ppf`` records the thread it runs on and, on a
+    chosen call, runs ``action`` first."""
+
+    def __init__(self, dist, fail_on=None, action=None):
+        self.dist = dist
+        self.threads = []
+        self.fail_on = fail_on
+        self.action = action
+
+    def ppf(self, u):
+        self.threads.append(threading.get_ident())
+        if len(self.threads) == self.fail_on:
+            self.action()
+        return self.dist.ppf(u)
+
+
+# the package exports the function under the module's name
+SIM_MODULE = sys.modules["jamgame.simulate"]
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Every file ``simulate`` opens, in order."""
+    files = []
+
+    def spy_open(*args, **kwargs):
+        files.append(open(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(SIM_MODULE, "open", spy_open, raising=False)
+    return files
+
+
+def live_threads():
+    return {t.ident for t in threading.enumerate()}
+
+
+class TestThreadHygiene:
+    def test_ppf_runs_on_the_calling_thread(self, g1, tmp_path):
+        before = live_threads()
+        spy = SpyDensity(g1.dist)
+        bundle = bundle_from_reactive(ReactivePoint((0.5, -0.4), (0.3, 0.6)), g1)
+        n = 5 * 997 + 3
+        res = simulate(GameInstance(spy, 1.0, 1.0), bundle, n, seed=4,
+                       trace_path=tmp_path / "e.csv", chunk=997)
+        assert spy.threads == [threading.get_ident()] * 6
+        assert live_threads() == before
+        assert res == serial_simulate(g1, bundle, n, seed=4, chunk=997)
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    @pytest.mark.parametrize("fail_on", [1, 3])
+    def test_failure_joins_helper_and_closes_trace(self, g1, eq_g1, opened, error, fail_on,
+                                                   tmp_path):
+        def fail():
+            raise error("ppf failed")
+
+        before = live_threads()
+        spy = SpyDensity(g1.dist, fail_on=fail_on, action=fail)
+        with pytest.raises(error, match="ppf failed"):
+            simulate(GameInstance(spy, 1.0, 1.0), bundle_from_nonsensing(eq_g1), n=10 * 997,
+                     seed=4, trace_path=tmp_path / "e.csv", chunk=997)
+        assert len(spy.threads) == fail_on
+        assert len(opened) == 1 and opened[0].closed
+        assert live_threads() == before
+
+    def test_closed_trace_file_joins_helper(self, g1, eq_g1, opened, tmp_path):
+        before = live_threads()
+        spy = SpyDensity(g1.dist, fail_on=2, action=lambda: opened[0].close())
+        with pytest.raises(ValueError, match="closed file"):
+            simulate(GameInstance(spy, 1.0, 1.0), bundle_from_nonsensing(eq_g1), n=10 * 997,
+                     seed=4, trace_path=tmp_path / "e.csv", chunk=997)
+        assert len(spy.threads) == 2
+        assert live_threads() == before
+
+    def test_rejects_empty_chunk(self, g1, eq_g1):
+        with pytest.raises(ValueError, match="chunk"):
+            simulate(g1, bundle_from_nonsensing(eq_g1), n=10, seed=1, chunk=0)
 
 
 class TestSerialization:
