@@ -3,7 +3,9 @@
 Subcommands: solve-nonsensing, solve-reactive, simulate, sweep, compare.
 Every command is deterministic given its flags and seed, emits plain JSON
 or CSV artifacts, and honors a key=value config file whose entries act as
-flag defaults (explicit flags win).
+flag defaults (explicit flags win; a simulate policy on the command line
+replaces the config's, whichever of --policy, --phi, --alpha/--beta give
+each).
 
 Exit codes: 0 success/certified, 2 config error, 3 numerical failure,
 4 solver terminated without certification.
@@ -191,10 +193,12 @@ def _load_policy(path: str) -> PolicyBundle:
         raise ConfigError(str(exc))
 
 
+# the simulate flags that each give a policy: one of them, or --alpha with --beta
+_POLICY_DESTS = ("policy", "phi", "alpha", "beta")
+
+
 def cmd_simulate(args) -> int:
-    given = [flag for flag, value in (("--policy", args.policy), ("--phi", args.phi),
-                                      ("--alpha", args.alpha), ("--beta", args.beta))
-             if value is not None]
+    given = [f"--{dest}" for dest in _POLICY_DESTS if getattr(args, dest) is not None]
     # --alpha with --beta is the one pair that gives a single policy
     if len(given) > 1 and given[0] in ("--policy", "--phi"):
         raise ConfigError(f"{given[0]} and {given[1]} give conflicting policies; give one")
@@ -413,6 +417,14 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
         return argv
     flags = {a.dest: a for a in subparsers.choices[command]._actions
              if isinstance(a, argparse._StoreAction)}
+    if command == "simulate":
+        # a policy on the command line replaces the config's, whichever flags
+        # give each; an abbreviated flag is a prefix of the one it names
+        typed = [a.split("=", 1)[0] for a in argv[at + 1 :] if a.startswith("--")]
+        named = [flags[dest].option_strings[0] for dest in _POLICY_DESTS]
+        if any(len(t) > 2 and f.startswith(t) for t in typed for f in named):
+            values = {k: v for k, v in values.items()
+                      if k.replace("-", "_") not in _POLICY_DESTS}
     tokens: list[str] = []
     for key, raw in values.items():
         action = flags.get(key.replace("-", "_"))

@@ -213,7 +213,6 @@ def simulate(
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    sizes = [min(chunk, n - done) for done in range(0, n, chunk)]
     x0, x1 = policies.xhat
     # picked by a 0/1 flag: the blocking probability by the transmit flag,
     # the symbol the receiver falls back to by the jam flag
@@ -226,14 +225,16 @@ def simulate(
     traced = 0
     helper = ThreadPoolExecutor(1)
     try:
-        pending = helper.submit(_draw, rng, sizes[0])
+        pending = helper.submit(_draw, rng, min(chunk, n))
         if trace_path is not None:
             trace_file = open(trace_path, "w", newline="")
             trace_file.write("x,u,j,y,xhat,cost\n")
-        for k, m in enumerate(sizes):
+        done = 0
+        while done < n:
             u = pending.result()
-            if k + 1 < len(sizes):
-                pending = helper.submit(_draw, rng, sizes[k + 1])
+            m = len(u)
+            if done + m < n:
+                pending = helper.submit(_draw, rng, min(chunk, n - done - m))
             x = np.asarray(inst.dist.ppf(u[:, 0]), dtype=float)
             tx = policies.transmit(x)
             jam = u[:, 1] < p_block.take(tx.view(np.uint8))
@@ -267,6 +268,7 @@ def simulate(
                     )
                 ))
                 traced += take
+            done += m
     finally:
         helper.shutdown(wait=True, cancel_futures=True)
         if trace_file is not None:

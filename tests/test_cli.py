@@ -442,6 +442,32 @@ class TestDeterminismAndConfig:
         point = json.loads(out.read_text())["points"][0]
         assert point["iterations"] == 1
 
+    @pytest.mark.parametrize("config,flags,jam", [
+        # a command-line policy replaces the config's, whichever flags give each
+        ("alpha = 0.9\nbeta = 0.1\n", ["--phi", "0.3"], ("NonSensing", 0.3, 0.3)),
+        ("alpha = 0.9\nbeta = 0.1\n", ["--ph=0.3"], ("NonSensing", 0.3, 0.3)),
+        ("phi = 0.3\n", ["--alpha", "0.9", "--beta", "0.1"], ("Reactive", 0.9, 0.1)),
+        ("phi = 0.3\n", ["--phi", "0.6"], ("NonSensing", 0.6, 0.6)),
+        ("phi = 0.3\n", [], ("NonSensing", 0.3, 0.3)),
+    ])
+    def test_command_line_policy_replaces_config_policy(self, tmp_path, capsys,
+                                                          config, flags, jam):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[simulate]\ndist = gaussian\nsigma2 = 1\n" + config)
+        out = tmp_path / "sim.json"
+        code, _, _ = run(capsys, "--config", str(cfg), "simulate", *flags,
+                         "--n", "1000", "--out", str(out))
+        assert code == 0
+        policy = json.loads(out.read_text())["policy"]["jam"]
+        assert (policy["kind"], policy["alpha"], policy["beta"]) == jam
+
+    def test_conflicting_config_policies_are_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[simulate]\nsigma2 = 1\nphi = 0.3\nalpha = 0.9\nbeta = 0.1\n")
+        code, _, stderr = run(capsys, "--config", str(cfg), "simulate", "--n", "1000")
+        assert code == 2
+        assert "--phi" in stderr and "--alpha" in stderr
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[solve-nonsensing]\nnot_a_flag = 3\n")

@@ -1,15 +1,14 @@
 """One digest of everything the benchmark's operations output.
 
-    python3 tools/output_digest.py [--checkout PATH] [--workload NAME ...] --seed N
+    python3 tools/output_digest.py [--checkout PATH] --seed N
 
 Imports ``src/`` and ``perfbench/workloads.py`` of the checkout (by default
-the one this file sits in) and writes nothing there. For each workload (all
-three, or those named by the repeatable ``--workload``, in their fixed
-order) it runs, in this process and in order, every operation of the decks
-that one benchmark run of ``run_seconds`` (from the checkout's
-``BENCHMARK.json``) makes for the seed, through ``jamgame.cli.main``. It
-prints the operation count and one sha256 over each operation's argv, exit
-code, stdout, stderr and output files. The temporary directory that holds the inputs and
+the one this file sits in) and writes nothing there. For each workload it
+runs, in this process and in order, every operation of the decks that one
+benchmark run of ``run_seconds`` (from the checkout's ``BENCHMARK.json``)
+makes for the seed, through ``jamgame.cli.main``. It prints the operation
+count and one sha256 over each operation's argv, exit code, stdout, stderr
+and output files. The temporary directory that holds the inputs and
 outputs is replaced by a fixed token wherever it appears, so two checkouts
 whose program behaves the same print the same digests. Exits 1 if any
 operation fails its own output check.
@@ -103,16 +102,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="repository checkout whose src/ and perfbench/ are used")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="hash only this workload (repeatable; default all)")
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args()
-    chosen = [w for w in WORKLOADS if args.workload is None or w in args.workload]
 
     seconds = float(json.loads((args.checkout / "BENCHMARK.json").read_text())["run_seconds"])
     cli, wl = _load(args.checkout)
     failed = 0
-    for workload in chosen:
+    for workload in WORKLOADS:
         count, hexdigest, failures = digest(cli, wl, workload, args.seed, seconds)
         print(f"{workload:18s} {count:4d} ops  sha256 {hexdigest}", flush=True)
         for line in failures:
