@@ -231,9 +231,15 @@ def cmd_simulate(args) -> int:
     analytic = analytic_cost(inst, bundle)
     if analytic is not None:
         gap = result.empirical_cost - analytic
+        if result.std_error:
+            gap_se = gap / result.std_error
+        else:
+            # every draw cost the same: no gap is 0 standard errors, any gap
+            # is infinitely many
+            gap_se = math.copysign(math.inf, gap) if gap else 0.0
         payload["analytic_cost"] = analytic
-        payload["gap_in_std_errors"] = gap / result.std_error if result.std_error else math.inf
-        print(f"analytic_cost  {_fmt(analytic)}  (gap = {gap / result.std_error:+.2f} SE)")
+        payload["gap_in_std_errors"] = gap_se
+        print(f"analytic_cost  {_fmt(analytic)}  (gap = {gap_se:+.2f} SE)")
     _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 

@@ -10,13 +10,23 @@ chunking of the draw range, and a rerun is byte for byte the same. The
 cost sums are taken chunk by chunk, so ``empirical_cost`` and ``std_error``
 of two chunkings agree only to rounding.
 
-The draws run one chunk ahead on a helper thread: while the calling thread
-inverts, tallies and traces chunk k, the helper fills chunk k + 1 from the
+A chunk is worked through in leaves of at most LEAF draws, in buffers
+allocated once per call, so memory does not grow with ``n`` or ``chunk``.
+The leaves are the parts numpy's pairwise summation splits the chunk into,
+and their sums are added in that summation's order, so each chunk sum is
+bit for bit ``np.sum`` over the whole chunk.
+
+The draws run one leaf ahead on a helper thread: while the calling thread
+inverts, tallies and traces leaf k, the helper fills leaf k + 1 from the
 stream. NumPy and SciPy release the interpreter lock in the Philox fill and
 in the array kernels of the inverse CDFs, so the two overlap on two cores.
-The helper is the only user of the generator and draws the chunks in
-order, and the sums are added on the calling thread in chunk order, so no
+The helper is the only user of the generator and draws the leaves in
+order, and the sums are added on the calling thread in leaf order, so no
 output depends on thread timing.
+
+The package exports the function ``simulate`` under this module's name:
+``import jamgame.simulate as m`` binds the function. Reach the module with
+``importlib.import_module("jamgame.simulate")``.
 """
 
 from __future__ import annotations
@@ -33,8 +43,14 @@ from .nonsensing import GameInstance, NonSensingEquilibrium
 from .reactive import ReactivePoint, objective_jtilde, silent_interval
 
 TRACE_LIMIT = 10_000
-# channel output of an event-trace row, by transmit + 2 * jam
-_EVENT_TAGS = ("idle", "x", "B", "B")
+# draws worked on at a time; at least numpy's 128-element pairwise block,
+# which numpy sums without splitting
+LEAF = 1 << 14
+# event-trace rows formatted at a time
+_TRACE_SLICE = 1 << 11
+# the u, j and channel output columns of an event-trace row, by
+# transmit + 2 * jam
+_EVENT_COLUMNS = (",0,0,idle,", ",1,0,x,", ",0,1,B,", ",1,1,B,")
 
 
 class JamKind(Enum):
@@ -178,11 +194,130 @@ class SimResult:
         return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
-def _draw(rng: np.random.Generator, m: int) -> np.ndarray:
-    """The next m draws' two uniforms, kept off 0 and 1 for the inverse CDF."""
-    u = rng.random((m, 2))
+def _fill(rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
+    """The next len(u) draws' two uniforms, written into u and kept off 0
+    and 1 for the inverse CDF."""
+    rng.random(out=u)
     np.clip(u, 2.0**-53, 1.0 - 2.0**-53, out=u)
     return u
+
+
+def _split(m: int) -> int:
+    """Length of the first half of an m-element part in numpy's pairwise
+    summation (``pairwise_sum`` in its add loop)."""
+    h = m // 2
+    return h - h % 8
+
+
+def _leaves(m: int):
+    """Lengths, in order, of the parts of at most LEAF elements that numpy's
+    pairwise summation of m elements splits into."""
+    if m <= LEAF:
+        yield m
+    else:
+        h = _split(m)
+        yield from _leaves(h)
+        yield from _leaves(m - h)
+
+
+def _tree_sum(m: int, leaf_sums) -> tuple[float, float]:
+    """Add the next leaves' (sum, sum of squares) pairs of an m-element part
+    in the order numpy's pairwise summation adds its halves.
+
+    Each leaf's pair comes from ``np.sum`` on the leaf, which is the
+    subtree numpy sums for that part, so the result is bit for bit
+    ``np.sum`` on the whole part (up to the sign of a zero sum).
+    """
+    if m <= LEAF:
+        return next(leaf_sums)
+    h = _split(m)
+    s0, q0 = _tree_sum(h, leaf_sums)
+    s1, q1 = _tree_sum(m - h, leaf_sums)
+    return s0 + s1, q0 + q1
+
+
+def _prefetched(helper: ThreadPoolExecutor, rng: np.random.Generator, sizes):
+    """The uniforms of each leaf in turn, from a two-buffer ring: while the
+    caller works on one buffer, the helper fills the other with the next
+    leaf. A buffer is refilled only after the caller asked for the leaf
+    after the one it held."""
+    ring = np.empty((2, LEAF, 2))
+    pending = helper.submit(_fill, rng, ring[0, :next(sizes)])
+    for k, size in enumerate(sizes, 1):
+        u = pending.result()
+        pending = helper.submit(_fill, rng, ring[k % 2, :size])
+        yield u
+    yield pending.result()
+
+
+def _float_reprs(a: np.ndarray) -> np.ndarray:
+    """repr of each element of a float array as a Python float, one repr per
+    distinct bit pattern (told apart by bits, not by value: 0.0 == -0.0)."""
+    bits, inverse = np.unique(a.view(np.uint64), return_inverse=True)
+    reprs = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return reprs[inverse]
+
+
+def _write_trace(fh, x, tx, jam, cost, symbols: tuple[str, str]) -> None:
+    """Write one event-trace row per draw, column by column, in slices of
+    at most _TRACE_SLICE rows. The estimate is the row's x string on a
+    clean reception and a symbol's string otherwise."""
+    for lo in range(0, len(x), _TRACE_SLICE):
+        part = slice(lo, lo + _TRACE_SLICE)
+        t, j = tx[part], jam[part]
+        xs = _float_reprs(x[part])
+        xhat = np.where(j, symbols[1], np.where(t, xs, symbols[0]))
+        event = t.view(np.uint8) + 2 * j.view(np.uint8)
+        fh.write("".join([
+            f"{xv}{_EVENT_COLUMNS[e]}{hv},{cv}\n"
+            for xv, e, hv, cv in zip(xs.tolist(), event.tolist(), xhat.tolist(),
+                                     _float_reprs(cost[part]).tolist())
+        ]))
+
+
+def _leaf_sums(inst: GameInstance, policies: PolicyBundle, draws, counts: dict, trace):
+    """(sum of cost, sum of squared cost) of each leaf of uniforms in
+    ``draws``, adding its events to ``counts`` and writing the rows of the
+    first TRACE_LIMIT draws to the open file ``trace`` (None: no trace).
+
+    Every array but the inverse CDF's output and the transmit mask is a
+    buffer of LEAF elements allocated once.
+    """
+    # picked by a 0/1 flag: the blocking probability by the transmit flag,
+    # the symbol the receiver falls back to by the jam flag
+    p_block = np.array([policies.jam.alpha, policies.jam.beta])
+    symbol = np.array(policies.xhat, dtype=float)
+    symbols = tuple(repr(v) for v in symbol.tolist())
+    cost_buf, term_buf = np.empty(LEAF), np.empty(LEAF)
+    jam_buf, mask_buf = np.empty(LEAF, dtype=bool), np.empty(LEAF, dtype=bool)
+    done = 0
+    for u in draws:
+        m = len(u)
+        cost, term, jam, mask = cost_buf[:m], term_buf[:m], jam_buf[:m], mask_buf[:m]
+        x = np.asarray(inst.dist.ppf(u[:, 0]), dtype=float)
+        tx = policies.transmit(x)
+        np.less(u[:, 1], p_block.take(tx.view(np.uint8), out=term), out=jam)
+        # x - xhat: the fallback symbol's error, times 0 on a clean
+        # reception, where the receiver replays x; squared it is the same
+        # +0.0 as x - x
+        np.subtract(x, symbol.take(jam.view(np.uint8), out=cost), out=cost)
+        cost *= np.logical_or(jam, np.logical_not(tx, out=mask), out=mask)
+        np.square(cost, out=cost)
+        cost += np.multiply(inst.c, tx, out=term)
+        cost -= np.multiply(inst.d, jam, out=term)
+
+        n_tx, n_jam = int(np.count_nonzero(tx)), int(np.count_nonzero(jam))
+        n_both = int(np.count_nonzero(np.logical_and(tx, jam, out=mask)))
+        counts[(1, 1)] += n_both
+        counts[(1, 0)] += n_tx - n_both
+        counts[(0, 1)] += n_jam - n_both
+        counts[(0, 0)] += m - n_tx - n_jam + n_both
+
+        if trace is not None and done < TRACE_LIMIT:
+            take = min(TRACE_LIMIT - done, m)
+            _write_trace(trace, x[:take], tx[:take], jam[:take], cost[:take], symbols)
+        done += m
+        yield float(np.sum(cost)), float(np.sum(np.multiply(cost, cost, out=term)))
 
 
 def simulate(
@@ -199,12 +334,18 @@ def simulate(
     action-conditional probability, estimate from the channel output, and
     account the quadratic error plus transmission/jamming costs.
 
-    The uniforms of the next chunk are drawn on one helper thread while
-    this one works on the current chunk. ``inst.dist.ppf`` and the tally
+    The cost sums are taken chunk by chunk (``chunk`` draws each), and each
+    chunk is worked through in leaves of at most LEAF draws: the parts of
+    numpy's pairwise summation of the chunk. So memory is bounded by the
+    leaf size, whatever ``n`` and ``chunk`` are, and the sums are bit for
+    bit those of ``np.sum`` over whole chunks.
+
+    The uniforms of the next leaf are drawn on one helper thread while
+    this one works on the current leaf. ``inst.dist.ppf`` and the tally
     stay on the calling thread: a density need not be thread-safe, and one
     that is wrapped or instrumented (a profiler's span stack, say) sees
     every call on the caller's thread. Only the helper uses the generator,
-    in chunk order, so the result does not depend on thread timing. The
+    in leaf order, so the result does not depend on thread timing. The
     helper is joined, and a draw not yet started is cancelled, before this
     function returns or raises.
     """
@@ -213,62 +354,22 @@ def simulate(
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    x0, x1 = policies.xhat
-    # picked by a 0/1 flag: the blocking probability by the transmit flag,
-    # the symbol the receiver falls back to by the jam flag
-    p_block = np.array([policies.jam.alpha, policies.jam.beta])
-    symbol = np.array([x0, x1], dtype=float)
+    sizes = (size for done in range(0, n, chunk) for size in _leaves(min(chunk, n - done)))
     total = 0.0
     total_sq = 0.0
     counts = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
     trace_file = None
-    traced = 0
     helper = ThreadPoolExecutor(1)
     try:
-        pending = helper.submit(_draw, rng, min(chunk, n))
+        draws = _prefetched(helper, rng, sizes)
         if trace_path is not None:
             trace_file = open(trace_path, "w", newline="")
             trace_file.write("x,u,j,y,xhat,cost\n")
-        done = 0
-        while done < n:
-            u = pending.result()
-            m = len(u)
-            if done + m < n:
-                pending = helper.submit(_draw, rng, min(chunk, n - done - m))
-            x = np.asarray(inst.dist.ppf(u[:, 0]), dtype=float)
-            tx = policies.transmit(x)
-            jam = u[:, 1] < p_block.take(tx.view(np.uint8))
-            # x - xhat: the fallback symbol's error, times 0 on a clean
-            # reception, where the receiver replays x; squared it is the
-            # same +0.0 as x - x
-            cost = x - symbol.take(jam.view(np.uint8))
-            cost *= jam | ~tx
-            np.square(cost, out=cost)
-            cost += inst.c * tx
-            cost -= inst.d * jam
-
-            total += float(np.sum(cost))
-            total_sq += float(np.sum(cost * cost))
-            n_tx, n_jam, n_both = (int(np.count_nonzero(b)) for b in (tx, jam, tx & jam))
-            counts[(1, 1)] += n_both
-            counts[(1, 0)] += n_tx - n_both
-            counts[(0, 1)] += n_jam - n_both
-            counts[(0, 0)] += m - n_tx - n_jam + n_both
-
-            if trace_file is not None and traced < TRACE_LIMIT:
-                take = min(TRACE_LIMIT - traced, m)
-                t, j = tx[:take], jam[:take]
-                xhat = np.where(j, x1, np.where(t, x[:take], x0))
-                # str of a Python float is its repr
-                trace_file.write("".join(
-                    f"{xv!r},{tv},{jv},{_EVENT_TAGS[tv + 2 * jv]},{hv!r},{cv!r}\n"
-                    for xv, tv, jv, hv, cv in zip(
-                        x[:take].tolist(), t.view(np.uint8).tolist(), j.view(np.uint8).tolist(),
-                        xhat.tolist(), cost[:take].tolist(),
-                    )
-                ))
-                traced += take
-            done += m
+        leaf_sums = _leaf_sums(inst, policies, draws, counts, trace_file)
+        for done in range(0, n, chunk):
+            s, sq = _tree_sum(min(chunk, n - done), leaf_sums)
+            total += s
+            total_sq += sq
     finally:
         helper.shutdown(wait=True, cancel_futures=True)
         if trace_file is not None:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -206,6 +207,31 @@ class TestSimulateCommand:
         )
         assert code == 0
         assert abs(json.loads(out.read_text())["gap_in_std_errors"]) <= 3.0
+
+    @pytest.mark.parametrize("shift,gap_se,shown", [
+        (0.0, 0.0, "(gap = +0.00 SE)"),
+        (0.25, -math.inf, "(gap = -inf SE)"),
+        (-0.25, math.inf, "(gap = +inf SE)"),
+    ])
+    def test_zero_std_error(self, tmp_path, capsys, monkeypatch, shift, gap_se, shown):
+        # at c = 0 the sensor always transmits and every draw costs exactly
+        # 0, so the standard error is 0; a shifted analytic cost gives a
+        # nonzero gap over it
+        cli = sys.modules["jamgame.cli"]
+        analytic = cli.analytic_cost
+        monkeypatch.setattr(cli, "analytic_cost", lambda inst, b: analytic(inst, b) + shift)
+        out = tmp_path / "o.json"
+        code, stdout, _ = run(
+            capsys, "simulate", "--dist", "gaussian", "--sigma2", "1", "--c", "0", "--d", "1",
+            "--alpha", "0", "--beta", "0", "--xhat0", "0", "--xhat1", "0", "--n", "1000",
+            "--out", str(out),
+        )
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["std_error"] == 0.0 and payload["empirical_cost"] == 0.0
+        assert payload["gap_in_std_errors"] == gap_se
+        assert math.copysign(1.0, payload["gap_in_std_errors"]) == math.copysign(1.0, gap_se)
+        assert shown in stdout
 
     def test_malformed_policy_reports_field_path(self, tmp_path, capsys):
         pol = tmp_path / "bad.json"

@@ -1,7 +1,8 @@
+import importlib
 import json
 import math
-import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,10 @@ from jamgame import (
 from jamgame.simulate import TRACE_LIMIT, SimResult
 
 from conftest import TABLE1, exp_power_table
+
+# the package exports the function under the module's name, so
+# ``import jamgame.simulate as m`` binds the function; this is the module
+SIM_MODULE = importlib.import_module("jamgame.simulate")
 
 
 def binom_se(p_hat, n):
@@ -150,6 +155,37 @@ class TestDeterminism:
         assert r1.std_error == pytest.approx(r2.std_error, rel=1e-12, abs=0)
 
 
+def leaf_split_sums(a):
+    """(sum, sum of squares) of a from np.sum on each leaf of its split,
+    added in the pairwise tree's order."""
+    sums, start = [], 0
+    for size in SIM_MODULE._leaves(len(a)):
+        assert 1 <= size <= SIM_MODULE.LEAF
+        part = a[start:start + size]
+        sums.append((float(np.sum(part)), float(np.sum(part * part))))
+        start += size
+    assert start == len(a)
+    leaves = iter(sums)
+    got = SIM_MODULE._tree_sum(len(a), leaves)
+    assert next(leaves, None) is None
+    return got
+
+
+class TestLeafSums:
+    @pytest.mark.parametrize("leaf", [128, 200, SIM_MODULE.LEAF])
+    def test_tree_of_leaf_sums_is_np_sum(self, leaf, monkeypatch):
+        # values over 16 decades, so a sum in any other order rounds
+        # differently
+        monkeypatch.setattr(SIM_MODULE, "LEAF", leaf)
+        rng = np.random.default_rng(leaf)
+        lengths = list(range(1, 1101))
+        if leaf != 128:
+            lengths += list(range(1101, 3 * 2**17, 2 * 4099)) + [3 * 2**17 - 1]
+        for m in lengths:
+            a = rng.standard_normal(m) * 10.0 ** rng.uniform(-8, 8, m)
+            assert leaf_split_sums(a) == (float(np.sum(a)), float(np.sum(a * a))), m
+
+
 def serial_simulate(inst, policies, n, seed, trace_path=None, chunk=1 << 17):
     """The single-threaded loop that ``simulate`` pipelines: draw, invert,
     tally and trace each chunk in turn on this thread."""
@@ -227,6 +263,41 @@ class TestPipelineOracle:
             assert got == ref
             assert got_path.read_bytes() == ref_path.read_bytes()
 
+    @pytest.mark.parametrize("leaf", [128, 200])
+    @pytest.mark.parametrize("family", sorted(ORACLE_DENSITIES))
+    @pytest.mark.parametrize("kind", ["nonsensing", "reactive"])
+    @pytest.mark.parametrize("chunk", [997, 4500])
+    def test_bit_for_bit_in_small_leaves(self, leaf, family, kind, chunk, tmp_path,
+                                         monkeypatch):
+        # the same oracle with chunks that split into several leaves, the
+        # trace rows spread over many of them
+        monkeypatch.setattr(SIM_MODULE, "LEAF", leaf)
+        assert len(list(SIM_MODULE._leaves(chunk))) > 2
+        self.test_bit_for_bit_serial_loop(family, kind, chunk, tmp_path)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("family", sorted(ORACLE_DENSITIES))
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_peak_is_bounded_by_the_leaf(self, family, traced, tmp_path):
+        # a million draws in 2**17-draw chunks: a chunk held at once takes
+        # 2 MiB for its uniforms alone, and each of its float temporaries 1 MiB
+        inst = GameInstance(ORACLE_DENSITIES[family](), 1.0, 0.7)
+        bundle = bundle_from_reactive(ReactivePoint((0.5, -0.4), (0.3, 0.6)), inst)
+        trace = tmp_path / "events.csv" if traced else None
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            simulate(inst, bundle, n=10**6, seed=3, trace_path=trace)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < 4 * 2**20
+
 
 class SpyDensity:
     """A density whose ``ppf`` records the thread it runs on and, on a
@@ -243,10 +314,6 @@ class SpyDensity:
         if len(self.threads) == self.fail_on:
             self.action()
         return self.dist.ppf(u)
-
-
-# the package exports the function under the module's name
-SIM_MODULE = sys.modules["jamgame.simulate"]
 
 
 @pytest.fixture
@@ -352,9 +419,17 @@ class TestSerialization:
         # the same draws formatted one row at a time with repr(float(.));
         # the trace spans three chunks and stops inside the third
         table = GameInstance(exp_power_table(2.75, 2.2), 1.0, 1.0)
-        for inst in (g1, lap1, table):
-            bundle = bundle_from_reactive(ReactivePoint((0.5, -0.4), (0.3, 0.6)), inst)
-            path = tmp_path / f"events-{inst.dist.family.value}.csv"
+        point = ReactivePoint((0.5, -0.4), (0.3, 0.6))
+        cases = [(inst, bundle_from_reactive(point, inst)) for inst in (g1, lap1, table)]
+        jam = JamPolicy.reactive(0.3, 0.6)
+        cases += [
+            # a -0.0 symbol keeps its sign; at c = 0 every clean reception
+            # costs the same 0.0
+            (g1, PolicyBundle(-0.8, 0.6, jam, (-0.0, -0.4))),
+            (GameInstance(gaussian(1.0), 0.0, 1.0), PolicyBundle(-0.8, 0.6, jam, (0.5, -0.4))),
+        ]
+        for k, (inst, bundle) in enumerate(cases):
+            path = tmp_path / f"events-{k}.csv"
             simulate(inst, bundle, n=12_000, seed=9, trace_path=path, chunk=4_500)
             rng = np.random.Generator(np.random.Philox(key=9))
             u = np.clip(rng.random((TRACE_LIMIT, 2)), 2.0**-53, 1.0 - 2.0**-53)
@@ -370,6 +445,12 @@ class TestSerialization:
                                       repr(float(xhat[i])), repr(float(cost[i]))]))
             assert {"B", "x", "idle"} <= {r.split(",")[3] for r in rows[1:]}
             assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
+    def test_float_reprs_tell_zeros_apart(self):
+        a = np.array([0.0, -0.0, 1.5, 0.0, -0.0, 0.1 + 0.2])
+        assert SIM_MODULE._float_reprs(a).tolist() == [repr(v) for v in a.tolist()]
+        assert SIM_MODULE._float_reprs(a).tolist()[:2] == ["0.0", "-0.0"]
 
 
 class TestAnalyticCost:
