@@ -23,7 +23,6 @@ from .nonsensing import (
     GameInstance,
     NonSensingEquilibrium,
     Regime,
-    TransmitRule,
     jam_marginal,
     objective,
     solve_equilibrium,
@@ -37,15 +36,9 @@ from .reactive import (
     SolverOptions,
     SolverTrace,
     Termination,
-    ccp_step,
     certify_fne,
-    dc_parts,
     default_init,
-    grad_g,
-    grad_theta,
-    grad_xhat,
-    objective_jtilde,
-    pga_step,
+    evaluate,
     silent_interval,
     solve_gda,
     solve_pga_ccp,

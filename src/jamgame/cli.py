@@ -206,13 +206,8 @@ def cmd_simulate(args) -> int:
     if args.policy is not None:
         bundle = _load_policy(args.policy)
     elif args.phi is not None:
-        rule = threshold_policy(inst.c, args.phi, args.xhat0)
-        bundle = PolicyBundle(
-            silent_lo=rule.silent_lo,
-            silent_hi=rule.silent_hi,
-            jam=JamPolicy.non_sensing(args.phi),
-            xhat=(args.xhat0, args.xhat1),
-        )
+        lo, hi = threshold_policy(inst.c, args.phi, args.xhat0)
+        bundle = PolicyBundle(lo, hi, JamPolicy.non_sensing(args.phi), (args.xhat0, args.xhat1))
     elif args.alpha is not None and args.beta is not None:
         bundle = bundle_from_reactive(
             ReactivePoint((args.xhat0, args.xhat1), (args.alpha, args.beta)), inst
@@ -261,6 +256,8 @@ def cmd_sweep(args) -> int:
                     _fmt(c), _fmt(d), _fmt(eq.phi_star), eq.regime.value, _fmt(eq.value),
                 ]))
     elif args.mode == "fig4":
+        if args.dist != "gaussian":
+            raise ConfigError(f"--mode fig4 solves Gaussian instances only, not --dist {args.dist}")
         s2s = _grid(args.sigma2_grid, "--sigma2-grid")
         lines.append("# certified reactive-jammer stationary points per sigma2 (PGA-CCP, default init)")
         lines.append(f"# c={_fmt(args.c)} d={_fmt(args.d)} eps={_fmt(args.eps)}")
@@ -315,6 +312,17 @@ def cmd_compare(args) -> int:
     return EXIT_OK if (c1.certified and c2.certified) else EXIT_UNCERTIFIED
 
 
+def _count(text: str) -> int:
+    """A flag value that counts something: an integer >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _add_dist_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dist", choices=["gaussian", "laplace", "custom"], default="gaussian")
     p.add_argument("--sigma2", type=float, default=None, help="variance")
@@ -338,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-nonsensing", help="closed-form saddle point, non-sensing jammer")
     _add_dist_args(p)
-    p.add_argument("--verify-saddle", type=int, default=0, metavar="N",
+    p.add_argument("--verify-saddle", type=_count, default=0, metavar="N",
                    help="verify the saddle inequalities on N-point deviation grids")
     p.add_argument("--saddle-tol", type=float, default=1e-6)
 
@@ -353,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=100_000)
     p.add_argument("--init-xhat", type=float, nargs=2, default=None, metavar=("X0", "X1"))
     p.add_argument("--init-theta", type=float, nargs=2, default=None, metavar=("A", "B"))
-    p.add_argument("--multistart", type=int, default=0,
+    p.add_argument("--multistart", type=_count, default=0,
                    help="additional random starts (seeded); all results are reported")
     p.add_argument("--trace-out", default=None, help="per-iteration trace CSV path")
 

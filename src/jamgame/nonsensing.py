@@ -50,52 +50,42 @@ class GameInstance:
             raise ValueError("costs c and d must be nonnegative")
 
 
-@dataclass(frozen=True)
-class TransmitRule:
-    """Threshold transmission rule: stay silent strictly inside an interval.
+def threshold_policy(c: float, phi: float, xhat0: float = 0.0) -> tuple[float, float]:
+    """Best-response silent interval ``(lo, hi)`` for jamming probability phi.
 
-    Boundary points transmit (ties go to transmission; they carry no
-    probability mass under a continuous density).
-    """
-
-    silent_lo: float
-    silent_hi: float
-
-    def transmit(self, x):
-        x = np.asarray(x, dtype=float)
-        return ~((x > self.silent_lo) & (x < self.silent_hi))
-
-    def __call__(self, x):
-        return self.transmit(x)
-
-
-def threshold_policy(c: float, phi: float, xhat0: float = 0.0) -> TransmitRule:
-    """Best-response transmission rule for jamming probability phi.
-
-    Transmit iff (1 - phi)(x - xhat0)^2 >= c. At phi = 1 this degenerates
-    to never-transmit.
+    Transmit iff (1 - phi)(x - xhat0)^2 >= c, that is stay silent strictly
+    inside the interval (ties transmit; they carry no probability mass
+    under a continuous density). At phi = 1 this degenerates to
+    never-transmit, (-inf, inf).
     """
     if not 0.0 <= phi <= 1.0:
         raise ValueError("phi must lie in [0, 1]")
     if c < 0:
         raise ValueError("c must be nonnegative")
     if phi == 1.0:
-        return TransmitRule(-math.inf, math.inf)
+        return (-math.inf, math.inf)
     tau = math.sqrt(c / (1.0 - phi))
-    return TransmitRule(xhat0 - tau, xhat0 + tau)
+    return (xhat0 - tau, xhat0 + tau)
 
 
-def objective(inst: GameInstance, phi: float, xhat: tuple[float, float] = (0.0, 0.0)) -> float:
+def objective(
+    inst: GameInstance, phi: float, xhat: tuple[float, float] = (0.0, 0.0),
+    silent: tuple[float, float] | None = None,
+) -> float:
     """Game value E[min{(1-phi)(X-xhat0)^2, c}] + phi (E[(X-xhat1)^2] - d).
 
     This is the objective after the sensor best-responds to (phi, xhat)
     with the threshold rule: the reactive objective at alpha = beta = phi.
+    A frozen rule passes its silent interval as ``silent``; the sensor then
+    pays c plus, on a block, the error against xhat1 where it transmits,
+    and mixes the idle symbol error with the blocked one where it is silent.
     """
-    from .reactive import ReactivePoint, objective_jtilde
+    from .reactive import ReactivePoint, evaluate
 
     if not 0.0 <= phi <= 1.0:
         raise ValueError("phi must lie in [0, 1]")
-    return objective_jtilde(inst, ReactivePoint(xhat, (phi, phi)))
+    p = ReactivePoint(xhat, (phi, phi))
+    return evaluate(inst, *p.xhat, *p.theta, silent=silent)[0][0]
 
 
 def jam_marginal(inst: GameInstance, phi: float) -> float:
@@ -218,24 +208,6 @@ def solve_equilibrium(inst: GameInstance, xtol: float = 1e-10) -> NonSensingEqui
     )
 
 
-def fixed_policy_objective(
-    inst: GameInstance,
-    rule: TransmitRule,
-    xhat: tuple[float, float],
-    phi: float,
-) -> float:
-    """Objective when the coordinator's rule and symbols are frozen.
-
-    Used for jammer-deviation sweeps: transmit region pays c plus, on a
-    block, the error against xhat1; the silent region mixes the idle symbol
-    error with the blocked one.
-    """
-    from .reactive import ReactivePoint, _evaluate
-
-    p = ReactivePoint(xhat, (phi, phi))
-    return _evaluate(inst, *p.xhat, *p.theta, silent=(rule.silent_lo, rule.silent_hi))[0][0]
-
-
 @dataclass
 class SaddleReport:
     """Grid verification of the saddle inequalities.
@@ -274,13 +246,13 @@ def verify_saddle(
     best-response threshold rule at phi_star), the objective may not drop
     below the value beyond tol.
     """
-    rule = TransmitRule(-eq.threshold, eq.threshold)
+    silent = (-eq.threshold, eq.threshold)
     span = 3.0 * inst.dist.scale if xhat_span is None else xhat_span
 
     jam_viol: list[tuple[float, float, float]] = []
     worst_excess = -math.inf
     for phi in np.linspace(0.0, 1.0, phi_points):
-        val = fixed_policy_objective(inst, rule, eq.xhat, float(phi))
+        val = objective(inst, float(phi), eq.xhat, silent)
         excess = val - eq.value
         worst_excess = max(worst_excess, excess)
         if excess > tol:

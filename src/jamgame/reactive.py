@@ -19,7 +19,11 @@ tries a Newton jump to a certified point of the current theta face; a
 two-timescale gradient descent-ascent baseline shares the termination
 contract. Every expectation is exact: the branch costs are quadratics in
 x, so each one is a coefficient row dotted with the truncated moments of
-the density over the whole line and over the one silent interval.
+the density over the whole line and over the one silent interval. One
+public kernel, ``evaluate``, returns them all at a point: the value and
+gradient rows of Jt and of G. The solvers, ``certify_fne``,
+``nonsensing.objective`` and ``simulate.analytic_cost`` read their
+numbers off those rows.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Iterable
 
-import numpy as np
 from scipy.optimize import fsolve
 
 from .nonsensing import GameInstance
@@ -100,23 +103,26 @@ def silent_interval(
     return (0.0, 0.0) if a0 >= 0.0 else (-math.inf, math.inf)
 
 
-def _evaluate(
+def evaluate(
     inst: GameInstance, x0: float, x1: float, a: float, b: float,
     silent: tuple[float, float] | None = None,
 ) -> tuple[list[float], list[float]]:
-    """Rows [value, d/dxhat0, d/dxhat1, d/dalpha, d/dbeta] of Jt and of G at
-    xhat = (x0, x1), theta = (a, b).
+    """Every expectation of the game at xhat = (x0, x1), theta = (a, b):
+    the rows [value, d/dxhat0, d/dxhat1, d/dalpha, d/dbeta] of the reduced
+    objective Jt = E[min(A, B)] and of G = E[max(A, B)], the convex part of
+    the split Jt = F - G with F = E[A] + E[B] = jt_row[0] + g_row[0].
 
     The transmit cost A, the silent cost B and their derivatives are
     quadratics in x, held as coefficient rows over (1, x, x^2). On the
     silent interval S the sensor pays B, elsewhere A, so
-    Jt = E[A] + E[B - A; S] and G = E[max(A, B)] = E[B] - E[B - A; S]. The
-    derivatives split the same way (S moves only where A = B), so every
-    entry is a coefficient row dotted with the full-line moments or the
-    moments of S. S is ``silent_interval`` of the point unless ``silent``
-    replaces it. The arithmetic is on Python floats, which overflow to inf
-    without a warning; the finite checks raise before anything non-finite
-    reaches numpy.
+    Jt = E[A] + E[B - A; S] and G = E[B] - E[B - A; S]. The derivatives
+    split the same way (S moves only where A = B), so every entry is a
+    coefficient row dotted with the full-line moments or the moments of S.
+    S is ``silent_interval`` of the point unless ``silent`` replaces it with
+    a frozen rule's ``(lo, hi)``. The caller passes floats with theta in the
+    unit box (``ReactivePoint`` checks outside input). Python floats
+    overflow to inf without a warning; the finite checks raise
+    FloatingPointError before anything non-finite reaches numpy.
     """
     c, d = inst.c, inst.d
     # with theta in the unit box, every coefficient is finite when this sum is
@@ -153,66 +159,23 @@ def _evaluate(
     return jt, g
 
 
-def objective_jtilde(inst: GameInstance, p: ReactivePoint) -> float:
-    """Reduced objective Jt = E[min of the two branch costs]."""
-    return _evaluate(inst, *p.xhat, *p.theta)[0][0]
-
-
-def grad_xhat(inst: GameInstance, p: ReactivePoint) -> np.ndarray:
-    """Partial gradient of Jt in the representation symbols."""
-    return np.array(_evaluate(inst, *p.xhat, *p.theta)[0][1:3])
-
-
-def grad_theta(inst: GameInstance, p: ReactivePoint) -> np.ndarray:
-    """Partial gradient of Jt in the jamming probabilities."""
-    return np.array(_evaluate(inst, *p.xhat, *p.theta)[0][3:])
-
-
-def dc_parts(inst: GameInstance, p: ReactivePoint) -> tuple[float, float]:
-    """Convex split Jt = F - G.
-
-    F is the quadratic E[A] + E[B] (the sum of both branch expectations);
-    G is the expectation of the max of the branches.
-    """
-    jt, g = _evaluate(inst, *p.xhat, *p.theta)
-    return jt[0] + g[0], g[0]
-
-
-def grad_g(inst: GameInstance, p: ReactivePoint) -> np.ndarray:
-    """Gradient of the convex part G in xhat."""
-    return np.array(_evaluate(inst, *p.xhat, *p.theta)[1][1:3])
-
-
 def _ascend(t: float, q: float, step: float) -> float:
     """One coordinate of the projected ascent step, rounded as ``np.clip``
     rounds it (a -0.0 and a nan pass through)."""
     return min(max(t + step * q, 0.0), 1.0)
 
 
-def pga_step(theta, grad, step: float) -> np.ndarray:
-    """Projected gradient ascent step: clamp theta + step * grad to the box."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    return np.array([_ascend(float(t), float(q), step) for t, q in zip(theta, grad, strict=True)])
-
-
 def _ccp_xhat(g: list[float], a: float, b: float) -> tuple[float, float]:
-    """The CCP update from the row of G at (xhat, theta = (a, b))."""
+    """The convex-concave update of xhat from the row of G at (xhat, theta).
+
+    Minimizes F minus the linearization of G at the current xhat; F is a
+    diagonal quadratic, so the minimizer is the pseudo-inverse solve
+    xhat' = Adagger(theta) grad G, with the singular directions (alpha = 1,
+    or alpha + beta = 0) pinned to 0.
+    """
     new0 = g[1] / (2.0 * (1.0 - a)) if a < 1.0 else 0.0
     new1 = g[2] / (2.0 * (a + b)) if a + b > 0.0 else 0.0
     return new0, new1
-
-
-def ccp_step(inst: GameInstance, xhat, theta) -> np.ndarray:
-    """Convex-concave update of xhat for fixed theta.
-
-    Minimizes F minus the linearization of G at the current xhat; since F
-    is a diagonal quadratic the minimizer is the pseudo-inverse solve
-    xhat' = Adagger(theta) g(xhat, theta), with singular directions (alpha = 1,
-    or alpha + beta = 0) pinned to 0.
-    """
-    p = ReactivePoint(tuple(xhat), tuple(float(v) for v in theta))
-    return np.array(_ccp_xhat(_evaluate(inst, *p.xhat, *p.theta)[1], *p.theta))
 
 
 @dataclass(frozen=True)
@@ -220,7 +183,7 @@ class FneCertificate:
     """First-order equilibrium residuals at a point.
 
     ``grad_norm`` is the Euclidean norm of the xhat-gradient; ``lp_gap`` is
-    the exact maximum of <grad_theta, theta' - theta> over the unit box
+    the exact maximum of <dJt/dtheta, theta' - theta> over the unit box
     (coordinate-separable, so solved at the box edges).
     """
 
@@ -248,7 +211,7 @@ def lp_ascent_gap(grad: Iterable[float], theta: Iterable[float]) -> float:
 def certify_fne(inst: GameInstance, p: ReactivePoint, epsilon: float) -> FneCertificate:
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    return _certificate(_evaluate(inst, *p.xhat, *p.theta)[0], p.theta, epsilon)
+    return _certificate(evaluate(inst, *p.xhat, *p.theta)[0], p.theta, epsilon)
 
 
 def _certificate(jt: list[float], theta: tuple[float, float], epsilon: float) -> FneCertificate:
@@ -371,14 +334,14 @@ def _newton_jump(inst: GameInstance, p: ReactivePoint, q: tuple[float, float],
             return theta
 
         def residual(z):
-            # a non-finite z raises in _evaluate, which ends this face
-            jt = _evaluate(inst, float(z[0]), float(z[1]), *theta_at(z))[0]
+            # a non-finite z raises in evaluate, which ends this face
+            jt = evaluate(inst, float(z[0]), float(z[1]), *theta_at(z))[0]
             return [jt[1], jt[2]] + [jt[3 + i] for i in unknown]
 
         try:
             z = fsolve(residual, [*p.xhat] + [base[i] for i in unknown], full_output=True)[0]
             candidate = ReactivePoint((z[0], z[1]), tuple(theta_at(z)))
-            jt = _evaluate(inst, *candidate.xhat, *candidate.theta)[0]
+            jt = evaluate(inst, *candidate.xhat, *candidate.theta)[0]
             if _certificate(jt, candidate.theta, epsilon).certified:
                 return candidate, jt
         except (ValueError, ArithmeticError):  # the iterate left the finite domain
@@ -404,7 +367,7 @@ def _solve(inst: GameInstance, init: ReactivePoint | None, opts: SolverOptions |
     (x0, x1), (a, b) = p.xhat, p.theta
     eps = opts.epsilon
     trace = SolverTrace()
-    jt = _evaluate(inst, x0, x1, a, b)[0]
+    jt = evaluate(inst, x0, x1, a, b)[0]
     cert = _certificate(jt, (a, b), eps)
     no_descent = 0.0 if ccp else math.nan
     if opts.record_trace:
@@ -420,14 +383,14 @@ def _solve(inst: GameInstance, init: ReactivePoint | None, opts: SolverOptions |
         a_new, b_new = _ascend(a, jt[3], step), _ascend(b, jt[4], step)
         if a_new != a_new or b_new != b_new:
             raise ValueError("theta must lie in the unit box")
-        jt_mid, g = _evaluate(inst, x0, x1, a_new, b_new)
+        jt_mid, g = evaluate(inst, x0, x1, a_new, b_new)
         if ccp:
             n0, n1 = _ccp_xhat(g, a_new, b_new)
         else:
             n0, n1 = x0 - opts.descent_step * jt_mid[1], x1 - opts.descent_step * jt_mid[2]
         if not (math.isfinite(n0) and math.isfinite(n1)):
             raise ValueError("xhat must be finite")
-        jt = _evaluate(inst, n0, n1, a_new, b_new)[0]
+        jt = evaluate(inst, n0, n1, a_new, b_new)[0]
         cert = _certificate(jt, (a_new, b_new), eps)
         if opts.record_trace:
             descent = jt[0] - jt_mid[0] if ccp else math.nan

@@ -39,8 +39,8 @@ from enum import Enum
 
 import numpy as np
 
-from .nonsensing import GameInstance, NonSensingEquilibrium
-from .reactive import ReactivePoint, objective_jtilde, silent_interval
+from .nonsensing import GameInstance, NonSensingEquilibrium, objective
+from .reactive import ReactivePoint, evaluate, silent_interval
 
 TRACE_LIMIT = 10_000
 # draws worked on at a time; at least numpy's 128-element pairwise block,
@@ -74,6 +74,8 @@ class JamPolicy:
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
             raise ValueError("jamming probabilities must lie in [0, 1]")
+        if self.kind is JamKind.NON_SENSING and self.alpha != self.beta:
+            raise ValueError("a non-sensing jammer has one blocking probability: alpha == beta")
 
     @classmethod
     def non_sensing(cls, phi: float) -> "JamPolicy":
@@ -106,6 +108,8 @@ class PolicyBundle:
     xhat: tuple[float, float]
 
     def __post_init__(self):
+        if math.isnan(self.silent_lo) or math.isnan(self.silent_hi):
+            raise ValueError("silent interval bounds must not be NaN")
         if not all(math.isfinite(v) for v in self.xhat):
             raise ValueError("estimator symbols must be finite")
 
@@ -397,11 +401,8 @@ def analytic_cost(inst: GameInstance, bundle: PolicyBundle) -> float | None:
     stored silent interval agrees with the best-response region (otherwise
     None: the bundle is off the reduced-form manifold).
     """
-    from .nonsensing import TransmitRule, fixed_policy_objective
-
     if bundle.jam.kind is JamKind.NON_SENSING:
-        rule = TransmitRule(bundle.silent_lo, bundle.silent_hi)
-        return fixed_policy_objective(inst, rule, bundle.xhat, bundle.jam.phi)
+        return objective(inst, bundle.jam.phi, bundle.xhat, (bundle.silent_lo, bundle.silent_hi))
 
     p = ReactivePoint(bundle.xhat, (bundle.jam.alpha, bundle.jam.beta))
     lo, hi = silent_interval(p.xhat, p.theta, inst.c, inst.d)
@@ -410,5 +411,5 @@ def analytic_cost(inst: GameInstance, bundle: PolicyBundle) -> float | None:
         (math.isinf(a) and math.isinf(b) and a == b) or abs(a - b) <= 1e-9 * max(1.0, abs(a))
         for a, b in zip((lo, hi), stored)
     ):
-        return objective_jtilde(inst, p)
+        return evaluate(inst, *p.xhat, *p.theta)[0][0]
     return None

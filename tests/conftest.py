@@ -10,6 +10,7 @@ from jamgame import (
     SolverOptions,
     Tabulated,
     default_init,
+    evaluate,
     gaussian,
     laplace,
     solve_equilibrium,
@@ -105,3 +106,22 @@ def exp_power_table(variance, shape, knots_per_side=20):
     half = np.linspace(0.0, a * 40.0 ** (1.0 / shape), knots_per_side + 1)
     x = np.concatenate([-half[:0:-1], half])
     return Tabulated(x, np.exp(-((np.abs(x) / a) ** shape)))
+
+
+def jt_row(inst, p):
+    """The kernel's row of Jt at a ReactivePoint:
+    [value, d/dxhat0, d/dxhat1, d/dalpha, d/dbeta]."""
+    return evaluate(inst, *p.xhat, *p.theta)[0]
+
+
+def g_row(inst, p):
+    """The kernel's row of G = E[max(A, B)], laid out as ``jt_row``."""
+    return evaluate(inst, *p.xhat, *p.theta)[1]
+
+
+def f_quadratic(inst, p):
+    """F = E[A] + E[B] of the split Jt = F - G, in closed form for a
+    zero-mean density, without the kernel."""
+    (x0, x1), (a, b) = p.xhat, p.theta
+    v = inst.dist.variance
+    return (a + b) * (v + x1 * x1) + (1.0 - a) * (v + x0 * x0) + inst.c - inst.d * (a + b)

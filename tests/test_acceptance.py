@@ -28,15 +28,10 @@ from jamgame import (
     bundle_from_reactive,
     certify_fne,
     check_symmetric_unimodal,
-    dc_parts,
     gaussian,
-    grad_g,
-    grad_theta,
-    grad_xhat,
     jam_marginal,
     laplace,
     objective,
-    objective_jtilde,
     simulate,
     solve_equilibrium,
     solve_gda,
@@ -45,7 +40,7 @@ from jamgame import (
 )
 from jamgame.reactive import default_init
 
-from conftest import FNE_TABLE, TABLE1
+from conftest import FNE_TABLE, TABLE1, f_quadratic, g_row, jt_row
 
 
 def report(criterion: str, ok: bool, elapsed: float, detail: str = "") -> None:
@@ -175,14 +170,14 @@ def test_criterion_6_gradient_suite():
         for _ in range(20):
             p = ReactivePoint(tuple(rng.uniform(-1.5 * s, 1.5 * s, 2)),
                               tuple(rng.uniform(0.05, 0.95, 2)))
-            gx = grad_xhat(inst, p)
-            fx = fd_gradient(lambda v: objective_jtilde(inst, ReactivePoint(tuple(v), p.theta)),
+            gx = jt_row(inst, p)[1:3]
+            fx = fd_gradient(lambda v: jt_row(inst, ReactivePoint(tuple(v), p.theta))[0],
                              p.xhat)
-            q = grad_theta(inst, p)
-            fq = fd_gradient(lambda v: objective_jtilde(inst, ReactivePoint(p.xhat, tuple(v))),
+            q = jt_row(inst, p)[3:]
+            fq = fd_gradient(lambda v: jt_row(inst, ReactivePoint(p.xhat, tuple(v)))[0],
                              p.theta)
-            gg = grad_g(inst, p)
-            fg = fd_gradient(lambda v: dc_parts(inst, ReactivePoint(tuple(v), p.theta))[1],
+            gg = g_row(inst, p)[1:3]
+            fg = fd_gradient(lambda v: g_row(inst, ReactivePoint(tuple(v), p.theta))[0],
                              p.xhat)
             err = max(np.max(np.abs(gx - fx)), np.max(np.abs(q - fq)), np.max(np.abs(gg - fg)))
             worst = max(worst, float(err))
@@ -200,7 +195,7 @@ def test_criterion_7_diagonal_identity():
     for x0 in np.linspace(-1.0, 1.0, 5):
         for x1 in np.linspace(-1.0, 1.0, 5):
             for phi in (0.0, 0.25, 0.5, 0.7887):
-                a = objective_jtilde(inst, ReactivePoint((float(x0), float(x1)), (phi, phi)))
+                a = jt_row(inst, ReactivePoint((float(x0), float(x1)), (phi, phi)))[0]
                 b = objective(inst, phi, (float(x0), float(x1)))
                 worst = max(worst, abs(a - b))
                 assert abs(a - b) <= 1e-8, (x0, x1, phi, a - b)
@@ -217,8 +212,8 @@ def test_criterion_8_dc_identity_and_ccp_descent(table_runs):
     worst_dc = 0.0
     for _ in range(25):
         p = ReactivePoint(tuple(rng.uniform(-1.5, 1.5, 2)), tuple(rng.uniform(0, 1, 2)))
-        f_val, g_val = dc_parts(inst, p)
-        gap = abs(f_val - g_val - objective_jtilde(inst, p))
+        f_val, g_val = f_quadratic(inst, p), g_row(inst, p)[0]
+        gap = abs(f_val - g_val - jt_row(inst, p)[0])
         worst_dc = max(worst_dc, gap)
         assert gap <= 1e-8
     runs, _ = table_runs
@@ -270,7 +265,7 @@ def test_criterion_10_simulator_agreement():
         p = ReactivePoint((x0, x1), (a, b))
         bundle = bundle_from_reactive(p, inst)
         res = simulate(inst, bundle, n=10**6, seed=1000 + int(s2))
-        analytic = objective_jtilde(inst, p)
+        analytic = jt_row(inst, p)[0]
         gap = abs(res.empirical_cost - analytic) / res.std_error
         details.append(f"s2={s2:g} {gap:.2f} SE")
         assert gap <= 3.0
@@ -308,16 +303,16 @@ def test_criterion_11_property_suites():
     for _ in range(10):
         xhat = tuple(rng.uniform(-1.5, 1.5, 2))
         t1, t2 = rng.uniform(0, 1, 2), rng.uniform(0, 1, 2)
-        j_mid = objective_jtilde(inst1, ReactivePoint(xhat, tuple(0.5 * (t1 + t2))))
-        j_avg = 0.5 * (objective_jtilde(inst1, ReactivePoint(xhat, tuple(t1)))
-                       + objective_jtilde(inst1, ReactivePoint(xhat, tuple(t2))))
+        j_mid = jt_row(inst1, ReactivePoint(xhat, tuple(0.5 * (t1 + t2))))[0]
+        j_avg = 0.5 * (jt_row(inst1, ReactivePoint(xhat, tuple(t1)))[0]
+                       + jt_row(inst1, ReactivePoint(xhat, tuple(t2)))[0])
         assert j_mid >= j_avg - 1e-8
 
         theta = tuple(rng.uniform(0, 1, 2))
         u, v = rng.uniform(-1.5, 1.5, 2), rng.uniform(-1.5, 1.5, 2)
-        g_mid = dc_parts(inst1, ReactivePoint(tuple(0.5 * (u + v)), theta))[1]
-        g_avg = 0.5 * (dc_parts(inst1, ReactivePoint(tuple(u), theta))[1]
-                       + dc_parts(inst1, ReactivePoint(tuple(v), theta))[1])
+        g_mid = g_row(inst1, ReactivePoint(tuple(0.5 * (u + v)), theta))[0]
+        g_avg = 0.5 * (g_row(inst1, ReactivePoint(tuple(u), theta))[0]
+                       + g_row(inst1, ReactivePoint(tuple(v), theta))[0])
         assert g_mid <= g_avg + 1e-8
 
     point, _, cert = solve_pga_ccp(inst1, None, SolverOptions(epsilon=1e-5))

@@ -275,6 +275,27 @@ class TestSimulateCommand:
         assert all(flag in stderr for flag in named)
         assert stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize("transmit,jam,message", [
+        ('"silent_lo": -1.0, "silent_hi": 1.0', '"kind": "NonSensing", "alpha": 0.2, "beta": 0.3',
+         "alpha == beta"),
+        ('"silent_lo": NaN, "silent_hi": 1.0', '"kind": "NonSensing", "alpha": 0.2, "beta": 0.2',
+         "NaN"),
+        ('"silent_lo": -1.0, "silent_hi": NaN', '"kind": "Reactive", "alpha": 0.2, "beta": 0.3',
+         "NaN"),
+    ], ids=["nonsensing-alpha-ne-beta", "nan-silent-lo", "nan-silent-hi"])
+    def test_inconsistent_policy_file_is_config_error(self, tmp_path, capsys, transmit, jam,
+                                                      message):
+        # json.load accepts NaN; before these checks all three simulated and exited 0
+        pol = tmp_path / "policy.json"
+        pol.write_text(f'{{"transmit": {{{transmit}}}, "jam": {{{jam}}}, '
+                       '"estimator": {"xhat0": 0.0, "xhat1": 0.0}}')
+        out = tmp_path / "sim.json"
+        code, stdout, stderr = run(capsys, "simulate", "--dist", "gaussian", "--sigma2", "1",
+                                   "--policy", str(pol), "--n", "1000", "--out", str(out))
+        assert code == 2
+        assert message in stderr
+        assert stdout == "" and not out.exists()
+
     @pytest.mark.parametrize("phi", ["1.5", "-0.5"])
     def test_inline_phi_out_of_range_is_config_error(self, capsys, phi):
         code, _, stderr = run(capsys, "simulate", "--dist", "gaussian", "--sigma2", "1",
@@ -339,6 +360,19 @@ class TestSweep:
         assert all(x <= y + 1e-9 for x, y in zip(alphas, alphas[1:]))
         assert all(x <= y + 1e-9 for x, y in zip(betas, betas[1:]))
 
+    @pytest.mark.parametrize("dist", [["--dist", "laplace", "--sigma2", "2"],
+                                      ["--dist", "custom", "--pdf-csv", "unused.csv"]],
+                             ids=["laplace", "custom"])
+    def test_fig4_refuses_other_densities(self, tmp_path, capsys, dist):
+        # fig4 solves Gaussian instances only; it used to print the Gaussian
+        # rows whatever --dist said
+        out = tmp_path / "fig4.csv"
+        code, stdout, stderr = run(capsys, "sweep", "--mode", "fig4", *dist,
+                                   "--sigma2-grid", "2:2:1", "--out", str(out))
+        assert code == 2
+        assert "fig4" in stderr and "Gaussian" in stderr
+        assert stdout == "" and not out.exists()
+
     def test_fig2_checks_admissibility_once(self, tmp_path, capsys, monkeypatch):
         # a closed-form family is admissible by construction and never
         # checked; a table is checked once, when it is loaded, before any solve
@@ -379,6 +413,21 @@ class TestSweep:
             "--c-grid", "2:1:5",
         )
         assert code == 2
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["solve-reactive", "--multistart", "-3", "--max-iters", "5"], "--multistart"),
+    (["solve-nonsensing", "--verify-saddle", "-2"], "--verify-saddle"),
+], ids=["multistart", "verify-saddle"])
+def test_negative_count_refused_at_parse_time(capsys, argv, flag):
+    # -3 starts used to run as 0 and exit 0; -2 grid points printed the
+    # equilibrium and then failed inside numpy
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--dist", "gaussian", "--sigma2", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert flag in captured.err and "must be >= 0" in captured.err
 
 
 class TestCompare:

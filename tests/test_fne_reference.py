@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from jamgame import GameInstance, ReactivePoint, certify_fne, gaussian, grad_theta, grad_xhat
+from jamgame import GameInstance, ReactivePoint, certify_fne, evaluate, gaussian
 
 from conftest import FNE_TABLE, TABLE1
 
@@ -146,6 +146,6 @@ def test_oracle_matches_package_gradients():
         theta = (float(rng.uniform(0.05, 0.95)), 1.0 if k % 4 < 2 else float(rng.uniform(0.05, 0.95)))
         inst = GameInstance(gaussian(sigma2), C, D)
         p = ReactivePoint(xhat, theta)
-        package = np.concatenate([grad_xhat(inst, p), grad_theta(inst, p)])
+        package = np.array(evaluate(inst, *p.xhat, *p.theta)[0][1:])
         oracle = oracle_gradient(sigma2, *theta, *xhat)
         assert np.max(np.abs(package - oracle)) < 1e-8, (sigma2, p, package, oracle)

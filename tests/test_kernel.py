@@ -13,24 +13,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jamgame import (
     GameInstance,
     ReactivePoint,
     Tabulated,
-    dc_parts,
+    evaluate,
     expectation,
     gaussian,
-    grad_g,
-    grad_theta,
-    grad_xhat,
     jam_marginal,
     laplace,
     objective,
-    objective_jtilde,
     silent_interval,
+    threshold_policy,
 )
 
 KERNEL_TOL = 1e-12
@@ -83,10 +80,8 @@ def _reference(inst, p):
 
 
 def _kernel(inst, p):
-    return np.concatenate([
-        [objective_jtilde(inst, p)], grad_xhat(inst, p), grad_theta(inst, p),
-        [dc_parts(inst, p)[1]], grad_g(inst, p),
-    ])
+    jt, g = evaluate(inst, *p.xhat, *p.theta)
+    return np.array(jt + g[:3])
 
 
 unit = st.floats(0.0, 1.0)
@@ -117,6 +112,47 @@ def test_kernel_matches_quadrature(family, sigma2, c, d, u0, u1, alpha, beta):
     assert err <= KERNEL_TOL, (family, p, err)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    sigma2=st.floats(0.5, 5.0),
+    c=st.floats(0.0, 2.0),
+    d=st.floats(0.0, 2.0),
+    u0=st.floats(-2.0, 2.0),
+    u1=st.floats(-2.0, 2.0),
+    phi=unit,
+    lo=st.floats(-3.0, 3.0) | st.just(-math.inf),
+    width=st.floats(0.0, 4.0) | st.just(math.inf),
+)
+# a silent half-line, the whole line, and an empty silent set
+@example(family="gaussian", sigma2=1.0, c=1.0, d=1.0, u0=0.3, u1=-0.2, phi=0.4,
+         lo=0.5, width=math.inf)
+@example(family="laplace", sigma2=2.0, c=0.5, d=1.0, u0=0.0, u1=0.0, phi=0.7,
+         lo=-math.inf, width=math.inf)
+@example(family="tabulated", sigma2=1.0, c=1.0, d=0.5, u0=-0.6, u1=0.9, phi=0.2,
+         lo=0.1, width=0.0)
+def test_frozen_rule_matches_quadrature(family, sigma2, c, d, u0, u1, phi, lo, width):
+    # a rule frozen at any silent interval, not the sensor's best response:
+    # the transmit cost A outside it and the silent cost B inside
+    dist = FAMILIES[family](sigma2)
+    inst = GameInstance(dist, c, d)
+    x0, x1 = u0 * dist.scale, u1 * dist.scale
+    silent = (lo * dist.scale, lo * dist.scale + width * dist.scale)
+    assume(silent != threshold_policy(c, phi, x0))
+
+    def cost(x):
+        trans = phi * (x - x1) ** 2 + c - d * phi
+        quiet = phi * (x - x1) ** 2 + (1.0 - phi) * (x - x0) ** 2 - d * phi
+        return np.where((x > silent[0]) & (x < silent[1]), quiet, trans)
+
+    kinks = [e for e in silent if math.isfinite(e)]
+    got = objective(inst, phi, (x0, x1), silent=silent)
+    assert got == pytest.approx(expectation(dist, cost, kinks=kinks, tol=QUAD_TOL),
+                                abs=KERNEL_TOL)
+    # the best response is the pointwise cheaper branch, so no frozen rule beats it
+    assert got >= objective(inst, phi, (x0, x1)) - KERNEL_TOL
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_partial_moments_match_quadrature(family):
     dist = FAMILIES[family](2.0)
@@ -145,7 +181,7 @@ def test_diagonal_identities(family):
     for phi in (0.0, 0.3, 0.7887, 0.95):
         for xhat in ((0.0, 0.0), (0.4 * s, -0.7 * s), (-1.1 * s, 0.2 * s)):
             x0, x1 = xhat
-            jt = objective_jtilde(inst, ReactivePoint(xhat, (phi, phi)))
+            jt = evaluate(inst, x0, x1, phi, phi)[0][0]
             assert objective(inst, phi, xhat) == jt
             closed = expectation(
                 inst.dist,
@@ -155,5 +191,5 @@ def test_diagonal_identities(family):
                 tol=QUAD_TOL,
             )
             assert jt == pytest.approx(closed, abs=KERNEL_TOL)
-        q = grad_theta(inst, ReactivePoint((0.0, 0.0), (phi, phi)))
+        q = evaluate(inst, 0.0, 0.0, phi, phi)[0][3:]
         assert q[0] + q[1] == pytest.approx(jam_marginal(inst, phi), abs=1e-14)

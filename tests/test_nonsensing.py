@@ -6,6 +6,8 @@ import pytest
 
 from jamgame import (
     GameInstance,
+    JamPolicy,
+    PolicyBundle,
     Regime,
     Tabulated,
     expectation,
@@ -18,11 +20,7 @@ from jamgame import (
     verify_saddle,
 )
 from jamgame.dist import InadmissibleDistributionError
-from jamgame.nonsensing import (
-    NonSensingEquilibrium,
-    TransmitRule,
-    fixed_policy_objective,
-)
+from jamgame.nonsensing import NonSensingEquilibrium
 
 from conftest import exp_power_table
 
@@ -34,29 +32,38 @@ def test_game_instance_rejects_negative_costs():
         GameInstance(gaussian(1.0), 1.0, -2.0)
 
 
+def threshold_rule(c, phi, xhat0=0.0):
+    """The bundle that puts threshold_policy's silent interval to use."""
+    lo, hi = threshold_policy(c, phi, xhat0)
+    return PolicyBundle(lo, hi, JamPolicy.non_sensing(phi), (xhat0, 0.0))
+
+
 class TestThresholdPolicy:
     def test_transmits_outside_threshold(self):
-        rule = threshold_policy(c=1.0, phi=0.0, xhat0=0.0)
+        rule = threshold_rule(c=1.0, phi=0.0, xhat0=0.0)
         assert rule.transmit(2.0)
         assert not rule.transmit(0.5)
 
     def test_example_phi_tilde_keeps_x2_silent(self):
         # tau = sqrt(1 / (1 - 0.7887)) = 2.176 > 2
-        rule = threshold_policy(c=1.0, phi=0.7887, xhat0=0.0)
+        tau = math.sqrt(1.0 / (1.0 - 0.7887))
+        assert threshold_policy(c=1.0, phi=0.7887, xhat0=0.5) == (0.5 - tau, 0.5 + tau)
+        rule = threshold_rule(c=1.0, phi=0.7887, xhat0=0.0)
         assert not rule.transmit(2.0)
         assert rule.transmit(2.2)
 
     def test_zero_cost_transmits_everywhere(self):
-        rule = threshold_policy(c=0.0, phi=0.3, xhat0=0.0)
+        rule = threshold_rule(c=0.0, phi=0.3, xhat0=0.0)
         xs = np.array([-5.0, -0.1, 0.2, 3.0])
         assert rule.transmit(xs).all()
 
     def test_tie_resolves_to_transmit(self):
-        rule = threshold_policy(c=1.0, phi=0.0, xhat0=0.0)
+        rule = threshold_rule(c=1.0, phi=0.0, xhat0=0.0)
         assert rule.transmit(1.0) and rule.transmit(-1.0)
 
     def test_phi_one_never_transmits(self):
-        rule = threshold_policy(c=1.0, phi=1.0)
+        assert threshold_policy(c=1.0, phi=1.0) == (-math.inf, math.inf)
+        rule = threshold_rule(c=1.0, phi=1.0)
         assert not rule.transmit(np.array([-100.0, 0.0, 100.0])).any()
 
     def test_rejects_bad_phi(self):
@@ -318,18 +325,17 @@ class TestVerifySaddle:
     def test_no_jam_equilibrium_clean_and_maximized_at_zero(self, g1, eq_g1):
         rep = verify_saddle(g1, eq_g1, phi_points=101, xhat_points=101, tol=1e-6)
         assert rep.ok
-        rule = TransmitRule(-eq_g1.threshold, eq_g1.threshold)
-        curve = [fixed_policy_objective(g1, rule, eq_g1.xhat, p)
-                 for p in np.linspace(0.0, 1.0, 101)]
+        silent = (-eq_g1.threshold, eq_g1.threshold)
+        curve = [objective(g1, p, eq_g1.xhat, silent) for p in np.linspace(0.0, 1.0, 101)]
         assert int(np.argmax(curve)) == 0
 
     def test_jammer_curve_is_linear_with_marginal_slope(self, g2, eq_g2):
         # with the coordinator frozen, the objective is affine in phi and its
         # slope equals the jamming marginal at the frozen threshold, which
         # vanishes at an interior saddle
-        rule = TransmitRule(-eq_g2.threshold, eq_g2.threshold)
+        silent = (-eq_g2.threshold, eq_g2.threshold)
         phis = np.linspace(0.0, 1.0, 5)
-        vals = [fixed_policy_objective(g2, rule, eq_g2.xhat, p) for p in phis]
+        vals = [objective(g2, p, eq_g2.xhat, silent) for p in phis]
         slopes = np.diff(vals) / np.diff(phis)
         predicted = g2.dist.tail_second_moment(eq_g2.threshold) - g2.d
         assert np.allclose(slopes, predicted, atol=1e-9)

@@ -8,23 +8,17 @@ from hypothesis import strategies as st
 
 from jamgame import (
     GameInstance,
+    JamPolicy,
+    PolicyBundle,
     ReactivePoint,
     SolverOptions,
     Termination,
-    TransmitRule,
-    ccp_step,
     certify_fne,
-    dc_parts,
     expectation,
     gaussian,
-    grad_g,
-    grad_theta,
-    grad_xhat,
     jam_marginal,
     laplace,
     objective,
-    objective_jtilde,
-    pga_step,
     silent_interval,
     solve_gda,
     solve_pga_ccp,
@@ -33,11 +27,13 @@ from jamgame.reactive import (
     POLISH_EVERY,
     SolverTrace,
     TraceRow,
+    _ascend,
+    _ccp_xhat,
     default_init,
     lp_ascent_gap,
 )
 
-from conftest import TABLE1, exp_power_table
+from conftest import TABLE1, exp_power_table, f_quadratic, g_row, jt_row
 
 
 def fd_gradient(f, x, h=1e-5):
@@ -88,7 +84,8 @@ class TestSilentInterval:
     def test_transmit_indicator_matches_roots(self):
         lo, hi = silent_interval((0.4, -0.2), (0.1, 0.3), c=1.0, d=1.0)
         xs = np.array([lo - 1.0, 0.5 * (lo + hi), hi + 1.0])
-        assert list(TransmitRule(lo, hi).transmit(xs)) == [True, False, True]
+        bundle = PolicyBundle(lo, hi, JamPolicy.reactive(0.1, 0.3), (0.4, -0.2))
+        assert list(bundle.transmit(xs)) == [True, False, True]
 
     def test_beta_one_constant_cases(self):
         # alpha=0, beta=1, xhat=(0,0): the comparison degenerates to the
@@ -102,7 +99,7 @@ class TestSilentInterval:
         # root -a0/a1 = -0.25, silent right of it
         assert d_coefficients((0.0, -0.5), (0.0, 1.0), 1.0, 1.0)[1] == pytest.approx(-1.0)
         assert interval == (-0.25, math.inf)
-        rule = TransmitRule(*interval)
+        rule = PolicyBundle(*interval, JamPolicy.reactive(0.0, 1.0), (0.0, -0.5))
         root = interval[0]
         assert rule.transmit(root - 1.0) and not rule.transmit(root + 1.0)
 
@@ -172,17 +169,17 @@ class TestObjective:
     @pytest.mark.parametrize("xhat", [(0.0, 0.0), (0.7, -0.4), (-1.2, 0.3)])
     def test_diagonal_matches_nonsensing(self, g2, phi, xhat):
         p = ReactivePoint(xhat, (phi, phi))
-        assert objective_jtilde(g2, p) == pytest.approx(objective(g2, phi, xhat), abs=1e-8)
+        assert jt_row(g2, p)[0] == pytest.approx(objective(g2, phi, xhat), abs=1e-8)
 
     def test_never_jam_reduces_to_min_expectation(self, g1):
         p = ReactivePoint((0.0, 0.0), (0.0, 0.0))
-        assert objective_jtilde(g1, p) == pytest.approx(0.5160, abs=1e-3)
+        assert jt_row(g1, p)[0] == pytest.approx(0.5160, abs=1e-3)
 
     def test_mirror_symmetry(self, g1):
         a, b, x0, x1 = TABLE1[1.0]
         p = ReactivePoint((x0, x1), (a, b))
-        assert objective_jtilde(g1, p) == pytest.approx(
-            objective_jtilde(g1, p.mirrored()), abs=1e-10
+        assert jt_row(g1, p)[0] == pytest.approx(
+            jt_row(g1, p.mirrored())[0], abs=1e-10
         )
 
     def test_concave_in_theta_midpoint(self, g1):
@@ -192,10 +189,10 @@ class TestObjective:
             t1 = rng.uniform(0, 1, 2)
             t2 = rng.uniform(0, 1, 2)
             mid = tuple(0.5 * (t1 + t2))
-            j_mid = objective_jtilde(g1, ReactivePoint(xhat, mid))
+            j_mid = jt_row(g1, ReactivePoint(xhat, mid))[0]
             j_avg = 0.5 * (
-                objective_jtilde(g1, ReactivePoint(xhat, tuple(t1)))
-                + objective_jtilde(g1, ReactivePoint(xhat, tuple(t2)))
+                jt_row(g1, ReactivePoint(xhat, tuple(t1)))[0]
+                + jt_row(g1, ReactivePoint(xhat, tuple(t2)))[0]
             )
             assert j_mid >= j_avg - 1e-8
 
@@ -203,13 +200,13 @@ class TestObjective:
 class TestGradients:
     def test_symmetric_point_has_zero_xhat_gradient(self, g1):
         for theta in [(0.2, 0.6), (0.5, 0.5), (0.0, 0.3)]:
-            g = grad_xhat(g1, ReactivePoint((0.0, 0.0), theta))
+            g = jt_row(g1, ReactivePoint((0.0, 0.0), theta))[1:3]
             assert np.max(np.abs(g)) < 1e-12
 
     def test_grad_theta_closed_form_at_origin(self, g1):
         # alpha-component: -d P(|X| < 1); beta-component: M(1) - d P(|X| >= 1)
         p = ReactivePoint((0.0, 0.0), (0.0, 0.0))
-        q = grad_theta(g1, p)
+        q = jt_row(g1, p)[3:]
         p_in = expectation(g1.dist, lambda x: (np.abs(x) < 1.0).astype(float), kinks=(-1.0, 1.0))
         expected = (-p_in, g1.dist.tail_second_moment(1.0) - (1.0 - p_in))
         assert q[0] == pytest.approx(expected[0], abs=1e-8)
@@ -219,7 +216,7 @@ class TestGradients:
 
     @pytest.mark.parametrize("phi", [0.1, 0.5, 0.7887])
     def test_grad_theta_diagonal_sums_to_jam_marginal(self, g2, phi):
-        q = grad_theta(g2, ReactivePoint((0.0, 0.0), (phi, phi)))
+        q = jt_row(g2, ReactivePoint((0.0, 0.0), (phi, phi)))[3:]
         assert q[0] + q[1] == pytest.approx(jam_marginal(g2, phi), abs=1e-8)
 
     def test_reference_point_near_xhat_stationarity(self, g1):
@@ -227,28 +224,28 @@ class TestGradients:
         # norm at the rounded coordinates sits at rounding scale (~5e-5),
         # not at the solver's 1e-5 certification level
         a, b, x0, x1 = TABLE1[1.0]
-        g = grad_xhat(g1, ReactivePoint((x0, x1), (a, b)))
+        g = jt_row(g1, ReactivePoint((x0, x1), (a, b)))[1:3]
         assert np.linalg.norm(g) < 1e-4
 
     def test_finite_difference_match(self, g1):
         rng = np.random.default_rng(3)
         for p in random_interior_points(rng, 5):
-            gx = grad_xhat(g1, p)
+            gx = jt_row(g1, p)[1:3]
             fd = fd_gradient(
-                lambda v: objective_jtilde(g1, ReactivePoint(tuple(v), p.theta)), p.xhat
+                lambda v: jt_row(g1, ReactivePoint(tuple(v), p.theta))[0], p.xhat
             )
             assert np.max(np.abs(gx - fd)) < 1e-6
 
-            q = grad_theta(g1, p)
+            q = jt_row(g1, p)[3:]
             fd = fd_gradient(
-                lambda v: objective_jtilde(g1, ReactivePoint(p.xhat, tuple(v))), p.theta
+                lambda v: jt_row(g1, ReactivePoint(p.xhat, tuple(v)))[0], p.theta
             )
             assert np.max(np.abs(q - fd)) < 1e-6
 
     def test_specific_random_point_matches_fd(self, g1):
         p = ReactivePoint((0.3, -0.2), (0.1, 0.4))
-        fd = fd_gradient(lambda v: objective_jtilde(g1, ReactivePoint(tuple(v), p.theta)), p.xhat)
-        assert np.max(np.abs(grad_xhat(g1, p) - fd)) < 1e-6
+        fd = fd_gradient(lambda v: jt_row(g1, ReactivePoint(tuple(v), p.theta))[0], p.xhat)
+        assert np.max(np.abs(jt_row(g1, p)[1:3] - fd)) < 1e-6
 
 
 class TestLaplaceInstance:
@@ -256,19 +253,19 @@ class TestLaplaceInstance:
         # the Laplace density has its own breakpoint at 0, merged into the
         # quadrature splits alongside the transmit-region roots
         p = ReactivePoint((0.45, -0.3), (0.15, 0.35))
-        fd = fd_gradient(lambda v: objective_jtilde(lap1, ReactivePoint(tuple(v), p.theta)),
+        fd = fd_gradient(lambda v: jt_row(lap1, ReactivePoint(tuple(v), p.theta))[0],
                          p.xhat)
-        assert np.max(np.abs(grad_xhat(lap1, p) - fd)) < 1e-6
-        fq = fd_gradient(lambda v: objective_jtilde(lap1, ReactivePoint(p.xhat, tuple(v))),
+        assert np.max(np.abs(jt_row(lap1, p)[1:3] - fd)) < 1e-6
+        fq = fd_gradient(lambda v: jt_row(lap1, ReactivePoint(p.xhat, tuple(v)))[0],
                          p.theta)
-        assert np.max(np.abs(grad_theta(lap1, p) - fq)) < 1e-6
-        f_val, g_val = dc_parts(lap1, p)
-        assert f_val - g_val == pytest.approx(objective_jtilde(lap1, p), abs=1e-8)
+        assert np.max(np.abs(jt_row(lap1, p)[3:] - fq)) < 1e-6
+        f_val, g_val = f_quadratic(lap1, p), g_row(lap1, p)[0]
+        assert f_val - g_val == pytest.approx(jt_row(lap1, p)[0], abs=1e-8)
 
     def test_diagonal_identity(self, lap1):
         for phi in (0.0, 0.4):
             p = ReactivePoint((0.2, -0.1), (phi, phi))
-            assert objective_jtilde(lap1, p) == pytest.approx(
+            assert jt_row(lap1, p)[0] == pytest.approx(
                 objective(lap1, phi, p.xhat), abs=1e-8
             )
 
@@ -276,7 +273,7 @@ class TestLaplaceInstance:
 class TestDcDecomposition:
     def test_parts_at_origin(self, g1):
         p = ReactivePoint((0.0, 0.0), (0.0, 0.0))
-        f_val, g_val = dc_parts(g1, p)
+        f_val, g_val = jt_row(g1, p)[0] + g_row(g1, p)[0], g_row(g1, p)[0]
         assert f_val == pytest.approx(g1.dist.variance + g1.c, abs=1e-12)
         oracle = expectation(g1.dist, lambda x: np.maximum(x * x, 1.0), kinks=(-1.0, 1.0))
         assert g_val == pytest.approx(oracle, abs=1e-9)
@@ -284,19 +281,19 @@ class TestDcDecomposition:
     def test_identity_at_reference_point(self, g2):
         a, b, x0, x1 = TABLE1[2.0]
         p = ReactivePoint((x0, x1), (a, b))
-        f_val, g_val = dc_parts(g2, p)
-        assert f_val - g_val == pytest.approx(objective_jtilde(g2, p), abs=1e-8)
+        f_val, g_val = f_quadratic(g2, p), g_row(g2, p)[0]
+        assert f_val - g_val == pytest.approx(jt_row(g2, p)[0], abs=1e-8)
 
     def test_full_jam_closed_form(self, g2):
         p = ReactivePoint((0.0, 0.0), (1.0, 1.0))
-        f_val, _ = dc_parts(g2, p)
+        f_val = jt_row(g2, p)[0] + g_row(g2, p)[0]
         assert f_val == pytest.approx(2.0 * g2.dist.variance + g2.c - 2.0 * g2.d, abs=1e-12)
 
     def test_identity_at_random_points(self, g1):
         rng = np.random.default_rng(11)
         for p in random_interior_points(rng, 8):
-            f_val, g_val = dc_parts(g1, p)
-            assert f_val - g_val == pytest.approx(objective_jtilde(g1, p), abs=1e-8)
+            f_val, g_val = f_quadratic(g1, p), g_row(g1, p)[0]
+            assert f_val - g_val == pytest.approx(jt_row(g1, p)[0], abs=1e-8)
 
     def test_g_is_convex_in_xhat_midpoint(self, g1):
         rng = np.random.default_rng(13)
@@ -305,17 +302,17 @@ class TestDcDecomposition:
             u = rng.uniform(-1.5, 1.5, 2)
             v = rng.uniform(-1.5, 1.5, 2)
             mid = tuple(0.5 * (u + v))
-            g_mid = dc_parts(g1, ReactivePoint(mid, theta))[1]
+            g_mid = g_row(g1, ReactivePoint(mid, theta))[0]
             g_avg = 0.5 * (
-                dc_parts(g1, ReactivePoint(tuple(u), theta))[1]
-                + dc_parts(g1, ReactivePoint(tuple(v), theta))[1]
+                g_row(g1, ReactivePoint(tuple(u), theta))[0]
+                + g_row(g1, ReactivePoint(tuple(v), theta))[0]
             )
             assert g_mid <= g_avg + 1e-8
 
 
 class TestGradG:
     def test_zero_at_symmetric_point(self, g1):
-        g = grad_g(g1, ReactivePoint((0.0, 0.0), (0.3, 0.6)))
+        g = g_row(g1, ReactivePoint((0.0, 0.0), (0.3, 0.6)))[1:3]
         assert np.max(np.abs(g)) < 1e-12
 
     def test_gradient_difference_recovers_grad_xhat(self, g1):
@@ -323,43 +320,53 @@ class TestGradG:
         for p in random_interior_points(rng, 6):
             a, b = p.theta
             grad_f = np.array([2 * (1 - a) * p.xhat[0], 2 * (a + b) * p.xhat[1]])
-            assert np.max(np.abs(grad_f - grad_g(g1, p) - grad_xhat(g1, p))) < 1e-8
+            assert np.max(np.abs(grad_f - g_row(g1, p)[1:3] - jt_row(g1, p)[1:3])) < 1e-8
 
     def test_finite_difference_match(self, g1):
         rng = np.random.default_rng(19)
         for p in random_interior_points(rng, 5):
             fd = fd_gradient(
-                lambda v: dc_parts(g1, ReactivePoint(tuple(v), p.theta))[1], p.xhat
+                lambda v: g_row(g1, ReactivePoint(tuple(v), p.theta))[0], p.xhat
             )
-            assert np.max(np.abs(grad_g(g1, p) - fd)) < 1e-6
+            assert np.max(np.abs(g_row(g1, p)[1:3] - fd)) < 1e-6
+
+
+def ascend(theta, grad, step):
+    """The solver's projected ascent step on both coordinates of theta."""
+    return [_ascend(t, q, step) for t, q in zip(theta, grad)]
+
+
+def ccp_update(inst, xhat, theta):
+    """The solver's CCP update of xhat at (xhat, theta)."""
+    return _ccp_xhat(g_row(inst, ReactivePoint(xhat, theta)), *theta)
 
 
 class TestSteps:
     def test_pga_clamps_upper(self):
-        assert list(pga_step((0.9, 0.5), (2.0, 0.0), 0.1)) == [1.0, 0.5]
+        assert ascend((0.9, 0.5), (2.0, 0.0), 0.1) == [1.0, 0.5]
 
     def test_pga_fixed_point(self):
-        assert list(pga_step((0.5, 0.5), (0.0, 0.0), 0.1)) == [0.5, 0.5]
+        assert ascend((0.5, 0.5), (0.0, 0.0), 0.1) == [0.5, 0.5]
 
     def test_pga_clamps_lower(self):
-        out = pga_step((0.05, 0.2), (-1.0, 1.0), 0.1)
+        out = ascend((0.05, 0.2), (-1.0, 1.0), 0.1)
         assert out[0] == 0.0 and out[1] == pytest.approx(0.3)
 
     def test_ccp_zero_theta_pins_xhat1(self, g1):
-        out = ccp_step(g1, (0.7, -0.4), (0.0, 0.0))
+        out = ccp_update(g1, (0.7, -0.4), (0.0, 0.0))
         assert out[1] == 0.0
 
     def test_ccp_alpha_one_pins_xhat0(self, g1):
-        out = ccp_step(g1, (0.7, -0.4), (1.0, 0.5))
+        out = ccp_update(g1, (0.7, -0.4), (1.0, 0.5))
         assert out[0] == 0.0
 
     def test_ccp_descends(self, g1):
         a, b, _, _ = TABLE1[1.0]
         s = g1.dist.scale
         xhat = (s, -s)
-        new = ccp_step(g1, xhat, (a, b))
-        before = objective_jtilde(g1, ReactivePoint(xhat, (a, b)))
-        after = objective_jtilde(g1, ReactivePoint(tuple(new), (a, b)))
+        new = ccp_update(g1, xhat, (a, b))
+        before = jt_row(g1, ReactivePoint(xhat, (a, b)))[0]
+        after = jt_row(g1, ReactivePoint(tuple(new), (a, b)))[0]
         assert after <= before + 1e-9
         assert after < before - 1e-4  # strict progress from this far start
 
@@ -445,8 +452,8 @@ class TestPgaCcp:
         # at xhat = (0, 0) every xhat gradient vanishes and the CCP step
         # returns (0, 0) up to rounding, for any theta
         for theta in [(0.5, 0.5), (0.2, 0.8)]:
-            assert np.max(np.abs(grad_xhat(g1, ReactivePoint((0.0, 0.0), theta)))) < 1e-12
-            assert np.max(np.abs(ccp_step(g1, (0.0, 0.0), theta))) < 1e-10
+            assert np.max(np.abs(jt_row(g1, ReactivePoint((0.0, 0.0), theta))[1:3])) < 1e-12
+            assert np.max(np.abs(ccp_update(g1, (0.0, 0.0), theta))) < 1e-10
 
     def test_symmetric_init_run_still_certifies(self, g1):
         # in floating point the symmetric manifold is unstable: rounding in
@@ -623,7 +630,8 @@ def _reference_jump(inst, p, q, epsilon):
 
         def residual(z):
             at = point(z)
-            return list(grad_xhat(inst, at)) + [grad_theta(inst, at)[i] for i in unknown]
+            jt = jt_row(inst, at)
+            return jt[1:3] + [jt[3 + i] for i in unknown]
 
         try:
             z = fsolve(residual, [*p.xhat] + [base[i] for i in unknown], full_output=True)[0]
@@ -636,15 +644,15 @@ def _reference_jump(inst, p, q, epsilon):
 
 
 def _reference_solve(inst, init, opts, ccp):
-    """The solver loop on the public functions: np.clip for the ascent, a
-    ReactivePoint per step, the CCP step (or grad_xhat), and
-    objective_jtilde for both ends of the CCP descent."""
+    """The solver loop written on ReactivePoints: np.clip for the ascent, a
+    ReactivePoint per step, the CCP step (or the xhat gradient) written
+    out, and the kernel's Jt at both ends of the CCP descent."""
     p = init or default_init(inst)
     trace = SolverTrace()
     cert = certify_fne(inst, p, opts.epsilon)
-    q = grad_theta(inst, p)
+    q = jt_row(inst, p)[3:]
     if opts.record_trace:
-        trace.rows.append(TraceRow(0, *p.xhat, *p.theta, objective_jtilde(inst, p),
+        trace.rows.append(TraceRow(0, *p.xhat, *p.theta, jt_row(inst, p)[0],
                                    cert.grad_norm, cert.lp_gap, 0.0, 0.0 if ccp else math.nan))
     best = (max(cert.grad_norm, cert.lp_gap), p, q)
     stall_count = 0
@@ -655,20 +663,21 @@ def _reference_solve(inst, init, opts, ccp):
         theta = np.clip(np.asarray(p.theta) + step * np.asarray(q), 0.0, 1.0)
         at_theta = ReactivePoint(p.xhat, tuple(theta))
         if ccp:
-            # ccp_step as it was written: the pseudo-inverse solve on grad G
+            # the pseudo-inverse solve on grad G, written out
             a, b = at_theta.theta
-            g = grad_g(inst, at_theta)
+            g = g_row(inst, at_theta)[1:3]
             xhat_new = np.array([g[0] / (2.0 * (1.0 - a)) if a < 1.0 else 0.0,
                                  g[1] / (2.0 * (a + b)) if a + b > 0.0 else 0.0])
-            assert np.array_equal(xhat_new, ccp_step(inst, p.xhat, at_theta.theta))
+            assert np.array_equal(xhat_new, _ccp_xhat(g_row(inst, at_theta), a, b))
         else:
-            xhat_new = np.asarray(p.xhat) - opts.descent_step * grad_xhat(inst, at_theta)
+            gx = np.asarray(jt_row(inst, at_theta)[1:3])
+            xhat_new = np.asarray(p.xhat) - opts.descent_step * gx
         p_new = ReactivePoint(tuple(xhat_new), at_theta.theta)
         cert = certify_fne(inst, p_new, opts.epsilon)
-        q = grad_theta(inst, p_new)
+        q = jt_row(inst, p_new)[3:]
         if opts.record_trace:
-            j_after = objective_jtilde(inst, p_new)
-            descent = j_after - objective_jtilde(inst, at_theta) if ccp else math.nan
+            j_after = jt_row(inst, p_new)[0]
+            descent = j_after - jt_row(inst, at_theta)[0] if ccp else math.nan
             trace.rows.append(TraceRow(k, *p_new.xhat, *p_new.theta, j_after, cert.grad_norm,
                                        cert.lp_gap, step, descent))
         moved = math.dist((*p.xhat, *p.theta), (*p_new.xhat, *p_new.theta))
@@ -685,7 +694,7 @@ def _reference_solve(inst, init, opts, ccp):
         if k % POLISH_EVERY == 0 and k < opts.max_iters:
             jumped = _reference_jump(inst, best[1], best[2], opts.epsilon)
             if jumped is not None:
-                p, q = jumped, grad_theta(inst, jumped)
+                p, q = jumped, jt_row(inst, jumped)[3:]
                 trace.polished_at = k
     trace.iterations = k
     if cert.certified:

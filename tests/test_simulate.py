@@ -18,14 +18,13 @@ from jamgame import (
     bundle_from_reactive,
     gaussian,
     laplace,
-    objective_jtilde,
     silent_interval,
     simulate,
     solve_equilibrium,
 )
 from jamgame.simulate import TRACE_LIMIT, SimResult
 
-from conftest import TABLE1, exp_power_table
+from conftest import TABLE1, exp_power_table, jt_row
 
 # the package exports the function under the module's name, so
 # ``import jamgame.simulate as m`` binds the function; this is the module
@@ -65,7 +64,7 @@ class TestEquilibriumAgreement:
         a, b, x0, x1 = TABLE1[sigma2]
         p = ReactivePoint((x0, x1), (a, b))
         bundle = bundle_from_reactive(p, inst)
-        analytic = objective_jtilde(inst, p)
+        analytic = jt_row(inst, p)[0]
         assert analytic_cost(inst, bundle) == pytest.approx(analytic, abs=1e-9)
         res = simulate(inst, bundle, n=10**6, seed=int(sigma2))
         assert abs(res.empirical_cost - analytic) <= 3.0 * res.std_error
@@ -401,6 +400,14 @@ class TestSerialization:
                  "estimator": {"xhat0": 0.0, "xhat1": 0.0}}
             )
 
+    def test_bundle_rejects_nan_silent_bound(self):
+        jam = JamPolicy.non_sensing(0.3)
+        for lo, hi in ((math.nan, 1.0), (-1.0, math.nan)):
+            with pytest.raises(ValueError, match="NaN"):
+                PolicyBundle(lo, hi, jam, (0.0, 0.0))
+        # solved bundles carry infinite bounds
+        assert PolicyBundle(-math.inf, math.inf, jam, (0.0, 0.0)).silent_hi == math.inf
+
     def test_event_trace_csv(self, g1, eq_g1, tmp_path):
         path = tmp_path / "events.csv"
         simulate(g1, bundle_from_nonsensing(eq_g1), n=500, seed=5, trace_path=path)
@@ -470,3 +477,5 @@ class TestAnalyticCost:
         assert JamPolicy.non_sensing(0.25).phi == 0.25
         with pytest.raises(ValueError):
             JamPolicy.reactive(0.1, 0.2).phi
+        with pytest.raises(ValueError, match="alpha == beta"):
+            JamPolicy(JamKind.NON_SENSING, 0.2, 0.3)
