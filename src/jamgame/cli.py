@@ -8,7 +8,7 @@ replaces the config's, whichever of --policy, --phi, --alpha/--beta give
 each).
 
 Exit codes: 0 success/certified, 2 config error, 3 numerical failure,
-4 solver terminated without certification.
+4 solver terminated without certification or saddle check violated.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ def _grid(spec: str, name: str) -> np.ndarray:
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise ConfigError(f"{name} must be lo:hi:count, got {spec!r}")
-    if n < 1 or hi < lo or (n == 1 and hi != lo):
-        raise ConfigError(f"{name} is degenerate: {spec!r}")
+    if not (n >= 1 and -math.inf < lo <= hi < math.inf) or (n == 1 and hi != lo):
+        raise ConfigError(f"{name} is degenerate or not finite: {spec!r}")
     return np.linspace(lo, hi, n)
 
 
@@ -113,7 +113,7 @@ def cmd_solve_nonsensing(args) -> int:
               f"(worst jammer excess {rep.worst_jammer_excess:.3e}, "
               f"worst coordinator shortfall {rep.worst_coordinator_shortfall:.3e})")
     _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return EXIT_OK
+    return EXIT_UNCERTIFIED if args.verify_saddle and not rep.ok else EXIT_OK
 
 
 def _solver_options(args) -> SolverOptions:
@@ -215,6 +215,8 @@ def cmd_simulate(args) -> int:
     else:
         raise ConfigError("give --policy, or --phi, or both --alpha and --beta")
 
+    # before the draws, so a bundle the kernel cannot value leaves no trace file
+    analytic = analytic_cost(inst, bundle)
     result = simulate(inst, bundle, args.n, args.seed, trace_path=args.trace_out)
     print(f"n              {result.n}")
     print(f"empirical_cost {_fmt(result.empirical_cost)}")
@@ -223,18 +225,16 @@ def cmd_simulate(args) -> int:
     print(f"p_jam          {_fmt(result.p_jam)}")
     payload = result.to_dict()
     payload["policy"] = bundle.to_dict()
-    analytic = analytic_cost(inst, bundle)
-    if analytic is not None:
-        gap = result.empirical_cost - analytic
-        if result.std_error:
-            gap_se = gap / result.std_error
-        else:
-            # every draw cost the same: no gap is 0 standard errors, any gap
-            # is infinitely many
-            gap_se = math.copysign(math.inf, gap) if gap else 0.0
-        payload["analytic_cost"] = analytic
-        payload["gap_in_std_errors"] = gap_se
-        print(f"analytic_cost  {_fmt(analytic)}  (gap = {gap_se:+.2f} SE)")
+    gap = result.empirical_cost - analytic
+    if result.std_error:
+        gap_se = gap / result.std_error
+    else:
+        # every draw cost the same: no gap is 0 standard errors, any gap is
+        # infinitely many
+        gap_se = math.copysign(math.inf, gap) if gap else 0.0
+    payload["analytic_cost"] = analytic
+    payload["gap_in_std_errors"] = gap_se
+    print(f"analytic_cost  {_fmt(analytic)}  (gap = {gap_se:+.2f} SE)")
     _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 
@@ -312,15 +312,18 @@ def cmd_compare(args) -> int:
     return EXIT_OK if (c1.certified and c2.certified) else EXIT_UNCERTIFIED
 
 
-def _count(text: str) -> int:
-    """A flag value that counts something: an integer >= 0."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
-    return n
+def _at_least_zero(cast):
+    """A flag type for a count (``int``) or a tolerance (``float``): a value
+    >= 0, so a negative or NaN one is refused at parse time."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}")
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        return value
+    return parse
 
 
 def _add_dist_args(p: argparse.ArgumentParser) -> None:
@@ -346,9 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-nonsensing", help="closed-form saddle point, non-sensing jammer")
     _add_dist_args(p)
-    p.add_argument("--verify-saddle", type=_count, default=0, metavar="N",
+    p.add_argument("--verify-saddle", type=_at_least_zero(int), default=0, metavar="N",
                    help="verify the saddle inequalities on N-point deviation grids")
-    p.add_argument("--saddle-tol", type=float, default=1e-6)
+    p.add_argument("--saddle-tol", type=_at_least_zero(float), default=1e-6)
 
     p = sub.add_parser("solve-reactive", help="epsilon-FNE search, channel-sensing jammer")
     _add_dist_args(p)
@@ -361,13 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=100_000)
     p.add_argument("--init-xhat", type=float, nargs=2, default=None, metavar=("X0", "X1"))
     p.add_argument("--init-theta", type=float, nargs=2, default=None, metavar=("A", "B"))
-    p.add_argument("--multistart", type=_count, default=0,
+    p.add_argument("--multistart", type=_at_least_zero(int), default=0,
                    help="additional random starts (seeded); all results are reported")
     p.add_argument("--trace-out", default=None, help="per-iteration trace CSV path")
 
     p = sub.add_parser("simulate", help="Monte Carlo check of a policy bundle")
     _add_dist_args(p)
-    p.add_argument("--policy", default=None, help="policy bundle JSON (from solve commands)")
+    p.add_argument("--policy", default=None,
+                   help="policy bundle JSON (PolicyBundle.to_dict(), or the policy object "
+                        "of a simulate --out file)")
     p.add_argument("--phi", type=float, default=None, help="inline non-sensing jamming probability")
     p.add_argument("--alpha", type=float, default=None, help="inline reactive idle-blocking probability")
     p.add_argument("--beta", type=float, default=None, help="inline reactive busy-blocking probability")

@@ -167,8 +167,8 @@ class Gaussian(SourceDistribution):
     family = Family.GAUSSIAN
 
     def __init__(self, sigma2: float):
-        if sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+        if not 0 < sigma2 < math.inf:
+            raise ValueError("sigma2 must be positive and finite")
         self.scale = math.sqrt(sigma2)
         self.variance = float(sigma2)
         self.truncation_radius = 10.0 * self.scale
@@ -215,16 +215,16 @@ class Laplace(SourceDistribution):
     breakpoints = (0.0,)
 
     def __init__(self, scale: float):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < scale < math.inf:
+            raise ValueError("scale must be positive and finite")
         self.scale = float(scale)
         self.variance = 2.0 * scale * scale
         self.truncation_radius = 40.0 * self.scale
 
     @classmethod
     def from_variance(cls, sigma2: float) -> "Laplace":
-        if sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+        if not 0 < sigma2 < math.inf:
+            raise ValueError("sigma2 must be positive and finite")
         return cls(math.sqrt(sigma2 / 2.0))
 
     def pdf(self, x):

@@ -46,8 +46,8 @@ class GameInstance:
     d: float
 
     def __post_init__(self):
-        if self.c < 0 or self.d < 0:
-            raise ValueError("costs c and d must be nonnegative")
+        if not (0.0 <= self.c < math.inf and 0.0 <= self.d < math.inf):
+            raise ValueError("costs c and d must be finite and nonnegative")
 
 
 def threshold_policy(c: float, phi: float, xhat0: float = 0.0) -> tuple[float, float]:

@@ -41,6 +41,10 @@ from .nonsensing import GameInstance
 # PGA-CCP tries a jump every this many iterations; ``fsolve`` solves for it
 # with MINPACK's hybrid Powell method and a finite-difference Jacobian
 POLISH_EVERY = 10
+# a solve stalls after STALL_ITERS iterations in a row that each move the
+# point (xhat, theta) by less than STALL_TOL
+STALL_TOL = 1e-12
+STALL_ITERS = 50
 
 
 @dataclass(frozen=True)
@@ -209,7 +213,7 @@ def lp_ascent_gap(grad: Iterable[float], theta: Iterable[float]) -> float:
 
 
 def certify_fne(inst: GameInstance, p: ReactivePoint, epsilon: float) -> FneCertificate:
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     return _certificate(evaluate(inst, *p.xhat, *p.theta)[0], p.theta, epsilon)
 
@@ -276,15 +280,13 @@ class SolverOptions:
     step_schedule: str = "fixed"
     epsilon: float = 1e-5
     max_iters: int = 100_000
-    stall_tol: float = 1e-12
-    stall_iters: int = 50
     record_trace: bool = True
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.step_size <= 0 or self.descent_step <= 0:
-            raise ValueError("step sizes must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
+        if not (0 < self.step_size < math.inf and 0 < self.descent_step < math.inf):
+            raise ValueError("step sizes must be positive and finite")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if self.step_schedule not in ("fixed", "sqrt"):
@@ -400,8 +402,8 @@ def _solve(inst: GameInstance, init: ReactivePoint | None, opts: SolverOptions |
         x0, x1, a, b = n0, n1, a_new, b_new
         if cert.certified:
             break
-        stall_count = stall_count + 1 if moved < opts.stall_tol else 0
-        if stall_count >= opts.stall_iters:
+        stall_count = stall_count + 1 if moved < STALL_TOL else 0
+        if stall_count >= STALL_ITERS:
             trace.terminated_by = Termination.STALLED
             break
         if not ccp:

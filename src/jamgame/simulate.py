@@ -39,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from .nonsensing import GameInstance, NonSensingEquilibrium, objective
+from .nonsensing import GameInstance, NonSensingEquilibrium
 from .reactive import ReactivePoint, evaluate, silent_interval
 
 TRACE_LIMIT = 10_000
@@ -84,12 +84,6 @@ class JamPolicy:
     @classmethod
     def reactive(cls, alpha: float, beta: float) -> "JamPolicy":
         return cls(JamKind.REACTIVE, alpha, beta)
-
-    @property
-    def phi(self) -> float:
-        if self.kind is not JamKind.NON_SENSING:
-            raise ValueError("phi is only defined for the non-sensing policy")
-        return self.alpha
 
 
 @dataclass(frozen=True)
@@ -393,23 +387,11 @@ def simulate(
     )
 
 
-def analytic_cost(inst: GameInstance, bundle: PolicyBundle) -> float | None:
-    """Analytic objective for a bundle when its structure admits one.
-
-    Non-sensing bundles evaluate the fixed-rule objective; reactive bundles
-    evaluate the reduced minimax objective at the matching point when the
-    stored silent interval agrees with the best-response region (otherwise
-    None: the bundle is off the reduced-form manifold).
-    """
-    if bundle.jam.kind is JamKind.NON_SENSING:
-        return objective(inst, bundle.jam.phi, bundle.xhat, (bundle.silent_lo, bundle.silent_hi))
-
-    p = ReactivePoint(bundle.xhat, (bundle.jam.alpha, bundle.jam.beta))
-    lo, hi = silent_interval(p.xhat, p.theta, inst.c, inst.d)
-    stored = (bundle.silent_lo, bundle.silent_hi)
-    if all(
-        (math.isinf(a) and math.isinf(b) and a == b) or abs(a - b) <= 1e-9 * max(1.0, abs(a))
-        for a, b in zip((lo, hi), stored)
-    ):
-        return evaluate(inst, *p.xhat, *p.theta)[0][0]
-    return None
+def analytic_cost(inst: GameInstance, bundle: PolicyBundle) -> float:
+    """The game value of the bundle, E[A; transmit] + E[B; silent]: the
+    kernel's Jt at its symbols and blocking probabilities, with the sensor
+    silent on the bundle's own interval, best response or not."""
+    x0, x1 = map(float, bundle.xhat)
+    a, b = float(bundle.jam.alpha), float(bundle.jam.beta)
+    silent = (float(bundle.silent_lo), float(bundle.silent_hi))
+    return evaluate(inst, x0, x1, a, b, silent=silent)[0][0]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -50,6 +51,22 @@ class TestSolveNonsensing:
         )
         assert code == 0
         assert json.loads(out.read_text())["saddle_check"]["ok"] is True
+
+    def test_saddle_violation_exits_4(self, tmp_path, capsys, monkeypatch):
+        # a value 0.01 above the true one: the coordinator's deviation to the
+        # equilibrium itself undercuts it
+        cli = sys.modules["jamgame.cli"]
+        solve = cli.solve_equilibrium
+        monkeypatch.setattr(cli, "solve_equilibrium",
+                            lambda inst: dataclasses.replace(solve(inst), value=solve(inst).value + 0.01))
+        out = tmp_path / "eq.json"
+        code, stdout, _ = run(
+            capsys, "solve-nonsensing", "--dist", "gaussian", "--sigma2", "2",
+            "--verify-saddle", "11", "--out", str(out),
+        )
+        assert code == 4
+        assert "saddle check   VIOLATED" in stdout
+        assert json.loads(out.read_text())["saddle_check"]["ok"] is False
 
     @pytest.mark.parametrize("argv", [
         ["solve-nonsensing"],
@@ -196,6 +213,45 @@ class TestSimulateCommand:
         payload = json.loads(out.read_text())
         assert abs(payload["gap_in_std_errors"]) <= 3.0
         assert "analytic_cost" in stdout
+
+    def test_rounded_solved_policy_file_reports_analytic_cost(self, tmp_path, capsys):
+        # the sigma2 = 1 equilibrium's bundle with every number rounded to 6
+        # decimals is off the best-response interval by about 1e-7
+        fne = tmp_path / "fne.json"
+        code, _, _ = run(capsys, "solve-reactive", "--dist", "gaussian", "--sigma2", "1",
+                         "--out", str(fne))
+        assert code == 0
+        point = json.loads(fne.read_text())["points"][0]
+        sim = tmp_path / "sim.json"
+        run(capsys, "simulate", "--dist", "gaussian", "--sigma2", "1", "--n", "10",
+            "--alpha", repr(point["alpha"]), "--beta", repr(point["beta"]),
+            "--xhat0", repr(point["xhat0"]), "--xhat1", repr(point["xhat1"]), "--out", str(sim))
+        policy = json.loads(sim.read_text())["policy"]
+        for node in policy.values():
+            if isinstance(node, dict):
+                node.update({k: round(v, 6) for k, v in node.items() if isinstance(v, float)})
+        pol_path = tmp_path / "policy.json"
+        pol_path.write_text(json.dumps(policy))
+        out = tmp_path / "out.json"
+        code, stdout, _ = run(capsys, "simulate", "--dist", "gaussian", "--sigma2", "1",
+                              "--policy", str(pol_path), "--n", "200000", "--seed", "5",
+                              "--out", str(out))
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["policy"] == policy
+        assert math.isfinite(payload["analytic_cost"])
+        assert abs(payload["gap_in_std_errors"]) <= 4.0
+        assert "analytic_cost" in stdout
+
+    def test_bundle_the_kernel_cannot_value_fails_before_drawing(self, tmp_path, capsys):
+        # xhat0 = 1e200 overflows the cost coefficients: exit 3 with no
+        # printed result and no trace file
+        trace = tmp_path / "events.csv"
+        code, stdout, stderr = run(capsys, "simulate", "--dist", "gaussian", "--sigma2", "1",
+                                   "--alpha", "0.3", "--beta", "0.4", "--xhat0", "1e200",
+                                   "--n", "100", "--trace-out", str(trace))
+        assert code == 3 and "overflow" in stderr
+        assert stdout == "" and not trace.exists()
 
     def test_inline_reactive_policy(self, tmp_path, capsys):
         out = tmp_path / "sim.json"
@@ -418,16 +474,42 @@ class TestSweep:
 @pytest.mark.parametrize("argv,flag", [
     (["solve-reactive", "--multistart", "-3", "--max-iters", "5"], "--multistart"),
     (["solve-nonsensing", "--verify-saddle", "-2"], "--verify-saddle"),
-], ids=["multistart", "verify-saddle"])
+    (["solve-nonsensing", "--verify-saddle", "11", "--saddle-tol", "nan"], "--saddle-tol"),
+    (["solve-nonsensing", "--verify-saddle", "11", "--saddle-tol", "-1"], "--saddle-tol"),
+], ids=["multistart", "verify-saddle", "saddle-tol-nan", "saddle-tol-negative"])
 def test_negative_count_refused_at_parse_time(capsys, argv, flag):
     # -3 starts used to run as 0 and exit 0; -2 grid points printed the
-    # equilibrium and then failed inside numpy
+    # equilibrium and then failed inside numpy; a NaN tolerance passed every
+    # saddle check and a negative one failed every check
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--dist", "gaussian", "--sigma2", "1"])
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
     assert flag in captured.err and "must be >= 0" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-nonsensing", "--sigma2", "nan"],
+    ["solve-nonsensing", "--sigma2", "inf"],
+    ["solve-nonsensing", "--dist", "laplace", "--scale", "nan"],
+    ["solve-nonsensing", "--dist", "laplace", "--scale", "inf"],
+    ["solve-nonsensing", "--sigma2", "1", "--c", "nan"],
+    ["solve-nonsensing", "--sigma2", "1", "--c", "inf"],
+    ["solve-nonsensing", "--sigma2", "1", "--d", "inf"],
+    ["sweep", "--mode", "fig2", "--sigma2", "1", "--d-grid", "1:2:2", "--c-grid", "0:nan:3"],
+    ["sweep", "--mode", "fig4", "--sigma2-grid", "1:nan:2"],
+    ["solve-reactive", "--sigma2", "1", "--max-iters", "50", "--eps", "nan"],
+    ["solve-reactive", "--sigma2", "1", "--max-iters", "50", "--step-size", "nan"],
+    ["solve-reactive", "--sigma2", "1", "--solver", "gda", "--lambda-gd", "inf"],
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_non_finite_parameter_is_config_error(capsys, argv):
+    # these reached the kernel and exited 3, ran to --max-iters and exited 4,
+    # or blamed xhat
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stdout == "" and stderr.startswith("config error:")
+    assert "xhat" not in stderr
 
 
 class TestCompare:

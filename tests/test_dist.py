@@ -39,6 +39,13 @@ def test_pdf_rejects_nonfinite():
         g.pdf(float("inf"))
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_families_refuse_non_finite_or_nonpositive_parameters(bad):
+    for build in (gaussian, lambda v: laplace(scale=v), lambda v: laplace(sigma2=v)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            build(bad)
+
+
 def test_tail_second_moment_reference_values():
     # Values quoted for the unit-cost example: M(1) = 0.8012 (var 1), 1.8378 (var 2).
     assert gaussian(1.0).tail_second_moment(1.0) == pytest.approx(0.8012, abs=1e-3)

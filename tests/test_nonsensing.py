@@ -30,6 +30,11 @@ def test_game_instance_rejects_negative_costs():
         GameInstance(gaussian(1.0), -0.5, 1.0)
     with pytest.raises(ValueError):
         GameInstance(gaussian(1.0), 1.0, -2.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            GameInstance(gaussian(1.0), bad, 1.0)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            GameInstance(gaussian(1.0), 1.0, bad)
 
 
 def threshold_rule(c, phi, xhat0=0.0):

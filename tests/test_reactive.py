@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import jamgame.reactive as reactive
 from jamgame import (
     GameInstance,
     JamPolicy,
@@ -593,6 +594,11 @@ class TestSolverOptions:
             SolverOptions(step_size=-0.1)
         with pytest.raises(ValueError):
             SolverOptions(step_schedule="geometric")
+        # every comparison fails on NaN, so NaN is refused, and so is inf
+        for bad in (math.nan, math.inf):
+            for field in ("epsilon", "step_size", "descent_step"):
+                with pytest.raises(ValueError, match="positive and finite"):
+                    SolverOptions(**{field: bad})
 
 
 class TestTraceCsv:
@@ -684,8 +690,8 @@ def _reference_solve(inst, init, opts, ccp):
         p = p_new
         if cert.certified:
             break
-        stall_count = stall_count + 1 if moved < opts.stall_tol else 0
-        if stall_count >= opts.stall_iters:
+        stall_count = stall_count + 1 if moved < reactive.STALL_TOL else 0
+        if stall_count >= reactive.STALL_ITERS:
             trace.terminated_by = Termination.STALLED
             break
         if not ccp:
@@ -756,15 +762,21 @@ class TestLoopMatchesReference:
             assert got[1].polished_at is not None  # these two runs jump
 
     @pytest.mark.parametrize("ccp", [True, False], ids=["pga-ccp", "gda"])
-    def test_max_iters_and_stall_stops_match(self, ccp):
+    def test_max_iters_and_stall_stops_match(self, ccp, monkeypatch):
         inst = self.INSTANCES["gaussian"]()
         run = solve_pga_ccp if ccp else solve_gda
-        for opts, stop in ((SolverOptions(max_iters=7), Termination.MAX_ITERS),
-                           (SolverOptions(stall_tol=1.0, stall_iters=3), Termination.STALLED),
-                           (SolverOptions(max_iters=0), Termination.MAX_ITERS)):
-            got = run(inst, None, opts)
-            assert got[1].terminated_by is stop
-            self.assert_same(got, _reference_solve(inst, None, opts, ccp))
+        for opts, stall, stop in (
+            (SolverOptions(max_iters=7), None, Termination.MAX_ITERS),
+            (SolverOptions(), (1.0, 3), Termination.STALLED),
+            (SolverOptions(max_iters=0), None, Termination.MAX_ITERS),
+        ):
+            with monkeypatch.context() as m:
+                if stall is not None:
+                    m.setattr(reactive, "STALL_TOL", stall[0])
+                    m.setattr(reactive, "STALL_ITERS", stall[1])
+                got = run(inst, None, opts)
+                assert got[1].terminated_by is stop
+                self.assert_same(got, _reference_solve(inst, None, opts, ccp))
 
     def test_untraced_solve_matches(self):
         inst = self.INSTANCES["laplace"]()

@@ -16,6 +16,7 @@ from jamgame import (
     analytic_cost,
     bundle_from_nonsensing,
     bundle_from_reactive,
+    expectation,
     gaussian,
     laplace,
     silent_interval,
@@ -79,7 +80,7 @@ class TestBundleConstruction:
         assert bundle.silent_lo == -eq.threshold
         assert bundle.silent_hi == eq.threshold
         assert bundle.jam.kind is JamKind.NON_SENSING
-        assert bundle.jam.phi == eq.phi_star
+        assert bundle.jam.alpha == bundle.jam.beta == eq.phi_star
         assert bundle.xhat == (0.0, 0.0)
         assert bundle.transmit(eq.threshold + 0.01)
         assert not bundle.transmit(eq.threshold - 0.01)
@@ -465,17 +466,56 @@ class TestAnalyticCost:
         bundle = bundle_from_nonsensing(eq_g2)
         assert analytic_cost(g2, bundle) == pytest.approx(eq_g2.value, abs=1e-8)
 
-    def test_reactive_bundle_off_manifold_returns_none(self, g1):
+    def test_reactive_bundle_off_manifold_is_valued_on_its_interval(self, g1):
+        # silent on (-0.5, 0.5), which is not the best response to this jammer
         bundle = PolicyBundle(-0.5, 0.5, JamPolicy.reactive(0.3, 0.4), (0.0, 0.0))
-        assert analytic_cost(g1, bundle) is None
+        p = ReactivePoint(bundle.xhat, (0.3, 0.4))
+        assert silent_interval(p.xhat, p.theta, g1.c, g1.d) != (-0.5, 0.5)
+        analytic = analytic_cost(g1, bundle)
+        # the best response pays the pointwise cheaper branch, so it costs less
+        assert analytic > jt_row(g1, p)[0]
+        res = simulate(g1, bundle, n=2 * 10**5, seed=41)
+        assert abs(res.empirical_cost - analytic) <= 4.0 * res.std_error
+
+    def test_integer_bundle_is_valued_as_floats(self, g1):
+        ints = PolicyBundle(-1, 1, JamPolicy.reactive(0, 1), (1, -1))
+        floats = PolicyBundle(-1.0, 1.0, JamPolicy.reactive(0.0, 1.0), (1.0, -1.0))
+        got = analytic_cost(g1, ints)
+        assert type(got) is float and got == analytic_cost(g1, floats)
+
+    @pytest.mark.parametrize("family", ["gaussian", "laplace", "table"])
+    @pytest.mark.parametrize("kind,silent,theta,xhat", [
+        (JamKind.REACTIVE, (-0.5, 0.8), (0.3, 0.4), (0.2, -0.6)),
+        (JamKind.REACTIVE, (-math.inf, 0.3), (0.6, 1.0), (-0.4, 0.7)),
+        (JamKind.REACTIVE, (-math.inf, math.inf), (0.2, 0.9), (0.5, 0.1)),
+        (JamKind.NON_SENSING, (-1.1, 0.9), (0.45, 0.45), (0.1, -0.3)),
+        (JamKind.NON_SENSING, (0.0, 0.0), (0.7, 0.7), (0.3, 0.3)),
+    ], ids=["reactive", "reactive-half-line", "never-transmit", "nonsensing", "always-transmit"])
+    def test_off_manifold_bundles_match_quadrature(self, family, kind, silent, theta, xhat):
+        # lengths in units of the density's scale
+        dist = {"gaussian": lambda: gaussian(1.7), "laplace": lambda: laplace(sigma2=1.7),
+                "table": lambda: exp_power_table(1.7, 1.6)}[family]()
+        inst = GameInstance(dist, 0.8, 1.1)
+        s = dist.scale
+        lo, hi = silent[0] * s, silent[1] * s
+        x0, x1 = xhat[0] * s, xhat[1] * s
+        a, b = theta
+        bundle = PolicyBundle(lo, hi, JamPolicy(kind, a, b), (x0, x1))
+        assert silent_interval((x0, x1), theta, inst.c, inst.d) != (lo, hi)
+
+        def cost(x):
+            transmit = b * (x - x1) ** 2 + inst.c - inst.d * b
+            quiet = a * (x - x1) ** 2 + (1.0 - a) * (x - x0) ** 2 - inst.d * a
+            return np.where((x > lo) & (x < hi), quiet, transmit)
+
+        kinks = [e for e in (lo, hi) if math.isfinite(e)]
+        oracle = expectation(dist, cost, kinks=kinks, tol=1e-13)
+        assert analytic_cost(inst, bundle) == pytest.approx(oracle, abs=1e-12)
 
     def test_jam_policy_validation(self):
         with pytest.raises(ValueError):
             JamPolicy.reactive(-0.1, 0.5)
         with pytest.raises(ValueError):
             JamPolicy.non_sensing(1.5)
-        assert JamPolicy.non_sensing(0.25).phi == 0.25
-        with pytest.raises(ValueError):
-            JamPolicy.reactive(0.1, 0.2).phi
         with pytest.raises(ValueError, match="alpha == beta"):
             JamPolicy(JamKind.NON_SENSING, 0.2, 0.3)
