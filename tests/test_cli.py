@@ -57,8 +57,12 @@ class TestSolveNonsensing:
         # equilibrium itself undercuts it
         cli = sys.modules["jamgame.cli"]
         solve = cli.solve_equilibrium
-        monkeypatch.setattr(cli, "solve_equilibrium",
-                            lambda inst: dataclasses.replace(solve(inst), value=solve(inst).value + 0.01))
+
+        def overvalued(inst):
+            eq = solve(inst)
+            return dataclasses.replace(eq, value=eq.value + 0.01)
+
+        monkeypatch.setattr(cli, "solve_equilibrium", overvalued)
         out = tmp_path / "eq.json"
         code, stdout, _ = run(
             capsys, "solve-nonsensing", "--dist", "gaussian", "--sigma2", "2",
