@@ -100,8 +100,7 @@ def cmd_solve_nonsensing(args) -> int:
     print(f"threshold tau  {_fmt(eq.threshold)}")
     print(f"value          {_fmt(eq.value)}")
     if args.verify_saddle:
-        rep = verify_saddle(inst, eq, phi_points=args.verify_saddle,
-                            xhat_points=args.verify_saddle, tol=args.saddle_tol)
+        rep = verify_saddle(inst, eq, xhat_points=args.verify_saddle, tol=args.saddle_tol)
         payload["saddle_check"] = {
             "ok": rep.ok,
             "grid_points": args.verify_saddle,
@@ -350,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-nonsensing", help="closed-form saddle point, non-sensing jammer")
     _add_dist_args(p)
     p.add_argument("--verify-saddle", type=_at_least_zero(int), default=0, metavar="N",
-                   help="verify the saddle inequalities on N-point deviation grids")
+                   help="verify the saddle inequalities: N-point coordinator grid; "
+                        "the jammer side is checked exactly at phi = 0 and 1")
     p.add_argument("--saddle-tol", type=_at_least_zero(float), default=1e-6)
 
     p = sub.add_parser("solve-reactive", help="epsilon-FNE search, channel-sensing jammer")

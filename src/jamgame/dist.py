@@ -215,8 +215,9 @@ class Laplace(SourceDistribution):
     breakpoints = (0.0,)
 
     def __init__(self, scale: float):
-        if not 0 < scale < math.inf:
-            raise ValueError("scale must be positive and finite")
+        # a finite scale above about 9.5e153 has a variance 2 b^2 that overflows
+        if not (0 < scale and math.isfinite(2.0 * scale * scale)):
+            raise ValueError("scale must be positive and finite, with a finite variance 2 b^2")
         self.scale = float(scale)
         self.variance = 2.0 * scale * scale
         self.truncation_radius = 40.0 * self.scale

@@ -6,9 +6,9 @@ response is a symmetric threshold rule, both representation symbols sit at
 the mean, and the optimal phi is 0, the unique root of the tail second
 moment condition M(sqrt(c/(1-phi))) = d, or 1 when that condition never
 turns negative (free transmission, or free jamming). This module computes
-that equilibrium in closed form plus root-finding, and verifies the saddle
-property numerically on deviation grids. Its objectives are the reactive
-game's kernel on the diagonal alpha = beta = phi.
+that equilibrium in closed form plus root-finding, and checks the saddle
+property: exactly for the jammer, on an xhat0 grid for the coordinator. Its
+objectives are the reactive game's kernel on the diagonal alpha = beta = phi.
 """
 
 from __future__ import annotations
@@ -25,6 +25,16 @@ from .dist import SourceDistribution
 # The jammer always jams when the jamming marginal is still nonnegative at
 # this phi (1 - phi = 2^-39, about 1.8e-12).
 PHI_MAX = 1.0 - 2.0**-39
+
+# The saddle check flags a deviation only when it beats the equilibrium
+# value by more than its tolerance plus this many float epsilons times the
+# instance's magnitude max(|value|, variance, c, d), over 1 - phi* below
+# phi* = 1. Deviation and equilibrium values are sums of the same size over
+# different silent intervals, so where they agree in exact arithmetic they
+# still differ in the last bits (2.2e-16 at sigma2 = 2), and the threshold
+# sqrt(c / (1 - phi*)) carries the rounding of 1 - phi*, which grows as
+# phi* nears 1. A check at tolerance 0 must not call either a violation.
+ROUNDING_ULPS = 64
 
 
 class Regime(Enum):
@@ -210,12 +220,13 @@ def solve_equilibrium(inst: GameInstance, xtol: float = 1e-10) -> NonSensingEqui
 
 @dataclass
 class SaddleReport:
-    """Grid verification of the saddle inequalities.
+    """Verification of the saddle inequalities.
 
-    ``jammer_violations`` lists (phi, objective, excess) where a jammer
-    deviation beats the equilibrium value by more than tol;
-    ``coordinator_violations`` lists (xhat0, objective, shortfall) for
-    coordinator deviations that undercut it.
+    ``jammer_violations`` lists (phi, objective, excess) for the endpoints
+    phi = 0 and 1 that beat the equilibrium value by more than tol plus the
+    rounding allowance; ``coordinator_violations`` lists (xhat0, objective,
+    shortfall) for grid deviations that undercut it by as much. The worst
+    values are the raw excess and shortfall, with no allowance.
     """
 
     tol: float
@@ -233,45 +244,44 @@ class SaddleReport:
 def verify_saddle(
     inst: GameInstance,
     eq: NonSensingEquilibrium,
-    phi_points: int = 101,
     xhat_points: int = 101,
     xhat_span: float | None = None,
     tol: float = 1e-6,
 ) -> SaddleReport:
-    """Check both saddle inequalities on deviation grids.
+    """Check both saddle inequalities, the jammer side exactly.
 
-    Jammer side: with the coordinator frozen at the equilibrium rule, no
-    phi on a [0, 1] grid may exceed the equilibrium value beyond tol.
-    Coordinator side: for each xhat0 on a grid (with the induced
-    best-response threshold rule at phi_star), the objective may not drop
-    below the value beyond tol.
+    Jammer side: with the coordinator frozen at the equilibrium rule, A and
+    B are affine in theta, so the objective is affine in phi and its
+    maximum over all of [0, 1] is at phi = 0 or 1. Coordinator side: for
+    each xhat0 on an ``xhat_points`` grid over [-span, span] (the induced
+    best-response threshold rule at phi_star, xhat1 = 0), the objective may
+    not drop below the value. A deviation is flagged when it beats the value
+    by more than tol plus the rounding allowance of ROUNDING_ULPS.
     """
-    silent = (-eq.threshold, eq.threshold)
+    from .reactive import evaluate
+
+    if not 0.0 <= eq.phi_star <= 1.0:
+        raise ValueError("phi must lie in [0, 1]")
     span = 3.0 * inst.dist.scale if xhat_span is None else xhat_span
-
-    jam_viol: list[tuple[float, float, float]] = []
-    worst_excess = -math.inf
-    for phi in np.linspace(0.0, 1.0, phi_points):
-        val = objective(inst, float(phi), eq.xhat, silent)
-        excess = val - eq.value
-        worst_excess = max(worst_excess, excess)
-        if excess > tol:
-            jam_viol.append((float(phi), val, excess))
-
-    coord_viol: list[tuple[float, float, float]] = []
-    worst_short = -math.inf
-    for x0 in np.linspace(-span, span, xhat_points):
-        val = objective(inst, eq.phi_star, (float(x0), 0.0))
-        shortfall = eq.value - val
-        worst_short = max(worst_short, shortfall)
-        if shortfall > tol:
-            coord_viol.append((float(x0), val, shortfall))
+    magnitude = max(abs(eq.value), inst.dist.variance, inst.c, inst.d)
+    if eq.phi_star < 1.0:
+        magnitude /= 1.0 - eq.phi_star
+    slack = tol + ROUNDING_ULPS * math.ulp(1.0) * magnitude
+    silent = (-eq.threshold, eq.threshold)
+    jammer = []
+    for phi in (0.0, 1.0):
+        val = evaluate(inst, *eq.xhat, phi, phi, silent=silent)[0][0]
+        jammer.append((phi, val, val - eq.value))
+    coordinator = []
+    for x0 in np.linspace(-span, span, xhat_points).tolist():
+        val = evaluate(inst, x0, 0.0, eq.phi_star, eq.phi_star)[0][0]
+        coordinator.append((x0, val, eq.value - val))
 
     return SaddleReport(
         tol=tol,
         value=eq.value,
-        jammer_violations=jam_viol,
-        coordinator_violations=coord_viol,
-        worst_jammer_excess=worst_excess,
-        worst_coordinator_shortfall=worst_short,
+        jammer_violations=[v for v in jammer if v[2] > slack],
+        coordinator_violations=[v for v in coordinator if v[2] > slack],
+        worst_jammer_excess=max(v[2] for v in jammer),
+        worst_coordinator_shortfall=max((v[2] for v in coordinator), default=-math.inf),
     )

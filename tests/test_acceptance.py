@@ -92,8 +92,7 @@ def test_criterion_3_saddle_verification():
     worst = []
     for s2 in (1.0, 2.0):
         inst = GameInstance(gaussian(s2), 1.0, 1.0)
-        rep = verify_saddle(inst, solve_equilibrium(inst),
-                            phi_points=101, xhat_points=101, tol=1e-6)
+        rep = verify_saddle(inst, solve_equilibrium(inst), xhat_points=101, tol=1e-6)
         worst.append((rep.worst_jammer_excess, rep.worst_coordinator_shortfall))
         assert rep.ok, f"saddle violated at sigma2={s2}: {rep.jammer_violations[:3]}"
     elapsed = time.perf_counter() - t0

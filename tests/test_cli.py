@@ -72,6 +72,21 @@ class TestSolveNonsensing:
         assert "saddle check   VIOLATED" in stdout
         assert json.loads(out.read_text())["saddle_check"]["ok"] is False
 
+    def test_saddle_tol_zero_allows_last_bit_rounding(self, tmp_path, capsys):
+        # the frozen-rule objective at phi = 1 rounds 1 ulp (2.2e-16) above
+        # the equilibrium value; the raw excess is reported, but it is no
+        # violation
+        out = tmp_path / "eq.json"
+        code, stdout, _ = run(
+            capsys, "solve-nonsensing", "--sigma2", "2", "--verify-saddle", "11",
+            "--saddle-tol", "0", "--out", str(out),
+        )
+        assert code == 0
+        assert "saddle check   ok" in stdout
+        saddle = json.loads(out.read_text())["saddle_check"]
+        assert saddle["ok"] is True and saddle["tol"] == 0.0 and saddle["grid_points"] == 11
+        assert 0.0 < saddle["worst_jammer_excess"] < 1e-15
+
     @pytest.mark.parametrize("argv", [
         ["solve-nonsensing"],
         ["solve-reactive", "--max-iters", "20"],
@@ -498,6 +513,7 @@ def test_negative_count_refused_at_parse_time(capsys, argv, flag):
     ["solve-nonsensing", "--sigma2", "inf"],
     ["solve-nonsensing", "--dist", "laplace", "--scale", "nan"],
     ["solve-nonsensing", "--dist", "laplace", "--scale", "inf"],
+    ["solve-nonsensing", "--dist", "laplace", "--scale", "1e200"],
     ["solve-nonsensing", "--sigma2", "1", "--c", "nan"],
     ["solve-nonsensing", "--sigma2", "1", "--c", "inf"],
     ["solve-nonsensing", "--sigma2", "1", "--d", "inf"],
@@ -508,8 +524,9 @@ def test_negative_count_refused_at_parse_time(capsys, argv, flag):
     ["solve-reactive", "--sigma2", "1", "--solver", "gda", "--lambda-gd", "inf"],
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_non_finite_parameter_is_config_error(capsys, argv):
-    # these reached the kernel and exited 3, ran to --max-iters and exited 4,
-    # or blamed xhat
+    # these reached the kernel and exited 3 (a Laplace scale of 1e200 is
+    # finite, but its variance is not), ran to --max-iters and exited 4, or
+    # blamed xhat
     code, stdout, stderr = run(capsys, *argv)
     assert code == 2
     assert stdout == "" and stderr.startswith("config error:")

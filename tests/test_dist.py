@@ -46,6 +46,14 @@ def test_families_refuse_non_finite_or_nonpositive_parameters(bad):
             build(bad)
 
 
+def test_laplace_refuses_a_scale_whose_variance_overflows():
+    # 2 b^2 passes the largest float near b = 9.5e153
+    assert laplace(scale=1e150).variance == pytest.approx(2e300)
+    for bad in (1e154, 1e200, 1e308):
+        with pytest.raises(ValueError, match="finite variance"):
+            laplace(scale=bad)
+
+
 def test_tail_second_moment_reference_values():
     # Values quoted for the unit-cost example: M(1) = 0.8012 (var 1), 1.8378 (var 2).
     assert gaussian(1.0).tail_second_moment(1.0) == pytest.approx(0.8012, abs=1e-3)

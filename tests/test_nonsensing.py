@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -19,8 +20,9 @@ from jamgame import (
     threshold_policy,
     verify_saddle,
 )
+from jamgame import reactive
 from jamgame.dist import InadmissibleDistributionError
-from jamgame.nonsensing import NonSensingEquilibrium
+from jamgame.nonsensing import ROUNDING_ULPS, NonSensingEquilibrium
 
 from conftest import exp_power_table
 
@@ -166,7 +168,7 @@ class TestSolveEquilibrium:
         assert eq.phi_star == 1.0
         assert eq.threshold == 0.0
         assert eq.value == pytest.approx(inst.dist.variance - inst.d, abs=1e-12)
-        assert verify_saddle(inst, eq, phi_points=21, xhat_points=21).ok
+        assert verify_saddle(inst, eq, xhat_points=21).ok
 
     def test_free_jamming_always_jams(self):
         # d = 0: the jamming marginal is the tail second moment, >= 0 for
@@ -176,7 +178,7 @@ class TestSolveEquilibrium:
         assert eq.regime is Regime.ALWAYS_JAM
         assert eq.phi_star == 1.0 and math.isinf(eq.threshold)
         assert eq.value == pytest.approx(inst.dist.variance, abs=1e-12)
-        assert verify_saddle(inst, eq, phi_points=21, xhat_points=21).ok
+        assert verify_saddle(inst, eq, xhat_points=21).ok
 
     def test_zero_cost_with_expensive_jamming_is_fine(self):
         eq = solve_equilibrium(GameInstance(gaussian(1.0), 0.0, 2.0))
@@ -322,13 +324,13 @@ def test_regime_decided_at_the_last_halving_point():
 
 class TestVerifySaddle:
     def test_interior_equilibrium_clean(self, g2, eq_g2):
-        rep = verify_saddle(g2, eq_g2, phi_points=101, xhat_points=101, tol=1e-6)
+        rep = verify_saddle(g2, eq_g2, xhat_points=101, tol=1e-6)
         assert rep.ok
         assert rep.worst_jammer_excess <= 1e-6
         assert rep.worst_coordinator_shortfall <= 1e-6
 
     def test_no_jam_equilibrium_clean_and_maximized_at_zero(self, g1, eq_g1):
-        rep = verify_saddle(g1, eq_g1, phi_points=101, xhat_points=101, tol=1e-6)
+        rep = verify_saddle(g1, eq_g1, xhat_points=101, tol=1e-6)
         assert rep.ok
         silent = (-eq_g1.threshold, eq_g1.threshold)
         curve = [objective(g1, p, eq_g1.xhat, silent) for p in np.linspace(0.0, 1.0, 101)]
@@ -355,8 +357,126 @@ class TestVerifySaddle:
             value=objective(g2, phi_bad, (0.0, 0.0)),
             regime=Regime.INTERIOR_JAM,
         )
-        rep = verify_saddle(g2, fake, phi_points=51, xhat_points=11, tol=1e-6)
+        rep = verify_saddle(g2, fake, xhat_points=11, tol=1e-6)
         assert rep.jammer_violations
+
+
+def grid_saddle_oracle(inst, eq, phi_points, xhat_points, tol=1e-6):
+    """The saddle check as two deviation grids, with no rounding allowance:
+    (worst jammer excess, worst coordinator shortfall, ok). The jammer
+    grid samples phi on [0, 1] under the frozen equilibrium rule; the
+    coordinator grid samples xhat0 with the best response at phi_star."""
+    silent = (-eq.threshold, eq.threshold)
+    span = 3.0 * inst.dist.scale
+    ok, worst_excess, worst_short = True, -math.inf, -math.inf
+    for phi in np.linspace(0.0, 1.0, phi_points):
+        excess = objective(inst, float(phi), eq.xhat, silent) - eq.value
+        worst_excess = max(worst_excess, excess)
+        ok = ok and not excess > tol
+    for x0 in np.linspace(-span, span, xhat_points):
+        shortfall = eq.value - objective(inst, eq.phi_star, (float(x0), 0.0))
+        worst_short = max(worst_short, shortfall)
+        ok = ok and not shortfall > tol
+    return worst_excess, worst_short, ok
+
+
+def _rounding(inst, eq):
+    """verify_saddle's rounding allowance for this equilibrium."""
+    magnitude = max(abs(eq.value), inst.dist.variance, inst.c, inst.d)
+    if eq.phi_star < 1.0:
+        magnitude /= 1.0 - eq.phi_star
+    return ROUNDING_ULPS * math.ulp(1.0) * magnitude
+
+
+def _moved(inst, eq, dphi):
+    """The equilibrium's regime with phi_star moved by dphi, its threshold
+    and value recomputed for the moved phi."""
+    phi = eq.phi_star + dphi
+    return NonSensingEquilibrium(phi, (0.0, 0.0), math.sqrt(inst.c / (1.0 - phi)),
+                                 objective(inst, phi, (0.0, 0.0)), eq.regime)
+
+
+# Fixed deck: each family at costs that put it in each regime (c = d = 2,
+# at least the variance: no jam; c and d below the tail moment: interior; free
+# transmission or free jamming: always jam).
+SADDLE_DECK = [
+    (name, make, c, d)
+    for name, make in (("gaussian", lambda: gaussian(2.0)),
+                       ("laplace", lambda: laplace(sigma2=1.5)),
+                       ("table", lambda: exp_power_table(1.25, 1.5)))
+    for c, d in ((2.0, 2.0), (0.5, 0.3), (1.0, 0.2), (0.0, 0.5), (1.0, 0.0))
+]
+SADDLE_IDS = [f"{name}-c{c}-d{d}" for name, _, c, d in SADDLE_DECK]
+
+
+@pytest.fixture(scope="module", params=SADDLE_DECK, ids=SADDLE_IDS)
+def deck_eq(request):
+    name, make, c, d = request.param
+    inst = GameInstance(make(), c, d)
+    return inst, solve_equilibrium(inst)
+
+
+def test_saddle_deck_covers_every_regime():
+    regimes = {(name, solve_equilibrium(GameInstance(make(), c, d)).regime)
+               for name, make, c, d in SADDLE_DECK}
+    assert regimes == {(name, r) for name in ("gaussian", "laplace", "table") for r in Regime}
+
+
+class TestVerifySaddleAgainstGrids:
+    @pytest.mark.parametrize("n", [11, 41])
+    def test_coordinator_side_and_verdict_match_the_grid_oracle(self, deck_eq, n):
+        inst, eq = deck_eq
+        rep = verify_saddle(inst, eq, xhat_points=n, tol=1e-6)
+        worst_excess, worst_short, ok = grid_saddle_oracle(inst, eq, n, n, tol=1e-6)
+        assert rep.worst_coordinator_shortfall == worst_short
+        assert rep.ok is ok
+        # the endpoints are on the oracle's grid, and hold the same bits
+        assert worst_excess - _rounding(inst, eq) <= rep.worst_jammer_excess <= worst_excess
+
+    def test_exact_jammer_excess_is_the_dense_grid_maximum(self, deck_eq):
+        # at the equilibrium and, off the always-jam regime, at phi_star
+        # moved by 1e-3 either way inside [0, 1)
+        inst, eq = deck_eq
+        moves = [0.0] if eq.regime is Regime.ALWAYS_JAM else [0.0, -1e-3, 1e-3]
+        for dphi in moves:
+            if 0.0 <= eq.phi_star + dphi < 1.0:
+                moved = _moved(inst, eq, dphi) if dphi else eq
+                rep = verify_saddle(inst, moved, xhat_points=0)
+                dense, _, _ = grid_saddle_oracle(inst, moved, 10**4, 0)
+                assert dense - _rounding(inst, moved) <= rep.worst_jammer_excess <= dense
+
+    def test_costs_n_plus_two_kernel_rows(self, monkeypatch, deck_eq):
+        inst, eq = deck_eq
+        calls = []
+        evaluate = reactive.evaluate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(reactive, "evaluate", counted)
+        verify_saddle(inst, eq, xhat_points=17)
+        assert len(calls) == 17 + 2
+
+    def test_moved_phi_star_is_caught(self, deck_eq):
+        inst, eq = deck_eq
+        if inst.d == 0.0:
+            pytest.skip("with free jamming, phi = 1 - 1e-3 and its threshold sqrt(1000 c), "
+                        "where M underflows to 0, are themselves a saddle point")
+        for dphi in (-1e-3, 1e-3):
+            if 0.0 <= eq.phi_star + dphi < 1.0:
+                rep = verify_saddle(inst, _moved(inst, eq, dphi), xhat_points=11, tol=1e-6)
+                assert rep.jammer_violations and not rep.ok
+
+    @pytest.mark.parametrize("dphi", [-1e-9, 1e-9])
+    def test_tol_zero_passes_the_equilibrium_and_catches_1e9(self, g2, eq_g2, dphi):
+        assert verify_saddle(g2, eq_g2, xhat_points=11, tol=0.0).ok
+        rep = verify_saddle(g2, _moved(g2, eq_g2, dphi), xhat_points=11, tol=0.0)
+        assert rep.jammer_violations and rep.worst_jammer_excess > 1e-10
+
+    def test_out_of_range_phi_star_is_refused(self, g2, eq_g2):
+        with pytest.raises(ValueError, match="phi must lie in"):
+            verify_saddle(g2, dataclasses.replace(eq_g2, phi_star=1.5))
 
 
 @pytest.mark.parametrize("make_dist", [gaussian, lambda v: laplace(sigma2=v)],

@@ -8,10 +8,12 @@ runs, in this process and in order, every operation of the decks that one
 benchmark run of ``run_seconds`` (from the checkout's ``BENCHMARK.json``)
 makes for the seed, through ``jamgame.cli.main``. It prints the operation
 count and one sha256 over each operation's argv, exit code, stdout, stderr
-and output files. The temporary directory that holds the inputs and
-outputs is replaced by a fixed token wherever it appears, so two checkouts
-whose program behaves the same print the same digests. Exits 1 if any
-operation fails its own output check.
+and output files, and under that line the same two for each operation
+kind, so a change in output bits can be traced to the kinds that moved.
+The temporary directory that holds the inputs and outputs is replaced by a
+fixed token wherever it appears, so two checkouts whose program behaves
+the same print the same digests. Exits 1 if any operation fails its own
+output check.
 """
 
 from __future__ import annotations
@@ -67,10 +69,23 @@ def _run(cli, argv: list[str]) -> tuple[int, str, str]:
     return rc, out.getvalue(), err.getvalue()
 
 
-def digest(cli, wl, workload: str, seed: int, seconds: float) -> tuple[int, str, list[str]]:
-    """Operation count, sha256 and failed checks of one workload's deck set."""
-    h = hashlib.sha256()
-    count, failures = 0, []
+class Tally:
+    """Operation count and running sha256 over each operation's chunks."""
+
+    def __init__(self):
+        self.count, self.hash = 0, hashlib.sha256()
+
+    def add(self, chunks: list[bytes]) -> None:
+        for chunk in chunks:
+            _feed(self.hash, chunk)
+        self.count += 1
+
+
+def digest(cli, wl, workload: str, seed: int,
+           seconds: float) -> tuple[Tally, dict[str, Tally], list[str]]:
+    """The tally of one workload's deck set, the tally of each operation
+    kind in it, and the failed checks."""
+    total, kinds, failures = Tally(), {}, []
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         here = str(workdir).encode()
@@ -83,19 +98,18 @@ def digest(cli, wl, workload: str, seed: int, seconds: float) -> tuple[int, str,
                 reason, _ = op.check(rc, stderr, inputs)
                 if reason is not None:
                     failures.append(f"[{op.kind}] {' '.join(op.argv)}\n    -> {reason}")
-                _feed(h, "\0".join(op.argv).encode().replace(here, TOKEN))
-                _feed(h, str(rc).encode())
-                for text in (stdout, stderr):
-                    _feed(h, text.encode().replace(here, TOKEN))
+                chunks = ["\0".join(op.argv).encode(), str(rc).encode(), stdout.encode(),
+                          stderr.encode()]
                 for f in op.files:
-                    _feed(h, f.encode().replace(here, TOKEN))
                     path = Path(f)
                     present = path.exists()
-                    _feed(h, b"1" if present else b"0")
+                    chunks += [f.encode(), b"1" if present else b"0"]
                     if present:
-                        _feed(h, path.read_bytes().replace(here, TOKEN))
-                count += 1
-    return count, h.hexdigest(), failures
+                        chunks.append(path.read_bytes())
+                chunks = [chunk.replace(here, TOKEN) for chunk in chunks]
+                total.add(chunks)
+                kinds.setdefault(op.kind, Tally()).add(chunks)
+    return total, kinds, failures
 
 
 def main() -> int:
@@ -109,8 +123,11 @@ def main() -> int:
     cli, wl = _load(args.checkout)
     failed = 0
     for workload in WORKLOADS:
-        count, hexdigest, failures = digest(cli, wl, workload, args.seed, seconds)
-        print(f"{workload:18s} {count:4d} ops  sha256 {hexdigest}", flush=True)
+        total, kinds, failures = digest(cli, wl, workload, args.seed, seconds)
+        print(f"{workload:18s} {total.count:4d} ops  sha256 {total.hash.hexdigest()}")
+        for kind, tally in sorted(kinds.items()):
+            print(f"  {kind:34s} {tally.count:4d} ops  sha256 {tally.hash.hexdigest()}")
+        sys.stdout.flush()
         for line in failures:
             print(f"  check failed: {line}")
         failed += len(failures)
