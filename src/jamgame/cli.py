@@ -2,10 +2,10 @@
 
 Subcommands: solve-nonsensing, solve-reactive, simulate, sweep, compare.
 Every command is deterministic given its flags and seed, emits plain JSON
-or CSV artifacts, and honors a key=value config file whose entries act as
-flag defaults (explicit flags win; a simulate policy on the command line
-replaces the config's, whichever of --policy, --phi, --alpha/--beta give
-each).
+(an infinity as the string "Infinity" or "-Infinity") or CSV artifacts,
+and honors a key=value config file whose entries act as flag defaults
+(explicit flags win; a simulate policy on the command line replaces the
+config's, whichever of --policy, --phi, --alpha/--beta give each).
 
 Exit codes: 0 success/certified, 2 config error, 3 numerical failure,
 4 solver terminated without certification or saddle check violated.
@@ -79,6 +79,24 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _strict(value):
+    """``value`` with every infinite float replaced by the string that
+    protobuf's JSON mapping uses, "Infinity" or "-Infinity"."""
+    if isinstance(value, float) and math.isinf(value):
+        return "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
+def _write_json(path: str | None, payload: dict) -> None:
+    """Write ``payload`` as RFC 8259 JSON; ``float()`` reads its strings back."""
+    text = json.dumps(_strict(payload), sort_keys=True, indent=2, allow_nan=False)
+    _write_text(path, text + "\n")
+
+
 def _grid(spec: str, name: str) -> np.ndarray:
     try:
         lo, hi, n = spec.split(":")
@@ -111,7 +129,7 @@ def cmd_solve_nonsensing(args) -> int:
         print(f"saddle check   {'ok' if rep.ok else 'VIOLATED'} "
               f"(worst jammer excess {rep.worst_jammer_excess:.3e}, "
               f"worst coordinator shortfall {rep.worst_coordinator_shortfall:.3e})")
-    _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(args.out, payload)
     return EXIT_UNCERTIFIED if args.verify_saddle and not rep.ok else EXIT_OK
 
 
@@ -171,7 +189,7 @@ def cmd_solve_reactive(args) -> int:
               f"alpha={p.theta[0]:.6f} beta={p.theta[1]:.6f} "
               f"xhat0={p.xhat[0]:.6f} xhat1={p.xhat[1]:.6f} "
               f"grad_norm={c.grad_norm:.3e} lp_gap={c.lp_gap:.3e} certified={c.certified}")
-    _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(args.out, payload)
     if args.trace_out:
         with open(args.trace_out, "w", newline="") as fh:
             trace.write_csv(fh)
@@ -234,7 +252,7 @@ def cmd_simulate(args) -> int:
     payload["analytic_cost"] = analytic
     payload["gap_in_std_errors"] = gap_se
     print(f"analytic_cost  {_fmt(analytic)}  (gap = {gap_se:+.2f} SE)")
-    _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(args.out, payload)
     return EXIT_OK
 
 

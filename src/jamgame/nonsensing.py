@@ -6,7 +6,8 @@ response is a symmetric threshold rule, both representation symbols sit at
 the mean, and the optimal phi is 0, the unique root of the tail second
 moment condition M(sqrt(c/(1-phi))) = d, or 1 when that condition never
 turns negative (free transmission, or free jamming). This module computes
-that equilibrium in closed form plus root-finding, and checks the saddle
+that equilibrium in closed form plus root-finding on the threshold tau,
+reports the root itself with phi* = 1 - c / tau^2, and checks the saddle
 property: exactly for the jammer, on an xhat0 grid for the coordinator. Its
 objectives are the reactive game's kernel on the diagonal alpha = beta = phi.
 """
@@ -28,12 +29,11 @@ PHI_MAX = 1.0 - 2.0**-39
 
 # The saddle check flags a deviation only when it beats the equilibrium
 # value by more than its tolerance plus this many float epsilons times the
-# instance's magnitude max(|value|, variance, c, d), over 1 - phi* below
-# phi* = 1. Deviation and equilibrium values are sums of the same size over
-# different silent intervals, so where they agree in exact arithmetic they
-# still differ in the last bits (2.2e-16 at sigma2 = 2), and the threshold
-# sqrt(c / (1 - phi*)) carries the rounding of 1 - phi*, which grows as
-# phi* nears 1. A check at tolerance 0 must not call either a violation.
+# instance's magnitude max(|value|, variance, c, d). Deviation and
+# equilibrium values are sums of the same size over different silent
+# intervals, so where they agree in exact arithmetic they still differ in
+# the last bits (2.2e-16 at sigma2 = 2); a check at tolerance 0 must not
+# call that a violation.
 ROUNDING_ULPS = 64
 
 
@@ -115,8 +115,9 @@ def jam_marginal(inst: GameInstance, phi: float) -> float:
 class NonSensingEquilibrium:
     """Saddle point for the non-sensing jammer.
 
-    ``threshold`` is tau = sqrt(c / (1 - phi_star)); the sensor transmits
-    iff |x| > tau. Both representation symbols are 0. In the always-jam
+    ``threshold`` is tau, with phi_star = 1 - c / tau^2 (the root of
+    M(tau) = d when jamming is interior); the sensor transmits iff
+    |x| > tau. Both representation symbols are 0. In the always-jam
     regime (phi_star = 1) every transmission is blocked: the threshold is
     +inf when transmitting costs c > 0, and 0 when it is free.
     """
@@ -147,7 +148,7 @@ def _cbrt(v: float) -> float:
 
 
 def _threshold_root(inst: GameInstance, g0: float, xtol: float) -> float:
-    """phi at the root of M(tau) = d, where the jamming marginal falls from
+    """The root tau of M(tau) = d, where the jamming marginal falls from
     g0 > 0 at tau = sqrt(c) to a negative value at sqrt(c / (1 - PHI_MAX)).
 
     Newton's method solves ln M = ln d in v = tau^3, with the closed-form
@@ -181,7 +182,7 @@ def _threshold_root(inst: GameInstance, g0: float, xtol: float) -> float:
             lo = v
         else:
             hi = v
-    return 1.0 - c / _cbrt(v) ** 2
+    return _cbrt(v)
 
 
 def solve_equilibrium(inst: GameInstance, xtol: float = 1e-10) -> NonSensingEquilibrium:
@@ -193,27 +194,26 @@ def solve_equilibrium(inst: GameInstance, xtol: float = 1e-10) -> NonSensingEqui
     = 1 - c / tau^2 at the root tau of M(tau) = d, found by safeguarded
     Newton steps on the threshold with the closed-form slope
     M'(tau) = -2 tau^2 f(tau); ``xtol`` bounds the last step in phi units.
+    The reported threshold is that root, and the value is the objective of
+    the rule it reports: silent on (-tau, tau) against phi*.
     No admissibility check runs here: every ``SourceDistribution`` is
     symmetric and unimodal by construction (a table is checked when built).
     """
     g0 = jam_marginal(inst, 0.0)
     regime = Regime.NO_JAM if g0 < 0.0 else Regime.INTERIOR_JAM
-    phi = 0.0
+    phi, tau = 0.0, math.sqrt(inst.c)
     if g0 > 0.0:
         if jam_marginal(inst, PHI_MAX) >= 0.0:
             regime, phi = Regime.ALWAYS_JAM, 1.0
+            tau = math.inf if inst.c > 0.0 else 0.0
         else:
-            phi = _threshold_root(inst, g0, xtol)
-
-    if regime is Regime.ALWAYS_JAM:
-        tau = math.inf if inst.c > 0.0 else 0.0
-    else:
-        tau = math.sqrt(inst.c / (1.0 - phi))
+            tau = _threshold_root(inst, g0, xtol)
+            phi = 1.0 - inst.c / tau**2
     return NonSensingEquilibrium(
         phi_star=phi,
         xhat=(0.0, 0.0),
         threshold=tau,
-        value=objective(inst, phi, (0.0, 0.0)),
+        value=objective(inst, phi, (0.0, 0.0), silent=(-tau, tau)),
         regime=regime,
     )
 
@@ -245,7 +245,6 @@ def verify_saddle(
     inst: GameInstance,
     eq: NonSensingEquilibrium,
     xhat_points: int = 101,
-    xhat_span: float | None = None,
     tol: float = 1e-6,
 ) -> SaddleReport:
     """Check both saddle inequalities, the jammer side exactly.
@@ -253,19 +252,18 @@ def verify_saddle(
     Jammer side: with the coordinator frozen at the equilibrium rule, A and
     B are affine in theta, so the objective is affine in phi and its
     maximum over all of [0, 1] is at phi = 0 or 1. Coordinator side: for
-    each xhat0 on an ``xhat_points`` grid over [-span, span] (the induced
-    best-response threshold rule at phi_star, xhat1 = 0), the objective may
-    not drop below the value. A deviation is flagged when it beats the value
-    by more than tol plus the rounding allowance of ROUNDING_ULPS.
+    each xhat0 on an ``xhat_points`` grid over [-3 scale, 3 scale] (the
+    induced best-response threshold rule at phi_star, xhat1 = 0), the
+    objective may not drop below the value. A deviation is flagged when it
+    beats the value by more than tol plus the rounding allowance of
+    ROUNDING_ULPS.
     """
     from .reactive import evaluate
 
     if not 0.0 <= eq.phi_star <= 1.0:
         raise ValueError("phi must lie in [0, 1]")
-    span = 3.0 * inst.dist.scale if xhat_span is None else xhat_span
+    span = 3.0 * inst.dist.scale
     magnitude = max(abs(eq.value), inst.dist.variance, inst.c, inst.d)
-    if eq.phi_star < 1.0:
-        magnitude /= 1.0 - eq.phi_star
     slack = tol + ROUNDING_ULPS * math.ulp(1.0) * magnitude
     silent = (-eq.threshold, eq.threshold)
     jammer = []

@@ -4,17 +4,17 @@ Draws measurements, applies a deterministic threshold transmission rule, a
 (possibly reactive) Bernoulli jamming policy and the symbol estimator, and
 aggregates the realized cost (X - Xhat)^2 + c U - d J with its standard
 error. Randomness comes from a counter-based Philox stream with a fixed
-two-uniforms-per-draw layout, so draw i depends only on (seed, i): the
-draws, the event counts and the event trace are the same under any
-chunking of the draw range, and a rerun is byte for byte the same. The
-cost sums are taken chunk by chunk, so ``empirical_cost`` and ``std_error``
-of two chunkings agree only to rounding.
+two-uniforms-per-draw layout, so draw i depends only on (seed, i), and a
+rerun is byte for byte the same.
 
-A chunk is worked through in leaves of at most LEAF draws, in buffers
-allocated once per call, so memory does not grow with ``n`` or ``chunk``.
-The leaves are the parts numpy's pairwise summation splits the chunk into,
-and their sums are added in that summation's order, so each chunk sum is
-bit for bit ``np.sum`` over the whole chunk.
+The draws are worked through in leaves of LEAF draws (the last one
+shorter), in buffers allocated once per call, so memory does not grow with
+``n``. Each leaf's cost sums come from ``np.sum`` and are added to the
+totals in draw order; an in-order sum of n / LEAF pairwise-summed leaves
+errs by about n / LEAF float epsilons relative, far below one standard
+error. A different LEAF leaves the draws, the event counts and the event
+trace as they are and moves ``empirical_cost`` and ``std_error`` only in
+their last bits.
 
 The draws run one leaf ahead on a helper thread: while the calling thread
 inverts, tallies and traces leaf k, the helper fills leaf k + 1 from the
@@ -43,8 +43,7 @@ from .nonsensing import GameInstance, NonSensingEquilibrium
 from .reactive import ReactivePoint, evaluate, silent_interval
 
 TRACE_LIMIT = 10_000
-# draws worked on at a time; at least numpy's 128-element pairwise block,
-# which numpy sums without splitting
+# draws worked on, and summed, at a time
 LEAF = 1 << 14
 # event-trace rows formatted at a time
 _TRACE_SLICE = 1 << 11
@@ -200,40 +199,6 @@ def _fill(rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _split(m: int) -> int:
-    """Length of the first half of an m-element part in numpy's pairwise
-    summation (``pairwise_sum`` in its add loop)."""
-    h = m // 2
-    return h - h % 8
-
-
-def _leaves(m: int):
-    """Lengths, in order, of the parts of at most LEAF elements that numpy's
-    pairwise summation of m elements splits into."""
-    if m <= LEAF:
-        yield m
-    else:
-        h = _split(m)
-        yield from _leaves(h)
-        yield from _leaves(m - h)
-
-
-def _tree_sum(m: int, leaf_sums) -> tuple[float, float]:
-    """Add the next leaves' (sum, sum of squares) pairs of an m-element part
-    in the order numpy's pairwise summation adds its halves.
-
-    Each leaf's pair comes from ``np.sum`` on the leaf, which is the
-    subtree numpy sums for that part, so the result is bit for bit
-    ``np.sum`` on the whole part (up to the sign of a zero sum).
-    """
-    if m <= LEAF:
-        return next(leaf_sums)
-    h = _split(m)
-    s0, q0 = _tree_sum(h, leaf_sums)
-    s1, q1 = _tree_sum(m - h, leaf_sums)
-    return s0 + s1, q0 + q1
-
-
 def _prefetched(helper: ThreadPoolExecutor, rng: np.random.Generator, sizes):
     """The uniforms of each leaf in turn, from a two-buffer ring: while the
     caller works on one buffer, the helper fills the other with the next
@@ -324,7 +289,6 @@ def simulate(
     n: int,
     seed: int,
     trace_path=None,
-    chunk: int = 1 << 17,
 ) -> SimResult:
     """Run n independent rounds of the game and aggregate the realized cost.
 
@@ -332,11 +296,9 @@ def simulate(
     action-conditional probability, estimate from the channel output, and
     account the quadratic error plus transmission/jamming costs.
 
-    The cost sums are taken chunk by chunk (``chunk`` draws each), and each
-    chunk is worked through in leaves of at most LEAF draws: the parts of
-    numpy's pairwise summation of the chunk. So memory is bounded by the
-    leaf size, whatever ``n`` and ``chunk`` are, and the sums are bit for
-    bit those of ``np.sum`` over whole chunks.
+    The draws are worked through in leaves of LEAF draws, so memory is
+    bounded by the leaf size whatever ``n`` is. Each leaf is summed with
+    ``np.sum`` and the leaf sums are added in draw order.
 
     The uniforms of the next leaf are drawn on one helper thread while
     this one works on the current leaf. ``inst.dist.ppf`` and the tally
@@ -349,10 +311,8 @@ def simulate(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    sizes = (size for done in range(0, n, chunk) for size in _leaves(min(chunk, n - done)))
+    sizes = (min(LEAF, n - done) for done in range(0, n, LEAF))
     total = 0.0
     total_sq = 0.0
     counts = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
@@ -363,9 +323,7 @@ def simulate(
         if trace_path is not None:
             trace_file = open(trace_path, "w", newline="")
             trace_file.write("x,u,j,y,xhat,cost\n")
-        leaf_sums = _leaf_sums(inst, policies, draws, counts, trace_file)
-        for done in range(0, n, chunk):
-            s, sq = _tree_sum(min(chunk, n - done), leaf_sums)
+        for s, sq in _leaf_sums(inst, policies, draws, counts, trace_file):
             total += s
             total_sq += sq
     finally:

@@ -13,6 +13,14 @@ from conftest import TABLE1
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+def strict_json(path):
+    """The JSON in ``path``, parsed as RFC 8259 allows: a bare Infinity or
+    NaN token raises."""
+    def refuse(token):
+        raise ValueError(f"{path.name} holds the non-JSON token {token}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -27,7 +35,7 @@ class TestSolveNonsensing:
             "--c", "1", "--d", "1", "--out", str(out),
         )
         assert code == 0
-        payload = json.loads(out.read_text())
+        payload = strict_json(out)
         assert payload["schema_version"] == 1
         assert payload["regime"] == "InteriorJam"
         assert payload["phi_star"] == pytest.approx(0.7887, abs=1e-3)
@@ -40,8 +48,18 @@ class TestSolveNonsensing:
             "--out", str(out),
         )
         assert code == 0
-        payload = json.loads(out.read_text())
+        payload = strict_json(out)
         assert payload["regime"] == "NoJam" and payload["phi_star"] == 0.0
+
+    def test_always_jam_threshold_is_strict_json(self, tmp_path, capsys):
+        # free jamming: every transmission is blocked, so the sensor never
+        # transmits and the threshold is infinite
+        out = tmp_path / "eq.json"
+        code, _, _ = run(capsys, "solve-nonsensing", "--sigma2", "1", "--c", "1", "--d", "0",
+                         "--out", str(out))
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["regime"] == "AlwaysJam" and payload["threshold"] == "Infinity"
 
     def test_saddle_verification_flag(self, tmp_path, capsys):
         out = tmp_path / "eq.json"
@@ -50,7 +68,7 @@ class TestSolveNonsensing:
             "--verify-saddle", "31", "--out", str(out),
         )
         assert code == 0
-        assert json.loads(out.read_text())["saddle_check"]["ok"] is True
+        assert strict_json(out)["saddle_check"]["ok"] is True
 
     def test_saddle_violation_exits_4(self, tmp_path, capsys, monkeypatch):
         # a value 0.01 above the true one: the coordinator's deviation to the
@@ -70,7 +88,7 @@ class TestSolveNonsensing:
         )
         assert code == 4
         assert "saddle check   VIOLATED" in stdout
-        assert json.loads(out.read_text())["saddle_check"]["ok"] is False
+        assert strict_json(out)["saddle_check"]["ok"] is False
 
     def test_saddle_tol_zero_allows_last_bit_rounding(self, tmp_path, capsys):
         # the frozen-rule objective at phi = 1 rounds 1 ulp (2.2e-16) above
@@ -83,7 +101,7 @@ class TestSolveNonsensing:
         )
         assert code == 0
         assert "saddle check   ok" in stdout
-        saddle = json.loads(out.read_text())["saddle_check"]
+        saddle = strict_json(out)["saddle_check"]
         assert saddle["ok"] is True and saddle["tol"] == 0.0 and saddle["grid_points"] == 11
         assert 0.0 < saddle["worst_jammer_excess"] < 1e-15
 
@@ -118,7 +136,7 @@ class TestSolveNonsensing:
             "--c", c, "--d", d, "--verify-saddle", "21", "--out", str(out),
         )
         assert code == 0
-        payload = json.loads(out.read_text())
+        payload = strict_json(out)
         assert payload["regime"] == "AlwaysJam" and payload["phi_star"] == 1.0
         assert payload["saddle_check"]["ok"] is True
 
@@ -133,7 +151,7 @@ class TestSolveReactive:
             "--out", str(out), "--trace-out", str(trace),
         )
         assert code == 0
-        payload = json.loads(out.read_text())
+        payload = strict_json(out)
         point = payload["points"][0]
         a, b, x0, x1 = TABLE1[1.0]
         assert point["alpha"] == pytest.approx(a, abs=2e-2)
@@ -152,7 +170,7 @@ class TestSolveReactive:
             "--max-iters", "3", "--out", str(out),
         )
         assert code == 4
-        payload = json.loads(out.read_text())
+        payload = strict_json(out)
         assert payload["points"][0]["terminated_by"] == "MaxIters"
         assert payload["points"][0]["certificate"]["certified"] is False
 
@@ -172,7 +190,7 @@ class TestSolveReactive:
             "--out", str(out),
         )
         assert code == 0
-        point = json.loads(out.read_text())["points"][0]
+        point = strict_json(out)["points"][0]
         assert point["certificate"]["certified"] is True
         assert point["xhat0"] == pytest.approx(TABLE1[1.0][2], abs=2e-2)
 
@@ -183,7 +201,7 @@ class TestSolveReactive:
             "--multistart", "2", "--seed", "9", "--out", str(out),
         )
         assert code == 0
-        assert len(json.loads(out.read_text())["points"]) == 3
+        assert len(strict_json(out)["points"]) == 3
 
 
     def test_numerical_failure_exit_code(self, capsys):
@@ -203,11 +221,11 @@ class TestSolveReactive:
             "--c", "0.183528", "--d", "1.47286", "--max-iters", "500", "--out", str(out),
         )
         assert code == 0
-        point = json.loads(out.read_text())["points"][0]
+        point = strict_json(out)["points"][0]
         assert point["polished_at"] == point["iterations"] - 1
         run(capsys, "solve-reactive", "--dist", "gaussian", "--sigma2", "1",
             "--max-iters", "3", "--out", str(out))
-        assert json.loads(out.read_text())["points"][0]["polished_at"] is None
+        assert strict_json(out)["points"][0]["polished_at"] is None
 
 
 class TestSimulateCommand:
@@ -215,7 +233,7 @@ class TestSimulateCommand:
         eq_path = tmp_path / "eq.json"
         run(capsys, "solve-nonsensing", "--dist", "gaussian", "--sigma2", "2",
             "--out", str(eq_path))
-        eq = json.loads(eq_path.read_text())
+        eq = strict_json(eq_path)
         policy = {
             "transmit": {"silent_lo": -eq["threshold"], "silent_hi": eq["threshold"]},
             "jam": {"kind": "NonSensing", "alpha": eq["phi_star"], "beta": eq["phi_star"]},
@@ -229,9 +247,27 @@ class TestSimulateCommand:
             "--policy", str(pol_path), "--n", "200000", "--seed", "4", "--out", str(out),
         )
         assert code == 0
-        payload = json.loads(out.read_text())
+        payload = strict_json(out)
         assert abs(payload["gap_in_std_errors"]) <= 3.0
         assert "analytic_cost" in stdout
+
+    @pytest.mark.parametrize("policy_argv,infinite", [
+        (["--phi", "1"], {"silent_lo": "-Infinity", "silent_hi": "Infinity"}),
+        (["--alpha", "0.3", "--beta", "1", "--xhat0", "0.5"], {"silent_hi": "Infinity"}),
+    ], ids=["phi-1", "beta-1"])
+    def test_infinite_bound_policy_file_reproduces_its_run(self, tmp_path, capsys,
+                                                           policy_argv, infinite):
+        # the written policy, infinite bounds as strings, read back by --policy
+        first, again, pol = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "policy.json"
+        argv = ["simulate", "--sigma2", "1", "--n", "5000", "--seed", "8"]
+        code, stdout, _ = run(capsys, *argv, *policy_argv, "--out", str(first))
+        assert code == 0
+        policy = strict_json(first)["policy"]
+        assert infinite.items() <= policy["transmit"].items()
+        pol.write_text(json.dumps(policy, allow_nan=False))
+        code, stdout_again, _ = run(capsys, *argv, "--policy", str(pol), "--out", str(again))
+        assert code == 0
+        assert again.read_bytes() == first.read_bytes() and stdout_again == stdout
 
     def test_rounded_solved_policy_file_reports_analytic_cost(self, tmp_path, capsys):
         # the sigma2 = 1 equilibrium's bundle with every number rounded to 6
@@ -240,12 +276,12 @@ class TestSimulateCommand:
         code, _, _ = run(capsys, "solve-reactive", "--dist", "gaussian", "--sigma2", "1",
                          "--out", str(fne))
         assert code == 0
-        point = json.loads(fne.read_text())["points"][0]
+        point = strict_json(fne)["points"][0]
         sim = tmp_path / "sim.json"
         run(capsys, "simulate", "--dist", "gaussian", "--sigma2", "1", "--n", "10",
             "--alpha", repr(point["alpha"]), "--beta", repr(point["beta"]),
             "--xhat0", repr(point["xhat0"]), "--xhat1", repr(point["xhat1"]), "--out", str(sim))
-        policy = json.loads(sim.read_text())["policy"]
+        policy = strict_json(sim)["policy"]
         for node in policy.values():
             if isinstance(node, dict):
                 node.update({k: round(v, 6) for k, v in node.items() if isinstance(v, float)})
@@ -256,7 +292,7 @@ class TestSimulateCommand:
                               "--policy", str(pol_path), "--n", "200000", "--seed", "5",
                               "--out", str(out))
         assert code == 0
-        payload = json.loads(out.read_text())
+        payload = strict_json(out)
         assert payload["policy"] == policy
         assert math.isfinite(payload["analytic_cost"])
         assert abs(payload["gap_in_std_errors"]) <= 4.0
@@ -281,12 +317,12 @@ class TestSimulateCommand:
             "--n", "200000", "--seed", "4", "--out", str(out),
         )
         assert code == 0
-        assert abs(json.loads(out.read_text())["gap_in_std_errors"]) <= 3.0
+        assert abs(strict_json(out)["gap_in_std_errors"]) <= 3.0
 
     @pytest.mark.parametrize("shift,gap_se,shown", [
         (0.0, 0.0, "(gap = +0.00 SE)"),
-        (0.25, -math.inf, "(gap = -inf SE)"),
-        (-0.25, math.inf, "(gap = +inf SE)"),
+        (0.25, "-Infinity", "(gap = -inf SE)"),
+        (-0.25, "Infinity", "(gap = +inf SE)"),
     ])
     def test_zero_std_error(self, tmp_path, capsys, monkeypatch, shift, gap_se, shown):
         # at c = 0 the sensor always transmits and every draw costs exactly
@@ -302,10 +338,12 @@ class TestSimulateCommand:
             "--out", str(out),
         )
         assert code == 0
-        payload = json.loads(out.read_text())
+        payload = strict_json(out)
         assert payload["std_error"] == 0.0 and payload["empirical_cost"] == 0.0
+        # an infinite gap is written as the string float() reads back
         assert payload["gap_in_std_errors"] == gap_se
-        assert math.copysign(1.0, payload["gap_in_std_errors"]) == math.copysign(1.0, gap_se)
+        assert math.copysign(1.0, float(payload["gap_in_std_errors"])) == \
+            math.copysign(1.0, float(gap_se))
         assert shown in stdout
 
     def test_malformed_policy_reports_field_path(self, tmp_path, capsys):
@@ -586,7 +624,7 @@ class TestDeterminismAndConfig:
         out = tmp_path / "eq.json"
         code, _, _ = run(capsys, "--config", str(cfg), "solve-nonsensing", "--out", str(out))
         assert code == 0
-        assert json.loads(out.read_text())["phi_star"] == pytest.approx(0.7887, abs=1e-3)
+        assert strict_json(out)["phi_star"] == pytest.approx(0.7887, abs=1e-3)
 
         # explicit flag wins over the config value
         code, _, _ = run(
@@ -594,7 +632,7 @@ class TestDeterminismAndConfig:
             "--out", str(out),
         )
         assert code == 0
-        assert json.loads(out.read_text())["phi_star"] == 0.0
+        assert strict_json(out)["phi_star"] == 0.0
 
     def test_config_values_do_not_leak_into_later_calls(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -605,7 +643,7 @@ class TestDeterminismAndConfig:
         out = tmp_path / "out.json"
         code, _, _ = run(capsys, "--config", str(cfg), "solve-nonsensing", "--out", str(out))
         assert code == 0
-        assert json.loads(out.read_text())["phi_star"] == pytest.approx(0.7887, abs=1e-3)
+        assert strict_json(out)["phi_star"] == pytest.approx(0.7887, abs=1e-3)
         code, _, stderr = run(capsys, "solve-nonsensing")
         assert code == 2
         assert "--sigma2 is required" in stderr
@@ -613,11 +651,11 @@ class TestDeterminismAndConfig:
         # a two-value entry is split into its two values
         code, _, _ = run(capsys, "--config", str(cfg), "solve-reactive", "--out", str(out))
         assert code == 4
-        point = json.loads(out.read_text())["points"][0]
+        point = strict_json(out)["points"][0]
         assert (point["xhat0"], point["xhat1"], point["iterations"]) == (0.25, -0.5, 0)
         code, _, _ = run(capsys, "solve-reactive", "--sigma2", "1", "--max-iters", "1",
                          "--out", str(out))
-        point = json.loads(out.read_text())["points"][0]
+        point = strict_json(out)["points"][0]
         assert point["iterations"] == 1
 
     @pytest.mark.parametrize("config,flags,jam", [
@@ -636,7 +674,7 @@ class TestDeterminismAndConfig:
         code, _, _ = run(capsys, "--config", str(cfg), "simulate", *flags,
                          "--n", "1000", "--out", str(out))
         assert code == 0
-        policy = json.loads(out.read_text())["policy"]["jam"]
+        policy = strict_json(out)["policy"]["jam"]
         assert (policy["kind"], policy["alpha"], policy["beta"]) == jam
 
     def test_conflicting_config_policies_are_config_error(self, tmp_path, capsys):

@@ -108,6 +108,12 @@ class TestJamMarginal:
         assert jam_marginal(g1, 1.0 - 1e-9) == pytest.approx(-g1.d, abs=1e-6)
 
 
+# Interior equilibria with phi* within 1e-8 of 1, where 1 - phi* pins the
+# threshold only to about eps / (1 - phi*) relative
+NEAR_ONE = [(lambda: laplace(sigma2=4.158), 1e-7, 0.695), (lambda: gaussian(4.158), 1e-7, 1.2474)]
+NEAR_ONE_IDS = ["laplace", "gaussian"]
+
+
 class TestSolveEquilibrium:
     def test_sigma2_one_no_jam(self, eq_g1):
         assert eq_g1.regime is Regime.NO_JAM
@@ -123,6 +129,17 @@ class TestSolveEquilibrium:
         assert eq_g2.threshold == pytest.approx(
             math.sqrt(1.0 / (1.0 - eq_g2.phi_star)), abs=1e-12
         )
+
+    @pytest.mark.parametrize("make,c,d", NEAR_ONE, ids=NEAR_ONE_IDS)
+    def test_threshold_is_the_root(self, make, c, d):
+        # phi* comes from the reported threshold, not the threshold from a
+        # rounded phi*, and the value is that of the reported rule
+        inst = GameInstance(make(), c, d)
+        eq = solve_equilibrium(inst)
+        tau = eq.threshold
+        assert eq.phi_star == 1.0 - c / tau**2
+        assert inst.dist.tail_second_moment(tau) == pytest.approx(d, rel=1e-9)
+        assert eq.value == objective(inst, eq.phi_star, (0.0, 0.0), silent=(-tau, tau))
 
     def test_expensive_jamming_never_jams(self):
         inst = GameInstance(gaussian(1.0), 1.0, 100.0)
@@ -383,8 +400,6 @@ def grid_saddle_oracle(inst, eq, phi_points, xhat_points, tol=1e-6):
 def _rounding(inst, eq):
     """verify_saddle's rounding allowance for this equilibrium."""
     magnitude = max(abs(eq.value), inst.dist.variance, inst.c, inst.d)
-    if eq.phi_star < 1.0:
-        magnitude /= 1.0 - eq.phi_star
     return ROUNDING_ULPS * math.ulp(1.0) * magnitude
 
 
@@ -473,6 +488,22 @@ class TestVerifySaddleAgainstGrids:
         assert verify_saddle(g2, eq_g2, xhat_points=11, tol=0.0).ok
         rep = verify_saddle(g2, _moved(g2, eq_g2, dphi), xhat_points=11, tol=0.0)
         assert rep.jammer_violations and rep.worst_jammer_excess > 1e-10
+
+    @pytest.mark.parametrize("make,c,d", NEAR_ONE, ids=NEAR_ONE_IDS)
+    def test_tol_zero_passes_phi_star_near_one_unscaled(self, make, c, d):
+        # the allowance is ROUNDING_ULPS epsilons of the instance's
+        # magnitude, with no factor for 1 - phi*
+        inst = GameInstance(make(), c, d)
+        eq = solve_equilibrium(inst)
+        assert eq.regime is Regime.INTERIOR_JAM and 0.0 < 1.0 - eq.phi_star < 1e-8
+        rep = verify_saddle(inst, eq, xhat_points=41, tol=0.0)
+        assert rep.ok
+        assert rep.worst_jammer_excess <= _rounding(inst, eq)
+        assert rep.worst_coordinator_shortfall <= _rounding(inst, eq)
+        # a threshold 1e-12 relative above the root, about 2000 epsilons of
+        # excess, is caught
+        moved = dataclasses.replace(eq, threshold=eq.threshold * (1.0 + 1e-12))
+        assert verify_saddle(inst, moved, xhat_points=11, tol=0.0).jammer_violations
 
     def test_out_of_range_phi_star_is_refused(self, g2, eq_g2):
         with pytest.raises(ValueError, match="phi must lie in"):

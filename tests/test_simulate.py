@@ -132,63 +132,27 @@ class TestDeterminism:
         r2 = simulate(g2, bundle, n=50_000, seed=77)
         assert r1 == r2
 
-    def test_chunking_does_not_change_results(self, g2, eq_g2):
-        # the counts are exact under any chunking; the cost is summed per
-        # chunk, so it is compared to rounding (bit equality at this n would
-        # only mean the two chunked sums happen to round alike)
+    @pytest.mark.parametrize("n", [50_000, 10**6])
+    def test_leaf_size_moves_only_the_cost_sums(self, g2, eq_g2, n, tmp_path, monkeypatch):
+        # the draws, counts and trace do not depend on the leaf size; the
+        # leaf sums are added in order, so two leaf sizes round differently
         bundle = bundle_from_nonsensing(eq_g2)
-        r1 = simulate(g2, bundle, n=50_000, seed=78, chunk=1 << 17)
-        r2 = simulate(g2, bundle, n=50_000, seed=78, chunk=997)
-        assert r1.empirical_cost == pytest.approx(r2.empirical_cost, rel=1e-12, abs=0)
-        assert r1.event_counts == r2.event_counts
-
-    def test_chunking_keeps_counts_and_costs_to_rounding(self, g2, eq_g2):
-        # the draws and counts do not depend on the chunking; the cost sums
-        # are taken per chunk, so the two chunkings round differently (at
-        # n = 10**6 they differ in the last bit of empirical_cost)
-        bundle = bundle_from_nonsensing(eq_g2)
-        r1 = simulate(g2, bundle, n=10**6, seed=78, chunk=1 << 17)
-        r2 = simulate(g2, bundle, n=10**6, seed=78, chunk=997)
+        runs = []
+        for leaf in (SIM_MODULE.LEAF, 997):
+            monkeypatch.setattr(SIM_MODULE, "LEAF", leaf)
+            path = tmp_path / f"events-{leaf}.csv"
+            runs.append((simulate(g2, bundle, n=n, seed=78, trace_path=path), path.read_bytes()))
+        (r1, trace1), (r2, trace2) = runs
         assert r1.event_counts == r2.event_counts
         assert (r1.p_transmit, r1.p_jam) == (r2.p_transmit, r2.p_jam)
+        assert trace1 == trace2
         assert r1.empirical_cost == pytest.approx(r2.empirical_cost, rel=1e-12, abs=0)
         assert r1.std_error == pytest.approx(r2.std_error, rel=1e-12, abs=0)
 
 
-def leaf_split_sums(a):
-    """(sum, sum of squares) of a from np.sum on each leaf of its split,
-    added in the pairwise tree's order."""
-    sums, start = [], 0
-    for size in SIM_MODULE._leaves(len(a)):
-        assert 1 <= size <= SIM_MODULE.LEAF
-        part = a[start:start + size]
-        sums.append((float(np.sum(part)), float(np.sum(part * part))))
-        start += size
-    assert start == len(a)
-    leaves = iter(sums)
-    got = SIM_MODULE._tree_sum(len(a), leaves)
-    assert next(leaves, None) is None
-    return got
-
-
-class TestLeafSums:
-    @pytest.mark.parametrize("leaf", [128, 200, SIM_MODULE.LEAF])
-    def test_tree_of_leaf_sums_is_np_sum(self, leaf, monkeypatch):
-        # values over 16 decades, so a sum in any other order rounds
-        # differently
-        monkeypatch.setattr(SIM_MODULE, "LEAF", leaf)
-        rng = np.random.default_rng(leaf)
-        lengths = list(range(1, 1101))
-        if leaf != 128:
-            lengths += list(range(1101, 3 * 2**17, 2 * 4099)) + [3 * 2**17 - 1]
-        for m in lengths:
-            a = rng.standard_normal(m) * 10.0 ** rng.uniform(-8, 8, m)
-            assert leaf_split_sums(a) == (float(np.sum(a)), float(np.sum(a * a))), m
-
-
-def serial_simulate(inst, policies, n, seed, trace_path=None, chunk=1 << 17):
+def serial_simulate(inst, policies, n, seed, trace_path=None):
     """The single-threaded loop that ``simulate`` pipelines: draw, invert,
-    tally and trace each chunk in turn on this thread."""
+    tally, sum and trace each leaf of LEAF draws in turn on this thread."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     x0, x1 = policies.xhat
     p_block = np.array([policies.jam.alpha, policies.jam.beta])
@@ -197,7 +161,7 @@ def serial_simulate(inst, policies, n, seed, trace_path=None, chunk=1 << 17):
     counts = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
     rows, done = [], 0
     while done < n:
-        m = min(chunk, n - done)
+        m = min(SIM_MODULE.LEAF, n - done)
         u = rng.random((m, 2))
         np.clip(u, 2.0**-53, 1.0 - 2.0**-53, out=u)
         x = np.asarray(inst.dist.ppf(u[:, 0]), dtype=float)
@@ -246,42 +210,31 @@ ORACLE_DENSITIES = {
 class TestPipelineOracle:
     @pytest.mark.parametrize("family", sorted(ORACLE_DENSITIES))
     @pytest.mark.parametrize("kind", ["nonsensing", "reactive"])
-    @pytest.mark.parametrize("chunk", [997, 4500])
-    def test_bit_for_bit_serial_loop(self, family, kind, chunk, tmp_path):
-        # every chunk boundary case, the trace limit inside the last chunk
-        # at 3 * 4500 + 5 draws included
+    @pytest.mark.parametrize("leaf", [128, 997, 4500, SIM_MODULE.LEAF])
+    def test_bit_for_bit_serial_loop(self, family, kind, leaf, tmp_path, monkeypatch):
+        # every leaf boundary case, and 21 leaves, more than numpy sums in
+        # order; the trace limit falls inside a later leaf at 4500 (the
+        # third of 3 * 4500 + 5 draws) and inside the first at the default
+        monkeypatch.setattr(SIM_MODULE, "LEAF", leaf)
         inst = GameInstance(ORACLE_DENSITIES[family](), 1.0, 0.7)
         if kind == "nonsensing":
             bundle = bundle_from_nonsensing(solve_equilibrium(inst))
         else:
             bundle = bundle_from_reactive(ReactivePoint((0.5, -0.4), (0.3, 0.6)), inst)
-        for n in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        for n in (1, leaf - 1, leaf, leaf + 1, 3 * leaf + 5, 20 * leaf + 5):
             got_path, ref_path = tmp_path / f"got-{n}.csv", tmp_path / f"ref-{n}.csv"
-            got = simulate(inst, bundle, n, seed=n + chunk, trace_path=got_path, chunk=chunk)
-            ref = serial_simulate(inst, bundle, n, seed=n + chunk, trace_path=ref_path,
-                                  chunk=chunk)
+            got = simulate(inst, bundle, n, seed=n + leaf, trace_path=got_path)
+            ref = serial_simulate(inst, bundle, n, seed=n + leaf, trace_path=ref_path)
             assert got == ref
             assert got_path.read_bytes() == ref_path.read_bytes()
-
-    @pytest.mark.parametrize("leaf", [128, 200])
-    @pytest.mark.parametrize("family", sorted(ORACLE_DENSITIES))
-    @pytest.mark.parametrize("kind", ["nonsensing", "reactive"])
-    @pytest.mark.parametrize("chunk", [997, 4500])
-    def test_bit_for_bit_in_small_leaves(self, leaf, family, kind, chunk, tmp_path,
-                                         monkeypatch):
-        # the same oracle with chunks that split into several leaves, the
-        # trace rows spread over many of them
-        monkeypatch.setattr(SIM_MODULE, "LEAF", leaf)
-        assert len(list(SIM_MODULE._leaves(chunk))) > 2
-        self.test_bit_for_bit_serial_loop(family, kind, chunk, tmp_path)
 
 
 class TestMemory:
     @pytest.mark.parametrize("family", sorted(ORACLE_DENSITIES))
     @pytest.mark.parametrize("traced", [False, True])
     def test_peak_is_bounded_by_the_leaf(self, family, traced, tmp_path):
-        # a million draws in 2**17-draw chunks: a chunk held at once takes
-        # 2 MiB for its uniforms alone, and each of its float temporaries 1 MiB
+        # a million draws held at once take 16 MiB for their uniforms alone,
+        # and each float temporary 8 MiB
         inst = GameInstance(ORACLE_DENSITIES[family](), 1.0, 0.7)
         bundle = bundle_from_reactive(ReactivePoint((0.5, -0.4), (0.3, 0.6)), inst)
         trace = tmp_path / "events.csv" if traced else None
@@ -334,21 +287,24 @@ def live_threads():
 
 
 class TestThreadHygiene:
-    def test_ppf_runs_on_the_calling_thread(self, g1, tmp_path):
+    def test_ppf_runs_on_the_calling_thread(self, g1, tmp_path, monkeypatch):
+        monkeypatch.setattr(SIM_MODULE, "LEAF", 997)
         before = live_threads()
         spy = SpyDensity(g1.dist)
         bundle = bundle_from_reactive(ReactivePoint((0.5, -0.4), (0.3, 0.6)), g1)
         n = 5 * 997 + 3
         res = simulate(GameInstance(spy, 1.0, 1.0), bundle, n, seed=4,
-                       trace_path=tmp_path / "e.csv", chunk=997)
+                       trace_path=tmp_path / "e.csv")
         assert spy.threads == [threading.get_ident()] * 6
         assert live_threads() == before
-        assert res == serial_simulate(g1, bundle, n, seed=4, chunk=997)
+        assert res == serial_simulate(g1, bundle, n, seed=4)
 
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
     @pytest.mark.parametrize("fail_on", [1, 3])
     def test_failure_joins_helper_and_closes_trace(self, g1, eq_g1, opened, error, fail_on,
-                                                   tmp_path):
+                                                   tmp_path, monkeypatch):
+        monkeypatch.setattr(SIM_MODULE, "LEAF", 997)
+
         def fail():
             raise error("ppf failed")
 
@@ -356,23 +312,20 @@ class TestThreadHygiene:
         spy = SpyDensity(g1.dist, fail_on=fail_on, action=fail)
         with pytest.raises(error, match="ppf failed"):
             simulate(GameInstance(spy, 1.0, 1.0), bundle_from_nonsensing(eq_g1), n=10 * 997,
-                     seed=4, trace_path=tmp_path / "e.csv", chunk=997)
+                     seed=4, trace_path=tmp_path / "e.csv")
         assert len(spy.threads) == fail_on
         assert len(opened) == 1 and opened[0].closed
         assert live_threads() == before
 
-    def test_closed_trace_file_joins_helper(self, g1, eq_g1, opened, tmp_path):
+    def test_closed_trace_file_joins_helper(self, g1, eq_g1, opened, tmp_path, monkeypatch):
+        monkeypatch.setattr(SIM_MODULE, "LEAF", 997)
         before = live_threads()
         spy = SpyDensity(g1.dist, fail_on=2, action=lambda: opened[0].close())
         with pytest.raises(ValueError, match="closed file"):
             simulate(GameInstance(spy, 1.0, 1.0), bundle_from_nonsensing(eq_g1), n=10 * 997,
-                     seed=4, trace_path=tmp_path / "e.csv", chunk=997)
+                     seed=4, trace_path=tmp_path / "e.csv")
         assert len(spy.threads) == 2
         assert live_threads() == before
-
-    def test_rejects_empty_chunk(self, g1, eq_g1):
-        with pytest.raises(ValueError, match="chunk"):
-            simulate(g1, bundle_from_nonsensing(eq_g1), n=10, seed=1, chunk=0)
 
 
 class TestSerialization:
@@ -423,9 +376,10 @@ class TestSerialization:
         simulate(g1, bundle_from_nonsensing(eq_g1), n=15_000, seed=6, trace_path=path)
         assert len(path.read_text().splitlines()) == 10_001
 
-    def test_event_trace_matches_per_row_formatting(self, g1, lap1, tmp_path):
+    def test_event_trace_matches_per_row_formatting(self, g1, lap1, tmp_path, monkeypatch):
         # the same draws formatted one row at a time with repr(float(.));
-        # the trace spans three chunks and stops inside the third
+        # the trace spans three leaves and stops inside the third
+        monkeypatch.setattr(SIM_MODULE, "LEAF", 4500)
         table = GameInstance(exp_power_table(2.75, 2.2), 1.0, 1.0)
         point = ReactivePoint((0.5, -0.4), (0.3, 0.6))
         cases = [(inst, bundle_from_reactive(point, inst)) for inst in (g1, lap1, table)]
@@ -438,7 +392,7 @@ class TestSerialization:
         ]
         for k, (inst, bundle) in enumerate(cases):
             path = tmp_path / f"events-{k}.csv"
-            simulate(inst, bundle, n=12_000, seed=9, trace_path=path, chunk=4_500)
+            simulate(inst, bundle, n=12_000, seed=9, trace_path=path)
             rng = np.random.Generator(np.random.Philox(key=9))
             u = np.clip(rng.random((TRACE_LIMIT, 2)), 2.0**-53, 1.0 - 2.0**-53)
             x = inst.dist.ppf(u[:, 0])

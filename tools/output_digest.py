@@ -9,7 +9,9 @@ benchmark run of ``run_seconds`` (from the checkout's ``BENCHMARK.json``)
 makes for the seed, through ``jamgame.cli.main``. It prints the operation
 count and one sha256 over each operation's argv, exit code, stdout, stderr
 and output files, and under that line the same two for each operation
-kind, so a change in output bits can be traced to the kinds that moved.
+kind, so a change in output bits can be traced to the kinds that moved,
+then the number of ``.json`` output files that are not RFC 8259 JSON (a
+bare ``Infinity`` or ``NaN`` token, say).
 The temporary directory that holds the inputs and outputs is replaced by a
 fixed token wherever it appears, so two checkouts whose program behaves
 the same print the same digests. Exits 1 if any operation fails its own
@@ -81,11 +83,24 @@ class Tally:
         self.count += 1
 
 
+def _strict_json(data: bytes) -> bool:
+    """Whether ``data`` parses as RFC 8259 JSON; ``json.loads`` alone also
+    takes the bare tokens Infinity, -Infinity and NaN."""
+    def refuse(token: str):
+        raise ValueError(f"non-JSON token {token}")
+
+    try:
+        json.loads(data, parse_constant=refuse)
+    except ValueError:
+        return False
+    return True
+
+
 def digest(cli, wl, workload: str, seed: int,
-           seconds: float) -> tuple[Tally, dict[str, Tally], list[str]]:
+           seconds: float) -> tuple[Tally, dict[str, Tally], list[str], int]:
     """The tally of one workload's deck set, the tally of each operation
-    kind in it, and the failed checks."""
-    total, kinds, failures = Tally(), {}, []
+    kind in it, the failed checks and the count of non-strict JSON outputs."""
+    total, kinds, failures, non_strict = Tally(), {}, [], 0
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         here = str(workdir).encode()
@@ -106,10 +121,12 @@ def digest(cli, wl, workload: str, seed: int,
                     chunks += [f.encode(), b"1" if present else b"0"]
                     if present:
                         chunks.append(path.read_bytes())
+                        if path.suffix == ".json" and not _strict_json(chunks[-1]):
+                            non_strict += 1
                 chunks = [chunk.replace(here, TOKEN) for chunk in chunks]
                 total.add(chunks)
                 kinds.setdefault(op.kind, Tally()).add(chunks)
-    return total, kinds, failures
+    return total, kinds, failures, non_strict
 
 
 def main() -> int:
@@ -123,10 +140,11 @@ def main() -> int:
     cli, wl = _load(args.checkout)
     failed = 0
     for workload in WORKLOADS:
-        total, kinds, failures = digest(cli, wl, workload, args.seed, seconds)
+        total, kinds, failures, non_strict = digest(cli, wl, workload, args.seed, seconds)
         print(f"{workload:18s} {total.count:4d} ops  sha256 {total.hash.hexdigest()}")
         for kind, tally in sorted(kinds.items()):
             print(f"  {kind:34s} {tally.count:4d} ops  sha256 {tally.hash.hexdigest()}")
+        print(f"  non-strict JSON outputs {non_strict}")
         sys.stdout.flush()
         for line in failures:
             print(f"  check failed: {line}")
