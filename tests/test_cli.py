@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from jamgame.cli import main
+from jamgame.cli import _strict, _write_json, main
 
 from conftest import TABLE1
 
@@ -25,6 +25,35 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestJsonWriter:
+    def test_infinities_become_strings_at_any_depth(self):
+        payload = {"a": math.inf, "b": [-math.inf, 1.5, (math.inf, 2)],
+                   "c": {"d": -math.inf, "e": "Infinity"}, "f": None, "g": True, "h": 3}
+        assert _strict(payload) == {"a": "Infinity", "b": ["-Infinity", 1.5, ["Infinity", 2]],
+                                    "c": {"d": "-Infinity", "e": "Infinity"},
+                                    "f": None, "g": True, "h": 3}
+
+    @pytest.mark.parametrize("value", [-0.0, 5e-324, 0.1, 1.7976931348623157e308])
+    def test_finite_payload_keeps_its_bytes(self, tmp_path, value):
+        out = tmp_path / "out.json"
+        payload = {"x": value, "xs": [value, -value], "nested": {"y": value, "n": 3}}
+        _write_json(str(out), payload)
+        assert out.read_text() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def test_infinities_read_back_through_float(self, tmp_path):
+        out = tmp_path / "out.json"
+        _write_json(str(out), {"hi": math.inf, "lo": [-math.inf]})
+        payload = strict_json(out)
+        assert float(payload["hi"]) == math.inf
+        assert float(payload["lo"][0]) == -math.inf
+
+    def test_nan_is_refused_before_anything_is_written(self, tmp_path):
+        out = tmp_path / "out.json"
+        with pytest.raises(ValueError):
+            _write_json(str(out), {"x": 1.0, "y": math.nan})
+        assert not out.exists()
 
 
 class TestSolveNonsensing:

@@ -150,9 +150,10 @@ class TestDeterminism:
         assert r1.std_error == pytest.approx(r2.std_error, rel=1e-12, abs=0)
 
 
-def serial_simulate(inst, policies, n, seed, trace_path=None):
+def serial_simulate(inst, policies, n, seed, trace_path=None, costs=None):
     """The single-threaded loop that ``simulate`` pipelines: draw, invert,
-    tally, sum and trace each leaf of LEAF draws in turn on this thread."""
+    tally, sum and trace each leaf of LEAF draws in turn on this thread.
+    Each leaf's per-draw costs are appended to ``costs`` when it is given."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     x0, x1 = policies.xhat
     p_block = np.array([policies.jam.alpha, policies.jam.beta])
@@ -172,6 +173,8 @@ def serial_simulate(inst, policies, n, seed, trace_path=None):
         np.square(cost, out=cost)
         cost += inst.c * tx
         cost -= inst.d * jam
+        if costs is not None:
+            costs.append(cost.copy())
         total += float(np.sum(cost))
         total_sq += float(np.sum(cost * cost))
         n_tx, n_jam, n_both = (int(np.count_nonzero(b)) for b in (tx, jam, tx & jam))
@@ -227,6 +230,27 @@ class TestPipelineOracle:
             ref = serial_simulate(inst, bundle, n, seed=n + leaf, trace_path=ref_path)
             assert got == ref
             assert got_path.read_bytes() == ref_path.read_bytes()
+
+
+class TestLeafSumAccuracy:
+    @pytest.mark.parametrize("family", sorted(ORACLE_DENSITIES))
+    def test_mean_is_within_the_in_order_bound_of_the_exact_sum(self, family):
+        # Higham: adding k leaf sums in order errs by at most about
+        # (k + pairwise depth) eps * sum |cost|; numpy's pairwise sum runs
+        # 8 accumulators over blocks of 128 (16 terms each), then log2(LEAF /
+        # 128) levels, and the mean's division rounds once more
+        inst = GameInstance(ORACLE_DENSITIES[family](), 1.0, 0.7)
+        bundle = bundle_from_nonsensing(solve_equilibrium(inst))
+        n = 40 * SIM_MODULE.LEAF + 7
+        costs = []
+        ref = serial_simulate(inst, bundle, n, seed=91, costs=costs)
+        got = simulate(inst, bundle, n, seed=91)
+        assert got == ref
+        cost = np.concatenate(costs)
+        leaves = -(-n // SIM_MODULE.LEAF)
+        depth = 16 + 3 + int(math.log2(SIM_MODULE.LEAF // 128))
+        bound = (leaves + depth + 2) * np.finfo(float).eps * math.fsum(np.abs(cost)) / n
+        assert abs(got.empirical_cost - math.fsum(cost) / n) <= bound
 
 
 class TestMemory:
