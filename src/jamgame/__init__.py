@@ -10,7 +10,6 @@ equilibria. A Monte Carlo simulator validates analytic values empirically.
 
 from .dist import (
     AdmissibilityReport,
-    Family,
     Gaussian,
     Laplace,
     SourceDistribution,
@@ -20,7 +19,6 @@ from .dist import (
     laplace,
 )
 from .nonsensing import (
-    GameInstance,
     NonSensingEquilibrium,
     Regime,
     jam_marginal,
@@ -32,6 +30,7 @@ from .nonsensing import (
 from .quadrature import PiecewiseIntegrand, expectation, integrate
 from .reactive import (
     FneCertificate,
+    GameInstance,
     ReactivePoint,
     SolverOptions,
     SolverTrace,

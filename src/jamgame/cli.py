@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
 import functools
 import json
 import math
@@ -24,8 +23,9 @@ import sys
 import numpy as np
 
 from . import dist
-from .nonsensing import GameInstance, solve_equilibrium, threshold_policy, verify_saddle
+from .nonsensing import solve_equilibrium, threshold_policy, verify_saddle
 from .reactive import (
+    GameInstance,
     ReactivePoint,
     SolverOptions,
     default_init,
@@ -79,6 +79,15 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _emit_csv(path: str | None, lines: list[str]) -> None:
+    """Write the CSV ``lines`` to ``path``, or to stdout when it is None."""
+    text = "\n".join(lines) + "\n"
+    if path:
+        _write_text(path, text)
+    else:
+        sys.stdout.write(text)
+
+
 def _strict(value):
     """``value`` with every infinite float replaced by the string that
     protobuf's JSON mapping uses, "Infinity" or "-Infinity"."""
@@ -112,7 +121,7 @@ def cmd_solve_nonsensing(args) -> int:
     inst = build_instance(args)
     eq = solve_equilibrium(inst)
     payload = dict(eq.to_dict(), schema_version=SCHEMA_VERSION, c=inst.c, d=inst.d,
-                   sigma2=inst.dist.variance, family=inst.dist.family.value)
+                   sigma2=inst.dist.variance, family=inst.dist.family)
     print(f"regime         {eq.regime.value}")
     print(f"phi_star       {_fmt(eq.phi_star)}")
     print(f"threshold tau  {_fmt(eq.threshold)}")
@@ -133,15 +142,16 @@ def cmd_solve_nonsensing(args) -> int:
     return EXIT_UNCERTIFIED if args.verify_saddle and not rep.ok else EXIT_OK
 
 
-def _solver_options(args) -> SolverOptions:
-    # the trace rows are recorded only for --trace-out, the one place they are written
+def _solver_options(args, solver: str, record_trace: bool) -> SolverOptions:
+    """The flags of ``_add_solver_args`` as options for ``solver``: GDA
+    ascends with --lambda-ga, PGA-CCP with --step-size, and --lambda-gd sets
+    the descent step where the subcommand has it."""
     return SolverOptions(
-        step_size=args.lambda_ga if args.solver == "gda" else args.step_size,
-        descent_step=args.lambda_gd,
-        step_schedule=args.schedule,
+        step_size=args.lambda_ga if solver == "gda" else args.step_size,
+        descent_step=getattr(args, "lambda_gd", SolverOptions.descent_step),
         epsilon=args.eps,
         max_iters=args.max_iters,
-        record_trace=args.trace_out is not None,
+        record_trace=record_trace,
     )
 
 
@@ -152,7 +162,8 @@ def _run_solver(inst, solver: str, init, opts):
 
 def cmd_solve_reactive(args) -> int:
     inst = build_instance(args)
-    opts = _solver_options(args)
+    # the trace rows are recorded only for --trace-out, the one place they are written
+    opts = _solver_options(args, args.solver, args.trace_out is not None)
     init = None
     if args.init_xhat is not None or args.init_theta is not None:
         xhat = tuple(args.init_xhat) if args.init_xhat else tuple(default_init(inst).xhat)
@@ -164,7 +175,7 @@ def cmd_solve_reactive(args) -> int:
     if args.multistart > 0:
         rng = np.random.Generator(np.random.Philox(key=args.seed))
         s = inst.dist.scale
-        start_opts = dataclasses.replace(opts, record_trace=False)
+        start_opts = _solver_options(args, args.solver, record_trace=False)
         for _ in range(args.multistart):
             start = ReactivePoint(tuple(rng.uniform(-2 * s, 2 * s, 2)), tuple(rng.uniform(0, 1, 2)))
             results.append(_run_solver(inst, args.solver, start, start_opts))
@@ -264,7 +275,7 @@ def cmd_sweep(args) -> int:
         base = build_distribution(args)
         lines.append("# optimal non-sensing jamming probability over a (c, d) grid")
         lines.append("# grid ranges are a tool choice, not part of the problem statement")
-        lines.append(f"# family={base.family.value} sigma2={_fmt(base.variance)}")
+        lines.append(f"# family={base.family} sigma2={_fmt(base.variance)}")
         lines.append("c,d,phi_star,regime,value")
         for c in cs:
             for d in ds:
@@ -272,61 +283,44 @@ def cmd_sweep(args) -> int:
                 lines.append(",".join([
                     _fmt(c), _fmt(d), _fmt(eq.phi_star), eq.regime.value, _fmt(eq.value),
                 ]))
-    elif args.mode == "fig4":
+    else:  # fig4, the one other --mode argparse accepts
         if args.dist != "gaussian":
             raise ConfigError(f"--mode fig4 solves Gaussian instances only, not --dist {args.dist}")
         s2s = _grid(args.sigma2_grid, "--sigma2-grid")
+        opts = _solver_options(args, "pga-ccp", record_trace=False)
         lines.append("# certified reactive-jammer stationary points per sigma2 (PGA-CCP, default init)")
         lines.append(f"# c={_fmt(args.c)} d={_fmt(args.d)} eps={_fmt(args.eps)}")
         lines.append("sigma2,alpha,beta,xhat0,xhat1,iterations,certified")
         for s2 in s2s:
             inst = GameInstance(dist.gaussian(float(s2)), args.c, args.d)
-            opts = SolverOptions(step_size=args.step_size, epsilon=args.eps,
-                                 max_iters=args.max_iters, record_trace=False)
             p, t, cert = solve_pga_ccp(inst, None, opts)
             lines.append(",".join([
                 _fmt(s2), _fmt(p.theta[0]), _fmt(p.theta[1]),
                 _fmt(p.xhat[0]), _fmt(p.xhat[1]), str(t.iterations), str(cert.certified),
             ]))
-    else:
-        raise ConfigError(f"unknown sweep mode {args.mode!r}")
-
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit_csv(args.out, lines)
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
     inst = build_instance(args)
     init = default_init(inst)
-    base = SolverOptions(step_size=args.step_size, epsilon=args.eps, max_iters=args.max_iters)
-    gda_opts = SolverOptions(step_size=args.lambda_ga, descent_step=args.lambda_gd,
-                             epsilon=args.eps, max_iters=args.max_iters)
-
-    p1, t1, c1 = solve_pga_ccp(inst, init, base)
-    p2, t2, c2 = solve_gda(inst, init, gda_opts)
+    opts = {s: _solver_options(args, s, record_trace=True) for s in ("pga-ccp", "gda")}
+    runs = {s: _run_solver(inst, s, init, o) for s, o in opts.items()}
 
     lines = ["solver,k,xhat0,xhat1,alpha,beta,objective,grad_xhat_norm,lp_gap"]
-    for name, tr in (("pga-ccp", t1), ("gda", t2)):
+    for name, (_, tr, _) in runs.items():
         for r in tr.rows:
             lines.append(",".join([
                 name, str(r.k), _fmt(r.xhat0), _fmt(r.xhat1), _fmt(r.alpha), _fmt(r.beta),
                 _fmt(r.objective), _fmt(r.grad_xhat_norm), _fmt(r.lp_gap),
             ]))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit_csv(args.out, lines)
 
-    print(f"pga-ccp: iters={t1.iterations} certified={c1.certified} "
-          f"point=({p1.theta[0]:.4f},{p1.theta[1]:.4f},{p1.xhat[0]:.4f},{p1.xhat[1]:.4f})")
-    print(f"gda:     iters={t2.iterations} certified={c2.certified} "
-          f"point=({p2.theta[0]:.4f},{p2.theta[1]:.4f},{p2.xhat[0]:.4f},{p2.xhat[1]:.4f})")
-    return EXIT_OK if (c1.certified and c2.certified) else EXIT_UNCERTIFIED
+    for name, (p, t, c) in runs.items():
+        print(f"{name + ':':8s} iters={t.iterations} certified={c.certified} "
+              f"point=({p.theta[0]:.4f},{p.theta[1]:.4f},{p.xhat[0]:.4f},{p.xhat[1]:.4f})")
+    return EXIT_OK if all(c.certified for _, _, c in runs.values()) else EXIT_UNCERTIFIED
 
 
 def _at_least_zero(cast):
@@ -341,6 +335,20 @@ def _at_least_zero(cast):
             raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
         return value
     return parse
+
+
+def _add_solver_args(p: argparse.ArgumentParser, gda: bool) -> None:
+    """--eps, --step-size and --max-iters, plus GDA's --lambda-ga and
+    --lambda-gd where it runs, with the defaults of ``SolverOptions``."""
+    opts = SolverOptions()
+    p.add_argument("--eps", type=float, default=opts.epsilon)
+    p.add_argument("--step-size", type=float, default=opts.step_size,
+                   help="theta ascent step (PGA-CCP)")
+    if gda:
+        p.add_argument("--lambda-ga", type=float, default=opts.step_size, help="GDA ascent step")
+        p.add_argument("--lambda-gd", type=float, default=opts.descent_step,
+                       help="GDA descent step")
+    p.add_argument("--max-iters", type=int, default=opts.max_iters)
 
 
 def _add_dist_args(p: argparse.ArgumentParser) -> None:
@@ -374,12 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-reactive", help="epsilon-FNE search, channel-sensing jammer")
     _add_dist_args(p)
     p.add_argument("--solver", choices=["pga-ccp", "gda"], default="pga-ccp")
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--step-size", type=float, default=0.1, help="theta ascent step (PGA-CCP)")
-    p.add_argument("--lambda-ga", type=float, default=0.1, help="GDA ascent step")
-    p.add_argument("--lambda-gd", type=float, default=0.01, help="GDA descent step")
-    p.add_argument("--schedule", choices=["fixed", "sqrt"], default="fixed")
-    p.add_argument("--max-iters", type=int, default=100_000)
+    _add_solver_args(p, gda=True)
     p.add_argument("--init-xhat", type=float, nargs=2, default=None, metavar=("X0", "X1"))
     p.add_argument("--init-theta", type=float, nargs=2, default=None, metavar=("A", "B"))
     p.add_argument("--multistart", type=_at_least_zero(int), default=0,
@@ -405,17 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-grid", default="0.05:3:60")
     p.add_argument("--d-grid", default="0.05:3:60")
     p.add_argument("--sigma2-grid", default="1:5:17")
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--step-size", type=float, default=0.1)
-    p.add_argument("--max-iters", type=int, default=100_000)
+    _add_solver_args(p, gda=False)
 
     p = sub.add_parser("compare", help="PGA-CCP vs GDA from an identical start")
     _add_dist_args(p)
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--step-size", type=float, default=0.1)
-    p.add_argument("--lambda-ga", type=float, default=0.1)
-    p.add_argument("--lambda-gd", type=float, default=0.01)
-    p.add_argument("--max-iters", type=int, default=100_000)
+    _add_solver_args(p, gda=True)
 
     return parser
 
@@ -437,17 +434,19 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     if not known.config:
         return argv
 
-    cp = configparser.ConfigParser()
-    read = cp.read(known.config)
-    if not read:
-        raise ConfigError(f"config file not found: {known.config}")
-
     at = next((i for i, a in enumerate(argv) if not a.startswith("-") and a != known.config), None)
     command = None if at is None else argv[at]
+    cp = configparser.ConfigParser()
     values: dict[str, str] = {}
-    for section in ("common", command or ""):
-        if section and cp.has_section(section):
-            values.update(dict(cp.items(section)))
+    try:
+        if not cp.read(known.config):
+            raise ConfigError(f"config file not found: {known.config}")
+        for section in ("common", command or ""):
+            if section and cp.has_section(section):
+                values.update(dict(cp.items(section)))
+    except configparser.Error as exc:
+        # a missing section header, a duplicated section or option, a bare %
+        raise ConfigError(f"cannot parse {known.config}: {exc}")
 
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     if command not in subparsers.choices:

@@ -3,7 +3,7 @@
 Everything downstream (thresholds, equilibria, gradients) assumes the
 measurement density f is symmetric and unimodal about its mean, which is
 normalized to zero. This module supplies the density evaluations, moments,
-tail second moments and inverse-CDF sampling, and makes every density
+tail second moments and the inverse CDF, and makes every density
 admissible by construction: the Gaussian and Laplace families are
 symmetric and unimodal by their formulas (the tests check them over many
 variances), and a tabulated density is checked once, when it is built.
@@ -15,13 +15,14 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
+
+from . import quadrature
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -45,24 +46,18 @@ UNIMODAL_TOL = 1e-12
 NORMALIZATION_TOL = 1e-8
 
 
-class Family(Enum):
-    GAUSSIAN = "gaussian"
-    LAPLACE = "laplace"
-    TABULATED = "tabulated"
-
-
 class SourceDistribution:
     """Base class for admissible source densities.
 
     Instances are immutable after construction and safe to share across
-    threads. Sampling takes an explicit seed and owns its generator state.
+    threads.
 
     Attributes
     ----------
-    family : Family
-        Distribution family tag.
+    family : str
+        Distribution family tag: "gaussian", "laplace" or "tabulated".
     scale : float
-        Family scale parameter (sigma for Gaussian, b for Laplace).
+        Scale parameter of the family (sigma for Gaussian, b for Laplace).
     variance : float
         Second moment about the (zero) mean.
     truncation_radius : float
@@ -75,19 +70,14 @@ class SourceDistribution:
         there). Empty for Gaussian.
     """
 
-    family: Family
+    family: str
     scale: float
     variance: float
     truncation_radius: float
     breakpoints: tuple[float, ...] = ()
-    mean: float = 0.0
 
     def pdf(self, x):
         """Density f(x). Accepts scalars or arrays; rejects non-finite input."""
-        raise NotImplementedError
-
-    def cdf(self, x):
-        """Cumulative distribution F(x)."""
         raise NotImplementedError
 
     def ppf(self, u):
@@ -141,19 +131,6 @@ class SourceDistribution:
             raise ValueError("t must be nonnegative")
         return 2.0 * self._upper_tail(t)[2]
 
-    def sample(self, seed: int, n: int) -> np.ndarray:
-        """Draw ``n`` i.i.d. samples, deterministically for a fixed seed.
-
-        Uses a counter-based Philox stream through the inverse CDF, so the
-        value of draw ``i`` depends only on ``(seed, i)``.
-        """
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        # random() can return exactly 0, which ppf would map to -inf
-        u = np.clip(rng.random(n), 2.0**-53, 1.0 - 2.0**-53)
-        return self.ppf(u)
-
     def _check_finite(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(x)):
@@ -164,7 +141,7 @@ class SourceDistribution:
 class Gaussian(SourceDistribution):
     """Zero-mean normal density with variance sigma2."""
 
-    family = Family.GAUSSIAN
+    family = "gaussian"
 
     def __init__(self, sigma2: float):
         if not 0 < sigma2 < math.inf:
@@ -177,9 +154,6 @@ class Gaussian(SourceDistribution):
         x = self._check_finite(x)
         z = x / self.scale
         return np.exp(-0.5 * z * z) / (self.scale * _SQRT_2PI)
-
-    def cdf(self, x):
-        return ndtr(np.asarray(x, dtype=float) / self.scale)
 
     def ppf(self, u):
         # scaled in place: the same product as scale * ndtri(u), without a
@@ -211,7 +185,7 @@ class Laplace(SourceDistribution):
     mass outside it.
     """
 
-    family = Family.LAPLACE
+    family = "laplace"
     breakpoints = (0.0,)
 
     def __init__(self, scale: float):
@@ -222,19 +196,9 @@ class Laplace(SourceDistribution):
         self.variance = 2.0 * scale * scale
         self.truncation_radius = 40.0 * self.scale
 
-    @classmethod
-    def from_variance(cls, sigma2: float) -> "Laplace":
-        if not 0 < sigma2 < math.inf:
-            raise ValueError("sigma2 must be positive and finite")
-        return cls(math.sqrt(sigma2 / 2.0))
-
     def pdf(self, x):
         x = self._check_finite(x)
         return np.exp(-np.abs(x) / self.scale) / (2.0 * self.scale)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0, 0.5 * np.exp(x / self.scale), 1.0 - 0.5 * np.exp(-x / self.scale))
 
     def ppf(self, u):
         """b log(2u) below the median and -b log(2(1 - u)) from it on, as one
@@ -276,7 +240,7 @@ class Tabulated(SourceDistribution):
     for a failed check, carrying its report).
     """
 
-    family = Family.TABULATED
+    family = "tabulated"
 
     def __init__(self, x: Sequence[float], f: Sequence[float]):
         x = np.asarray(x, dtype=float)
@@ -310,7 +274,6 @@ class Tabulated(SourceDistribution):
             used = np.diff(x)[(x[:-1] < R) & (x[1:] > -R)]
             if abs(mean) > (1e-6 + self._interpolation_allowance(float(np.max(used)))) * self.scale:
                 raise ValueError(f"tabulated density has nonzero mean {mean:.3e}; shift it to 0 first")
-        self.mean = 0.0
         report = check_symmetric_unimodal(self)
         if not report.ok:
             raise InadmissibleDistributionError(report)
@@ -383,8 +346,8 @@ class Tabulated(SourceDistribution):
         """Cumulative moment table on a 2001-point grid plus the knots.
 
         Also normalizes the density: row i holds the moments of
-        [-R, grid[i]], divided by the total mass. The CDF used by ``cdf``
-        and ``ppf`` is its first column.
+        [-R, grid[i]], divided by the total mass. The CDF that ``ppf``
+        inverts is its first column.
         """
         R = self.truncation_radius
         grid = np.unique(np.concatenate([np.linspace(-R, R, 2001), np.asarray(self.breakpoints)]))
@@ -397,10 +360,6 @@ class Tabulated(SourceDistribution):
         self._cum = np.concatenate([np.zeros((1, 3)), np.cumsum(cells / mass, axis=0)])
         self._cdf_x = grid
         self._cdf_y = self._cum[:, 0] / self._cum[-1, 0]
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.interp(x, self._cdf_x, self._cdf_y, left=0.0, right=1.0)
 
     @cached_property
     def _ppf_index(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
@@ -525,7 +484,9 @@ def laplace(scale: float | None = None, sigma2: float | None = None) -> Laplace:
         raise ValueError("give exactly one of scale, sigma2")
     if scale is not None:
         return Laplace(scale)
-    return Laplace.from_variance(sigma2)
+    if not 0 < sigma2 < math.inf:
+        raise ValueError("sigma2 must be positive and finite")
+    return Laplace(math.sqrt(sigma2 / 2.0))
 
 
 @dataclass
@@ -599,10 +560,9 @@ def check_symmetric_unimodal(d: SourceDistribution) -> AdmissibilityReport:
         i = int(np.argmin(fp))
         report.violations.append(("positivity", float(t[i]), f"pdf = {fp[i]:.3e}"))
 
-    from .quadrature import PiecewiseIntegrand, integrate
-
-    mass = integrate(
-        PiecewiseIntegrand(d.pdf, d.breakpoints, (-R, R)), tol=min(1e-10, NORMALIZATION_TOL / 10)
+    mass = quadrature.integrate(
+        quadrature.PiecewiseIntegrand(d.pdf, d.breakpoints, (-R, R)),
+        tol=min(1e-10, NORMALIZATION_TOL / 10),
     ).value
     report.normalization = mass
     if not (1.0 - NORMALIZATION_TOL <= mass <= 1.0 + 1e-12):

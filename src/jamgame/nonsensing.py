@@ -14,14 +14,13 @@ objectives are the reactive game's kernel on the diagonal alpha = beta = phi.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .dist import SourceDistribution
+from .reactive import GameInstance, ReactivePoint, evaluate
 
 # The jammer always jams when the jamming marginal is still nonnegative at
 # this phi (1 - phi = 2^-39, about 1.8e-12).
@@ -41,23 +40,6 @@ class Regime(Enum):
     NO_JAM = "NoJam"
     INTERIOR_JAM = "InteriorJam"
     ALWAYS_JAM = "AlwaysJam"
-
-
-@dataclass(frozen=True)
-class GameInstance:
-    """Immutable problem statement: a source density plus the two costs.
-
-    ``c`` is paid per transmission by the coordinator, ``d`` per blocking
-    action by the jammer.
-    """
-
-    dist: SourceDistribution
-    c: float
-    d: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.c < math.inf and 0.0 <= self.d < math.inf):
-            raise ValueError("costs c and d must be finite and nonnegative")
 
 
 def threshold_policy(c: float, phi: float, xhat0: float = 0.0) -> tuple[float, float]:
@@ -90,8 +72,6 @@ def objective(
     pays c plus, on a block, the error against xhat1 where it transmits,
     and mixes the idle symbol error with the blocked one where it is silent.
     """
-    from .reactive import ReactivePoint, evaluate
-
     if not 0.0 <= phi <= 1.0:
         raise ValueError("phi must lie in [0, 1]")
     p = ReactivePoint(xhat, (phi, phi))
@@ -137,9 +117,6 @@ class NonSensingEquilibrium:
             "value": self.value,
             "regime": self.regime.value,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
 def _cbrt(v: float) -> float:
@@ -258,8 +235,6 @@ def verify_saddle(
     beats the value by more than tol plus the rounding allowance of
     ROUNDING_ULPS.
     """
-    from .reactive import evaluate
-
     if not 0.0 <= eq.phi_star <= 1.0:
         raise ValueError("phi must lie in [0, 1]")
     span = 3.0 * inst.dist.scale

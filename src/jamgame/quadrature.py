@@ -86,23 +86,6 @@ class PiecewiseIntegrand:
         ks = ks[(ks > a) & (ks < b)]
         return np.concatenate([[a], ks, [b]])
 
-    def check_continuity(self, tol: float = 1e-8, h: float = 1e-9) -> list[tuple[float, float]]:
-        """Spot-check |left limit - right limit| at each interior kink.
-
-        Returns the kinks that exceed ``tol`` together with the observed
-        jump. Min/max-of-continuous integrands should return an empty list;
-        indicator-style integrands legitimately fail this check, so it is a
-        diagnostic, not a constructor guard.
-        """
-        bad = []
-        for k in self.edges()[1:-1]:
-            step = h * max(1.0, abs(k))
-            left, right = self.evaluator(np.array([k - step, k + step]))
-            jump = float(np.max(np.abs(np.atleast_1d(right - left))))
-            if jump > tol:
-                bad.append((float(k), jump))
-        return bad
-
 
 def _panel(evaluator, lo: np.ndarray, hi: np.ndarray):
     """Kronrod and Gauss estimates on a batch of intervals."""

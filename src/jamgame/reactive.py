@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import IO, Iterable
 
 from scipy.optimize import fsolve
 
-from .nonsensing import GameInstance
+from .dist import SourceDistribution
 
 # PGA-CCP tries a jump every this many iterations; ``fsolve`` solves for it
 # with MINPACK's hybrid Powell method and a finite-difference Jacobian
@@ -45,6 +45,23 @@ POLISH_EVERY = 10
 # point (xhat, theta) by less than STALL_TOL
 STALL_TOL = 1e-12
 STALL_ITERS = 50
+
+
+@dataclass(frozen=True)
+class GameInstance:
+    """Immutable problem statement: a source density plus the two costs.
+
+    ``c`` is paid per transmission by the coordinator, ``d`` per blocking
+    action by the jammer.
+    """
+
+    dist: SourceDistribution
+    c: float
+    d: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.c < math.inf and 0.0 <= self.d < math.inf):
+            raise ValueError("costs c and d must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -197,12 +214,7 @@ class FneCertificate:
     certified: bool
 
     def to_dict(self) -> dict:
-        return {
-            "grad_norm": self.grad_norm,
-            "lp_gap": self.lp_gap,
-            "epsilon": self.epsilon,
-            "certified": self.certified,
-        }
+        return asdict(self)
 
 
 def lp_ascent_gap(grad: Iterable[float], theta: Iterable[float]) -> float:
@@ -271,13 +283,11 @@ class SolverOptions:
 
     ``step_size`` drives the theta-ascent; ``descent_step`` is only used by
     the GDA baseline (its xhat gradient step, kept an order of magnitude
-    smaller for two-timescale stability). ``step_schedule`` is "fixed" or
-    "sqrt" (step_size / sqrt(k)).
+    smaller for two-timescale stability).
     """
 
     step_size: float = 0.1
     descent_step: float = 0.01
-    step_schedule: str = "fixed"
     epsilon: float = 1e-5
     max_iters: int = 100_000
     record_trace: bool = True
@@ -289,13 +299,6 @@ class SolverOptions:
             raise ValueError("step sizes must be positive and finite")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if self.step_schedule not in ("fixed", "sqrt"):
-            raise ValueError(f"unknown step schedule {self.step_schedule!r}")
-
-    def step_at(self, k: int) -> float:
-        if self.step_schedule == "fixed":
-            return self.step_size
-        return self.step_size / math.sqrt(k)
 
 
 def default_init(inst: GameInstance) -> ReactivePoint:
@@ -367,7 +370,7 @@ def _solve(inst: GameInstance, init: ReactivePoint | None, opts: SolverOptions |
     opts = opts or SolverOptions()
     p = init or default_init(inst)
     (x0, x1), (a, b) = p.xhat, p.theta
-    eps = opts.epsilon
+    eps, step = opts.epsilon, opts.step_size
     trace = SolverTrace()
     jt = evaluate(inst, x0, x1, a, b)[0]
     cert = _certificate(jt, (a, b), eps)
@@ -381,7 +384,6 @@ def _solve(inst: GameInstance, init: ReactivePoint | None, opts: SolverOptions |
     k = 0
     while not cert.certified and k < opts.max_iters:
         k += 1
-        step = opts.step_at(k)
         a_new, b_new = _ascend(a, jt[3], step), _ascend(b, jt[4], step)
         if a_new != a_new or b_new != b_new:
             raise ValueError("theta must lie in the unit box")

@@ -31,7 +31,6 @@ The package exports the function ``simulate`` under this module's name:
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,8 +38,8 @@ from enum import Enum
 
 import numpy as np
 
-from .nonsensing import GameInstance, NonSensingEquilibrium
-from .reactive import ReactivePoint, evaluate, silent_interval
+from .nonsensing import NonSensingEquilibrium
+from .reactive import GameInstance, ReactivePoint, evaluate, silent_interval
 
 TRACE_LIMIT = 10_000
 # draws worked on, and summed, at a time
@@ -120,31 +119,37 @@ class PolicyBundle:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PolicyBundle":
-        def pick(node, path, key, cast):
+        """The bundle of a ``to_dict`` payload. A number may be given as a
+        string ("Infinity" is one); a boolean is refused, not read as 0 or 1."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"policy must be a JSON object, not {type(payload).__name__}")
+
+        def pick(path, key, cast):
+            node = payload.get(path)
             if not isinstance(node, dict) or key not in node:
                 raise ValueError(f"policy field missing or malformed: {path}.{key}")
+            value = node[key]
             try:
-                return cast(node[key])
+                if not isinstance(value, bool):
+                    return cast(value)
             except (TypeError, ValueError):
-                raise ValueError(f"policy field has wrong type: {path}.{key}")
+                pass
+            raise ValueError(f"policy field has wrong type: {path}.{key}")
 
-        tr = payload.get("transmit")
-        jam = payload.get("jam")
-        est = payload.get("estimator")
-        silent_lo = pick(tr, "transmit", "silent_lo", float)
-        silent_hi = pick(tr, "transmit", "silent_hi", float)
-        kind_raw = pick(jam, "jam", "kind", str)
+        silent_lo = pick("transmit", "silent_lo", float)
+        silent_hi = pick("transmit", "silent_hi", float)
+        kind_raw = pick("jam", "kind", str)
         try:
             kind = JamKind(kind_raw)
         except ValueError:
             raise ValueError(f"policy field has wrong type: jam.kind ({kind_raw!r})")
-        alpha = pick(jam, "jam", "alpha", float)
-        beta = pick(jam, "jam", "beta", float)
+        alpha = pick("jam", "alpha", float)
+        beta = pick("jam", "beta", float)
         return cls(
             silent_lo=silent_lo,
             silent_hi=silent_hi,
             jam=JamPolicy(kind, alpha, beta),
-            xhat=(pick(est, "estimator", "xhat0", float), pick(est, "estimator", "xhat1", float)),
+            xhat=(pick("estimator", "xhat0", float), pick("estimator", "xhat1", float)),
         )
 
 
@@ -186,9 +191,6 @@ class SimResult:
             "p_jam": self.p_jam,
             "event_counts": {f"u{u}_j{j}": c for (u, j), c in sorted(self.event_counts.items())},
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
 def _fill(rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
@@ -292,7 +294,7 @@ def simulate(
 ) -> SimResult:
     """Run n independent rounds of the game and aggregate the realized cost.
 
-    Per draw: sample X, transmit per the threshold rule, block with the
+    Per draw: draw X, transmit per the threshold rule, block with the
     action-conditional probability, estimate from the channel output, and
     account the quadratic error plus transmission/jamming costs.
 

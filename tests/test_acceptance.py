@@ -328,7 +328,7 @@ def test_criterion_11_property_suites():
         csvs.append(buf.getvalue())
     assert csvs[0] == csvs[1]
     sims = [simulate(inst2, bundle_from_nonsensing(solve_equilibrium(inst2)),
-                     n=50_000, seed=3).to_json() for _ in range(2)]
+                     n=50_000, seed=3).to_dict() for _ in range(2)]
     assert sims[0] == sims[1]
 
     elapsed = time.perf_counter() - t0

@@ -256,6 +256,13 @@ class TestSolveReactive:
             "--max-iters", "3", "--out", str(out))
         assert strict_json(out)["points"][0]["polished_at"] is None
 
+    def test_schedule_flag_is_refused(self, capsys):
+        # the solvers take one fixed step size; there is no step schedule
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-reactive", "--sigma2", "1", "--schedule", "sqrt"])
+        assert exc.value.code == 2
+        assert "--schedule" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_policy_file_round_trip(self, tmp_path, capsys):
@@ -391,6 +398,23 @@ class TestSimulateCommand:
             capsys, "simulate", "--dist", "gaussian", "--sigma2", "1", "--policy", str(pol),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("text,message", [
+        ("[1, 2]", "JSON object"),
+        ('{"transmit": {"silent_lo": true, "silent_hi": 1.0}, '
+         '"jam": {"kind": "NonSensing", "alpha": 0.2, "beta": 0.2}, '
+         '"estimator": {"xhat0": 0.0, "xhat1": 0.0}}', "transmit.silent_lo"),
+    ], ids=["top-level-list", "boolean-field"])
+    def test_policy_file_of_wrong_shape_is_config_error(self, tmp_path, capsys, text, message):
+        # a list raised AttributeError (exit 1); true was read as 1.0 and ran
+        pol = tmp_path / "policy.json"
+        pol.write_text(text)
+        out = tmp_path / "sim.json"
+        code, stdout, stderr = run(capsys, "simulate", "--dist", "gaussian", "--sigma2", "1",
+                                   "--policy", str(pol), "--n", "1000", "--out", str(out))
+        assert code == 2
+        assert stderr.startswith("config error:") and message in stderr
+        assert stdout == "" and not out.exists()
 
     def test_requires_some_policy(self, capsys):
         code, _, stderr = run(capsys, "simulate", "--dist", "gaussian", "--sigma2", "1")
@@ -723,3 +747,24 @@ class TestDeterminismAndConfig:
     def test_missing_config_file_rejected(self, capsys):
         code, _, stderr = run(capsys, "--config", "/nonexistent.cfg", "solve-nonsensing")
         assert code == 2
+
+    @pytest.mark.parametrize("text", [
+        "sigma2 = 1\n",
+        "[solve-nonsensing]\nsigma2 = 1\n[solve-nonsensing]\nc = 2\n",
+        "[solve-nonsensing]\nsigma2 = 1\nsigma2 = 2\n",
+        "[solve-nonsensing]\nsigma2 = 1%\n",
+    ], ids=["no-section-header", "duplicate-section", "duplicate-option", "bare-percent"])
+    def test_unparsable_config_file_is_config_error(self, tmp_path, capsys, text):
+        # configparser's exceptions used to escape as a traceback with exit 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, stdout, stderr = run(capsys, "--config", str(cfg), "solve-nonsensing")
+        assert code == 2
+        assert stdout == "" and stderr.startswith("config error:")
+
+    def test_schedule_config_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[solve-reactive]\nsigma2 = 1\nschedule = sqrt\n")
+        code, stdout, stderr = run(capsys, "--config", str(cfg), "solve-reactive")
+        assert code == 2
+        assert stdout == "" and "unknown config key [solve-reactive] schedule" in stderr

@@ -1,0 +1,59 @@
+"""The package's import layout, read from its source with ``ast``.
+
+Module-level imports run one way, quadrature -> dist -> reactive ->
+nonsensing -> simulate -> cli, so no module needs an import inside a
+function to break a cycle.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "jamgame"
+LAYERS = ("quadrature", "dist", "reactive", "nonsensing", "simulate", "cli")
+
+
+def _siblings(node: ast.AST) -> list[str]:
+    """The jamgame modules that the import statement ``node`` names."""
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[1] for a in node.names if a.name.startswith("jamgame.")]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    parts = (node.module or "").split(".")
+    if node.level == 0:
+        if parts[0] != "jamgame":
+            return []
+        parts = parts[1:]
+    if parts and parts[0]:
+        return [parts[0]]
+    return [a.name for a in node.names]
+
+
+def _module_imports(name: str) -> set[str]:
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    return {s for node in tree.body for s in _siblings(node)}
+
+
+def test_layers_name_every_module():
+    assert sorted(LAYERS) == sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_imports_a_sibling(path):
+    tree = ast.parse(path.read_text())
+    found = [
+        (inner.lineno, s)
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(fn) for s in _siblings(inner)
+    ]
+    assert found == []
+
+
+def test_reactive_imports_only_dist():
+    assert _module_imports("reactive") <= {"dist"}
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_imports_run_one_way(name):
+    assert _module_imports(name) <= set(LAYERS[:LAYERS.index(name)])

@@ -147,17 +147,6 @@ def test_budget_exhaustion_warns():
         integrate(PiecewiseIntegrand(wild, (), (0.0, 20.0)), tol=1e-14, max_intervals=8)
 
 
-def test_continuity_spot_check():
-    smooth = PiecewiseIntegrand(lambda x: np.minimum(x * x, 1.0), (-1.0, 1.0), (-3.0, 3.0))
-    assert smooth.check_continuity() == []
-
-    jumpy = PiecewiseIntegrand(
-        lambda x: (np.abs(x) > 1.0).astype(float), (-1.0, 1.0), (-3.0, 3.0)
-    )
-    bad = jumpy.check_continuity()
-    assert [k for k, _ in bad] == [-1.0, 1.0]
-
-
 def test_vector_integrand_components_match_scalar_runs():
     d = gaussian(1.5)
 

@@ -491,16 +491,6 @@ class TestPgaCcp:
         assert trace.terminated_by is Termination.MAX_ITERS
         assert not cert.certified
 
-    def test_sqrt_schedule_runs(self, g1):
-        # the diminishing schedule trades certification speed for the
-        # textbook guarantee; at 1e-5 it would need far more iterations than
-        # the fixed step, so exercise it at a looser epsilon
-        opts = SolverOptions(step_schedule="sqrt", epsilon=5e-3, max_iters=2000)
-        point, trace, cert = solve_pga_ccp(g1, opts=opts)
-        assert cert.certified
-        assert trace.rows[1].step_size == pytest.approx(0.1)
-        assert trace.rows[4].step_size == pytest.approx(0.1 / 2.0)
-
     def test_iterations_counted_without_trace(self, g1):
         # the count comes from the solver, not from the recorded rows: a
         # recorded trace holds row 0 plus one row per iteration
@@ -592,8 +582,6 @@ class TestSolverOptions:
             SolverOptions(epsilon=0.0)
         with pytest.raises(ValueError):
             SolverOptions(step_size=-0.1)
-        with pytest.raises(ValueError):
-            SolverOptions(step_schedule="geometric")
         # every comparison fails on NaN, so NaN is refused, and so is inf
         for bad in (math.nan, math.inf):
             for field in ("epsilon", "step_size", "descent_step"):
@@ -665,7 +653,7 @@ def _reference_solve(inst, init, opts, ccp):
     k = 0
     while not cert.certified and k < opts.max_iters:
         k += 1
-        step = opts.step_at(k)
+        step = opts.step_size
         theta = np.clip(np.asarray(p.theta) + step * np.asarray(q), 0.0, 1.0)
         at_theta = ReactivePoint(p.xhat, tuple(theta))
         if ccp:
