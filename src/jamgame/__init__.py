@@ -9,12 +9,10 @@ equilibria. A Monte Carlo simulator validates analytic values empirically.
 """
 
 from .dist import (
-    AdmissibilityReport,
     Gaussian,
     Laplace,
     SourceDistribution,
     Tabulated,
-    check_symmetric_unimodal,
     gaussian,
     laplace,
 )
@@ -43,8 +41,6 @@ from .reactive import (
     solve_pga_ccp,
 )
 from .simulate import (
-    JamKind,
-    JamPolicy,
     PolicyBundle,
     SimResult,
     analytic_cost,

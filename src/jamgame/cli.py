@@ -5,7 +5,8 @@ Every command is deterministic given its flags and seed, emits plain JSON
 (an infinity as the string "Infinity" or "-Infinity") or CSV artifacts,
 and honors a key=value config file whose entries act as flag defaults
 (explicit flags win; a simulate policy on the command line replaces the
-config's, whichever of --policy, --phi, --alpha/--beta give each).
+config's, whichever of --policy, --phi, --alpha/--beta give each, and a
+--policy file its xhat0/xhat1 entries too).
 
 Exit codes: 0 success/certified, 2 config error, 3 numerical failure,
 4 solver terminated without certification or saddle check violated.
@@ -32,7 +33,7 @@ from .reactive import (
     solve_gda,
     solve_pga_ccp,
 )
-from .simulate import JamPolicy, PolicyBundle, analytic_cost, bundle_from_reactive, simulate
+from .simulate import PolicyBundle, analytic_cost, bundle_from_reactive, simulate
 
 SCHEMA_VERSION = 1
 
@@ -223,6 +224,9 @@ def _load_policy(path: str) -> PolicyBundle:
 
 # the simulate flags that each give a policy: one of them, or --alpha with --beta
 _POLICY_DESTS = ("policy", "phi", "alpha", "beta")
+# the estimator symbols of an inline policy (0.0 when not given); a policy
+# file holds its own
+_SYMBOL_DESTS = ("xhat0", "xhat1")
 
 
 def cmd_simulate(args) -> int:
@@ -230,16 +234,19 @@ def cmd_simulate(args) -> int:
     # --alpha with --beta is the one pair that gives a single policy
     if len(given) > 1 and given[0] in ("--policy", "--phi"):
         raise ConfigError(f"{given[0]} and {given[1]} give conflicting policies; give one")
+    symbols = [f"--{dest}" for dest in _SYMBOL_DESTS if getattr(args, dest) is not None]
+    if args.policy is not None and symbols:
+        raise ConfigError(f"--policy and {symbols[0]} give conflicting estimator symbols; "
+                          "a policy file holds its own")
+    xhat = tuple(0.0 if v is None else v for v in (args.xhat0, args.xhat1))
     inst = build_instance(args)
     if args.policy is not None:
         bundle = _load_policy(args.policy)
     elif args.phi is not None:
-        lo, hi = threshold_policy(inst.c, args.phi, args.xhat0)
-        bundle = PolicyBundle(lo, hi, JamPolicy.non_sensing(args.phi), (args.xhat0, args.xhat1))
+        lo, hi = threshold_policy(inst.c, args.phi, xhat[0])
+        bundle = PolicyBundle(lo, hi, args.phi, args.phi, xhat, "NonSensing")
     elif args.alpha is not None and args.beta is not None:
-        bundle = bundle_from_reactive(
-            ReactivePoint((args.xhat0, args.xhat1), (args.alpha, args.beta)), inst
-        )
+        bundle = bundle_from_reactive(ReactivePoint(xhat, (args.alpha, args.beta)), inst)
     else:
         raise ConfigError("give --policy, or --phi, or both --alpha and --beta")
 
@@ -317,9 +324,12 @@ def cmd_compare(args) -> int:
             ]))
     _emit_csv(args.out, lines)
 
+    # a CSV on stdout is followed by nothing else there
+    summary = sys.stdout if args.out else sys.stderr
     for name, (p, t, c) in runs.items():
         print(f"{name + ':':8s} iters={t.iterations} certified={c.certified} "
-              f"point=({p.theta[0]:.4f},{p.theta[1]:.4f},{p.xhat[0]:.4f},{p.xhat[1]:.4f})")
+              f"point=({p.theta[0]:.4f},{p.theta[1]:.4f},{p.xhat[0]:.4f},{p.xhat[1]:.4f})",
+              file=summary)
     return EXIT_OK if all(c.certified for _, _, c in runs.values()) else EXIT_UNCERTIFIED
 
 
@@ -397,8 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, default=None, help="inline non-sensing jamming probability")
     p.add_argument("--alpha", type=float, default=None, help="inline reactive idle-blocking probability")
     p.add_argument("--beta", type=float, default=None, help="inline reactive busy-blocking probability")
-    p.add_argument("--xhat0", type=float, default=0.0)
-    p.add_argument("--xhat1", type=float, default=0.0)
+    p.add_argument("--xhat0", type=float, default=None,
+                   help="idle symbol of an inline policy (default 0)")
+    p.add_argument("--xhat1", type=float, default=None,
+                   help="blocked symbol of an inline policy (default 0)")
     p.add_argument("--n", type=int, default=1_000_000)
     p.add_argument("--trace-out", default=None, help="per-event CSV (first 10^4 draws)")
 
@@ -455,12 +467,13 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
              if isinstance(a, argparse._StoreAction)}
     if command == "simulate":
         # a policy on the command line replaces the config's, whichever flags
-        # give each; an abbreviated flag is a prefix of the one it names
+        # give each, and a policy file its symbols too; an abbreviated flag
+        # is a prefix of the one it names
         typed = [a.split("=", 1)[0] for a in argv[at + 1 :] if a.startswith("--")]
-        named = [flags[dest].option_strings[0] for dest in _POLICY_DESTS]
-        if any(len(t) > 2 and f.startswith(t) for t in typed for f in named):
-            values = {k: v for k, v in values.items()
-                      if k.replace("-", "_") not in _POLICY_DESTS}
+        given = {dest for dest in _POLICY_DESTS for t in typed
+                 if len(t) > 2 and flags[dest].option_strings[0].startswith(t)}
+        dropped = (_POLICY_DESTS if given else ()) + (_SYMBOL_DESTS if "policy" in given else ())
+        values = {k: v for k, v in values.items() if k.replace("-", "_") not in dropped}
     tokens: list[str] = []
     for key, raw in values.items():
         action = flags.get(key.replace("-", "_"))

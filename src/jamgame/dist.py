@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -36,10 +35,10 @@ def _sum8(w: list[float]) -> float:
     return ((w[0] + w[1]) + (w[2] + w[3])) + ((w[4] + w[5]) + (w[6] + w[7]))
 
 
-# Tuning of check_symmetric_unimodal: points of its grid on [0, R], the
-# largest |f(t) - f(-t)| it tolerates as a share of the peak density (a
-# table's interpolation allowance comes on top), the largest rise of f moving
-# away from 0, and how far below 1 the mass over [-R, R] may fall.
+# Tuning of a table's admissibility tests: points of their grid on [0, R],
+# the largest |f(t) - f(-t)| tolerated as a share of the peak density (the
+# interpolation allowance comes on top), the largest rise of f moving away
+# from 0, and how far below 1 the mass over [-R, R] may fall.
 CHECK_GRID_POINTS = 2001
 SYMMETRY_TOL = 1e-12
 UNIMODAL_TOL = 1e-12
@@ -224,6 +223,16 @@ class Laplace(SourceDistribution):
         return (e, e * (t + b), e * (t * t + 2.0 * b * t + 2.0 * b * b))
 
 
+class InadmissibleDistributionError(ValueError):
+    """A table fails admissibility tests; ``violations`` lists each failure
+    as a (kind, location, detail) triple."""
+
+    def __init__(self, violations: list[tuple[str, float, str]]):
+        self.violations = violations
+        super().__init__("distribution is not admissible: " + "; ".join(
+            f"{kind} violation at x={loc:.6g}: {detail}" for kind, loc, detail in violations))
+
+
 class Tabulated(SourceDistribution):
     """Density interpolated from a (x, f(x)) table.
 
@@ -233,11 +242,11 @@ class Tabulated(SourceDistribution):
     fine grid that contains every knot (the interpolant is only C^1 there),
     so each grid cell takes a fixed Gauss-Legendre rule.
 
-    The table must have strictly increasing x spanning both signs, strictly
-    positive f, and a numerically zero mean after normalization, and the
-    interpolated density must pass ``check_symmetric_unimodal``; otherwise
-    construction raises ``ValueError`` (``InadmissibleDistributionError``
-    for a failed check, carrying its report).
+    The table must have strictly increasing x spanning both signs and
+    strictly positive f; otherwise construction raises ``ValueError``. The
+    interpolated density must then pass the mean, symmetry, unimodality,
+    positivity and normalization tests of ``_violations``; a table that
+    fails any raises one ``InadmissibleDistributionError`` listing each.
     """
 
     family = "tabulated"
@@ -264,43 +273,78 @@ class Tabulated(SourceDistribution):
         )
 
         self._build_cdf_table()
-        mass, mean, second = self._cum[-1]
-        self.variance = float(second)
+        self.variance = float(self._cum[-1, 2])
         self.scale = math.sqrt(self.variance)
-        if abs(mean) > 1e-6 * self.scale:
-            # the interpolant's mean strays by at most E|X| <= s times its
-            # relative error, over the knot gaps it is used on
-            R = self.truncation_radius
-            used = np.diff(x)[(x[:-1] < R) & (x[1:] > -R)]
-            if abs(mean) > (1e-6 + self._interpolation_allowance(float(np.max(used)))) * self.scale:
-                raise ValueError(f"tabulated density has nonzero mean {mean:.3e}; shift it to 0 first")
-        report = check_symmetric_unimodal(self)
-        if not report.ok:
-            raise InadmissibleDistributionError(report)
+        violations = self._violations()
+        if violations:
+            raise InadmissibleDistributionError(violations)
 
-    def _interpolation_allowance(self, gap):
-        """How far, as a share of the density, the interpolant on knots
-        ``gap`` apart may stray from a smooth density it samples.
+    def _violations(self) -> list[tuple[str, float, str]]:
+        """Every admissibility test the interpolated density fails, as
+        (kind, location, detail) triples; empty when it is admissible.
 
-        On Gaussian tables with gap/s from 0.02 to 0.85 it strayed by at most
-        (gap/s)^2 / 30, so knots not mirrored about 0 leave an asymmetry of
-        that order; the allowance is (gap/s)^2 / 8. Sparser knots lie
-        outside what was measured and get no allowance.
+        The mean must be 0 to within 1e-6 s. Symmetry, unimodality and
+        positivity are tested on a grid of [0, R] that includes the knots (a
+        bimodal table fails exactly where the pdf re-increases past its
+        inter-mode valley), symmetry relative to the peak density, and the
+        mass over [-R, R] must be 1. The mean and symmetry tests also allow
+        what interpolation explains: on Gaussian tables with gap/s from 0.02
+        to 0.85 the interpolant strayed from the density it samples by at
+        most (gap/s)^2 / 30 of it, so knots not mirrored about 0 leave an
+        asymmetry of that order; the allowance is (gap/s)^2 / 8 of the
+        density. Sparser knots lie outside what was measured and get none.
         """
-        h = np.asarray(gap) / self.scale
-        return np.where(h <= 0.85, h * h / 8.0, 0.0)[()]
+        R, k, mean = self.truncation_radius, self._knots, float(self._cum[-1, 1])
+        violations = []
 
-    def _symmetry_allowance(self, t: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """Largest |f(t) - f(-t)| that interpolation explains at each t of
-        [0, R], where ``f`` is the larger of f(t) and f(-t): that density
-        times the allowance of the wider knot gap holding t or -t."""
-        k = self._knots
+        def allowance(gap):
+            h = np.asarray(gap) / self.scale
+            return np.where(h <= 0.85, h * h / 8.0, 0.0)[()]
 
         def gap(z):
             i = np.clip(np.searchsorted(k, z, side="right") - 1, 0, k.size - 2)
             return k[i + 1] - k[i]
 
-        return f * self._interpolation_allowance(np.maximum(gap(t), gap(-t)))
+        # the interpolant's mean strays by at most E|X| <= s times its
+        # relative error, over the knot gaps it is used on
+        used = np.diff(k)[(k[:-1] < R) & (k[1:] > -R)]
+        if abs(mean) > (1e-6 + allowance(float(np.max(used)))) * self.scale:
+            violations.append(("mean", mean, "nonzero mean; shift the table to 0 first"))
+
+        t = np.unique(np.concatenate([np.linspace(0.0, R, CHECK_GRID_POINTS),
+                                      np.abs(np.asarray(self.breakpoints, dtype=float))]))
+        fp, fm = self.pdf(t), self.pdf(-t)
+        asym = np.abs(fp - fm)
+        allowed = np.max(fp) * SYMMETRY_TOL
+        bad = asym > allowed
+        if np.any(bad):
+            # a table on knots mirrored about 0 passes without the allowance:
+            # the larger of f(t) and f(-t) times that of the wider knot gap
+            # holding t or -t
+            tb = t[bad]
+            bad[bad] = asym[bad] > allowed + np.maximum(fp, fm)[bad] * allowance(
+                np.maximum(gap(tb), gap(-tb)))
+        if np.any(bad):
+            i = int(np.argmax(asym))
+            violations.append(("symmetry", float(t[i]), f"|f(t)-f(-t)| = {asym[i]:.3e}"))
+
+        rise = np.diff(fp)
+        if np.any(rise > UNIMODAL_TOL):
+            i = int(np.argmax(rise))
+            violations.append(
+                ("unimodality", float(t[i]), f"pdf increases by {rise[i]:.3e} moving away from 0"))
+
+        if np.any(fp <= 0.0):
+            i = int(np.argmin(fp))
+            violations.append(("positivity", float(t[i]), f"pdf = {fp[i]:.3e}"))
+
+        mass = quadrature.integrate(
+            quadrature.PiecewiseIntegrand(self.pdf, self.breakpoints, (-R, R)),
+            tol=min(1e-10, NORMALIZATION_TOL / 10),
+        ).value
+        if not (1.0 - NORMALIZATION_TOL <= mass <= 1.0 + 1e-12):
+            violations.append(("normalization", 0.0, f"integral over [-R, R] = {mass:.12f}"))
+        return violations
 
     @classmethod
     def from_csv(cls, path) -> "Tabulated":
@@ -487,84 +531,3 @@ def laplace(scale: float | None = None, sigma2: float | None = None) -> Laplace:
     if not 0 < sigma2 < math.inf:
         raise ValueError("sigma2 must be positive and finite")
     return Laplace(math.sqrt(sigma2 / 2.0))
-
-
-@dataclass
-class AdmissibilityReport:
-    """Outcome of the symmetric/unimodal/normalized admissibility check.
-
-    ``violations`` holds (kind, location, detail) triples; an empty list
-    means the distribution is admissible for the equilibrium theory.
-    """
-
-    violations: list[tuple[str, float, str]] = field(default_factory=list)
-    normalization: float = float("nan")
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def describe(self) -> str:
-        if self.ok:
-            return "admissible (symmetric, unimodal, normalized)"
-        lines = [f"{kind} violation at x={loc:.6g}: {detail}" for kind, loc, detail in self.violations]
-        return "; ".join(lines)
-
-
-class InadmissibleDistributionError(ValueError):
-    """The density fails the symmetric/unimodal admissibility check."""
-
-    def __init__(self, report: AdmissibilityReport):
-        self.report = report
-        super().__init__(f"distribution is not admissible: {report.describe()}")
-
-
-def check_symmetric_unimodal(d: SourceDistribution) -> AdmissibilityReport:
-    """Report symmetry, unimodality and normalization violations on a grid.
-
-    The grid runs over [0, truncation_radius] and includes the density's own
-    breakpoints (a bimodal table fails exactly where the pdf re-increases
-    past its inter-mode valley). Symmetry is tested relative to the peak
-    density; a table may also differ by what its interpolation explains.
-    ``Tabulated`` runs it at construction.
-    """
-    R = d.truncation_radius
-    t = np.unique(
-        np.concatenate(
-            [np.linspace(0.0, R, CHECK_GRID_POINTS), np.abs(np.asarray(d.breakpoints, dtype=float))]
-        )
-    )
-    t = t[(t >= 0) & (t <= R)]
-    report = AdmissibilityReport()
-
-    fp = np.asarray(d.pdf(t), dtype=float)
-    fm = np.asarray(d.pdf(-t), dtype=float)
-    asym = np.abs(fp - fm)
-    allowed = np.max(fp) * SYMMETRY_TOL
-    bad = asym > allowed
-    if np.any(bad) and isinstance(d, Tabulated):
-        # a table on knots mirrored about 0 passes without this
-        bad[bad] = asym[bad] > allowed + d._symmetry_allowance(t[bad], np.maximum(fp, fm)[bad])
-    if np.any(bad):
-        i = int(np.argmax(asym))
-        report.violations.append(("symmetry", float(t[i]), f"|f(t)-f(-t)| = {asym[i]:.3e}"))
-
-    rises = np.diff(fp) > UNIMODAL_TOL
-    if np.any(rises):
-        i = int(np.argmax(np.diff(fp)))
-        report.violations.append(
-            ("unimodality", float(t[i]), f"pdf increases by {np.diff(fp)[i]:.3e} moving away from 0")
-        )
-
-    if np.any(fp <= 0.0):
-        i = int(np.argmin(fp))
-        report.violations.append(("positivity", float(t[i]), f"pdf = {fp[i]:.3e}"))
-
-    mass = quadrature.integrate(
-        quadrature.PiecewiseIntegrand(d.pdf, d.breakpoints, (-R, R)),
-        tol=min(1e-10, NORMALIZATION_TOL / 10),
-    ).value
-    report.normalization = mass
-    if not (1.0 - NORMALIZATION_TOL <= mass <= 1.0 + 1e-12):
-        report.violations.append(("normalization", 0.0, f"integral over [-R, R] = {mass:.12f}"))
-    return report

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -51,55 +50,33 @@ _TRACE_SLICE = 1 << 11
 _EVENT_COLUMNS = (",0,0,idle,", ",1,0,x,", ",0,1,B,", ",1,1,B,")
 
 
-class JamKind(Enum):
-    NON_SENSING = "NonSensing"
-    REACTIVE = "Reactive"
-
-
-@dataclass(frozen=True)
-class JamPolicy:
-    """Blocking probabilities conditioned on the sensed action.
-
-    A non-sensing jammer uses the same probability either way; the reactive
-    jammer blocks an idle channel with probability alpha and a busy one
-    with probability beta.
-    """
-
-    kind: JamKind
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
-            raise ValueError("jamming probabilities must lie in [0, 1]")
-        if self.kind is JamKind.NON_SENSING and self.alpha != self.beta:
-            raise ValueError("a non-sensing jammer has one blocking probability: alpha == beta")
-
-    @classmethod
-    def non_sensing(cls, phi: float) -> "JamPolicy":
-        return cls(JamKind.NON_SENSING, phi, phi)
-
-    @classmethod
-    def reactive(cls, alpha: float, beta: float) -> "JamPolicy":
-        return cls(JamKind.REACTIVE, alpha, beta)
-
-
 @dataclass(frozen=True)
 class PolicyBundle:
     """Complete strategy profile fed to the simulator.
 
     The transmission rule is the threshold form: silent strictly inside
-    (silent_lo, silent_hi), transmit outside; the estimator replays the
-    received value on clean reception and falls back to the idle/blocked
-    representation symbols otherwise.
+    (silent_lo, silent_hi), transmit outside. The jammer blocks an idle
+    channel with probability alpha and a busy one with probability beta;
+    ``kind`` is "Reactive", or "NonSensing" for a jammer that cannot sense
+    the channel and so has one probability, alpha == beta. The estimator
+    replays the received value on clean reception and falls back to the
+    idle/blocked representation symbols ``xhat`` otherwise.
     """
 
     silent_lo: float
     silent_hi: float
-    jam: JamPolicy
+    alpha: float
+    beta: float
     xhat: tuple[float, float]
+    kind: str
 
     def __post_init__(self):
+        if self.kind not in ("NonSensing", "Reactive"):
+            raise ValueError(f"policy field has wrong type: jam.kind ({self.kind!r})")
+        if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
+            raise ValueError("jamming probabilities must lie in [0, 1]")
+        if self.kind == "NonSensing" and self.alpha != self.beta:
+            raise ValueError("a non-sensing jammer has one blocking probability: alpha == beta")
         if math.isnan(self.silent_lo) or math.isnan(self.silent_hi):
             raise ValueError("silent interval bounds must not be NaN")
         if not all(math.isfinite(v) for v in self.xhat):
@@ -113,7 +90,7 @@ class PolicyBundle:
         return {
             "schema_version": 1,
             "transmit": {"silent_lo": self.silent_lo, "silent_hi": self.silent_hi},
-            "jam": {"kind": self.jam.kind.value, "alpha": self.jam.alpha, "beta": self.jam.beta},
+            "jam": {"kind": self.kind, "alpha": self.alpha, "beta": self.beta},
             "estimator": {"xhat0": self.xhat[0], "xhat1": self.xhat[1]},
         }
 
@@ -136,40 +113,23 @@ class PolicyBundle:
                 pass
             raise ValueError(f"policy field has wrong type: {path}.{key}")
 
-        silent_lo = pick("transmit", "silent_lo", float)
-        silent_hi = pick("transmit", "silent_hi", float)
-        kind_raw = pick("jam", "kind", str)
-        try:
-            kind = JamKind(kind_raw)
-        except ValueError:
-            raise ValueError(f"policy field has wrong type: jam.kind ({kind_raw!r})")
-        alpha = pick("jam", "alpha", float)
-        beta = pick("jam", "beta", float)
         return cls(
-            silent_lo=silent_lo,
-            silent_hi=silent_hi,
-            jam=JamPolicy(kind, alpha, beta),
+            silent_lo=pick("transmit", "silent_lo", float),
+            silent_hi=pick("transmit", "silent_hi", float),
+            kind=pick("jam", "kind", str),
+            alpha=pick("jam", "alpha", float),
+            beta=pick("jam", "beta", float),
             xhat=(pick("estimator", "xhat0", float), pick("estimator", "xhat1", float)),
         )
 
 
 def bundle_from_nonsensing(eq: NonSensingEquilibrium) -> PolicyBundle:
-    return PolicyBundle(
-        silent_lo=-eq.threshold,
-        silent_hi=eq.threshold,
-        jam=JamPolicy.non_sensing(eq.phi_star),
-        xhat=eq.xhat,
-    )
+    return PolicyBundle(-eq.threshold, eq.threshold, eq.phi_star, eq.phi_star, eq.xhat, "NonSensing")
 
 
 def bundle_from_reactive(p: ReactivePoint, inst: GameInstance) -> PolicyBundle:
     lo, hi = silent_interval(p.xhat, p.theta, inst.c, inst.d)
-    return PolicyBundle(
-        silent_lo=lo,
-        silent_hi=hi,
-        jam=JamPolicy.reactive(*p.theta),
-        xhat=p.xhat,
-    )
+    return PolicyBundle(lo, hi, *p.theta, p.xhat, "Reactive")
 
 
 @dataclass(frozen=True)
@@ -250,7 +210,7 @@ def _leaf_sums(inst: GameInstance, policies: PolicyBundle, draws, counts: dict, 
     """
     # picked by a 0/1 flag: the blocking probability by the transmit flag,
     # the symbol the receiver falls back to by the jam flag
-    p_block = np.array([policies.jam.alpha, policies.jam.beta])
+    p_block = np.array([policies.alpha, policies.beta])
     symbol = np.array(policies.xhat, dtype=float)
     symbols = tuple(repr(v) for v in symbol.tolist())
     cost_buf, term_buf = np.empty(LEAF), np.empty(LEAF)
@@ -352,6 +312,6 @@ def analytic_cost(inst: GameInstance, bundle: PolicyBundle) -> float:
     kernel's Jt at its symbols and blocking probabilities, with the sensor
     silent on the bundle's own interval, best response or not."""
     x0, x1 = map(float, bundle.xhat)
-    a, b = float(bundle.jam.alpha), float(bundle.jam.beta)
+    a, b = float(bundle.alpha), float(bundle.beta)
     silent = (float(bundle.silent_lo), float(bundle.silent_hi))
     return evaluate(inst, x0, x1, a, b, silent=silent)[0][0]

@@ -17,6 +17,8 @@ from jamgame import (
     solve_gda,
     solve_pga_ccp,
 )
+from jamgame.dist import CHECK_GRID_POINTS, NORMALIZATION_TOL, SYMMETRY_TOL, UNIMODAL_TOL
+from jamgame.quadrature import PiecewiseIntegrand, integrate
 
 # Benchmark record: the published table of stationary points for the Gaussian
 # game with c = d = 1 (sigma2 -> (alpha, beta, xhat0, xhat1), 4 decimals),
@@ -97,6 +99,28 @@ def bimodal_table():
     x = np.linspace(-12.0, 12.0, 401)
     f = 0.5 * (np.exp(-0.5 * (x - 3) ** 2) + np.exp(-0.5 * (x + 3) ** 2)) / np.sqrt(2 * np.pi)
     return x, f
+
+
+def closed_form_violations(d):
+    """The admissibility tests a table passes at construction, run on a
+    closed-form density, which nothing checks at run time: symmetry to
+    SYMMETRY_TOL of the peak, unimodality to UNIMODAL_TOL and positivity on
+    a CHECK_GRID_POINTS grid of [0, R] plus the breakpoints, and the mass
+    over [-R, R] within NORMALIZATION_TOL below 1 and 1e-12 above it.
+    Returns the names of the failed tests and that mass."""
+    R = d.truncation_radius
+    t = np.unique(np.concatenate([np.linspace(0.0, R, CHECK_GRID_POINTS),
+                                  np.abs(np.asarray(d.breakpoints, dtype=float))]))
+    fp, fm = d.pdf(t), d.pdf(-t)
+    mass = integrate(PiecewiseIntegrand(d.pdf, d.breakpoints, (-R, R)),
+                     tol=min(1e-10, NORMALIZATION_TOL / 10)).value
+    failed = {
+        "symmetry": np.any(np.abs(fp - fm) > np.max(fp) * SYMMETRY_TOL),
+        "unimodality": np.any(np.diff(fp) > UNIMODAL_TOL),
+        "positivity": np.any(fp <= 0.0),
+        "normalization": not 1.0 - NORMALIZATION_TOL <= mass <= 1.0 + 1e-12,
+    }
+    return [name for name, bad in failed.items() if bad], mass
 
 
 def exp_power_table(variance, shape, knots_per_side=20):

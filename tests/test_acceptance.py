@@ -27,7 +27,6 @@ from jamgame import (
     bundle_from_nonsensing,
     bundle_from_reactive,
     certify_fne,
-    check_symmetric_unimodal,
     gaussian,
     jam_marginal,
     laplace,
@@ -40,7 +39,7 @@ from jamgame import (
 )
 from jamgame.reactive import default_init
 
-from conftest import FNE_TABLE, TABLE1, f_quadratic, g_row, jt_row
+from conftest import FNE_TABLE, TABLE1, closed_form_violations, f_quadratic, g_row, jt_row
 
 
 def report(criterion: str, ok: bool, elapsed: float, detail: str = "") -> None:
@@ -289,9 +288,9 @@ def test_criterion_11_property_suites():
     rng = np.random.default_rng(11)
 
     for d in (gaussian(1.0), gaussian(2.0), laplace(sigma2=1.0)):
-        rep = check_symmetric_unimodal(d)
-        assert rep.ok
-        assert 1.0 - 1e-8 <= rep.normalization <= 1.0 + 1e-12
+        failed, mass = closed_form_violations(d)
+        assert failed == []
+        assert 1.0 - 1e-8 <= mass <= 1.0 + 1e-12
 
     inst2 = GameInstance(gaussian(2.0), 1.0, 1.0)
     phis = np.linspace(0.0, 0.99, 100)

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -425,6 +427,9 @@ class TestSimulateCommand:
         (["--phi", "0.3", "--beta", "0.1"], ("--phi", "--beta")),
         (["--policy", "POLICY", "--phi", "0.3"], ("--policy", "--phi")),
         (["--policy", "POLICY", "--alpha", "0.9", "--beta", "0.1"], ("--policy", "--alpha")),
+        # a policy file holds its own symbols; they used to replace the flags unseen
+        (["--policy", "POLICY", "--xhat0", "5"], ("--policy", "--xhat0")),
+        (["--xhat1", "-3", "--policy", "POLICY"], ("--policy", "--xhat1")),
     ])
     def test_conflicting_policy_flags_are_config_error(self, tmp_path, capsys, flags, named):
         pol = tmp_path / "policy.json"
@@ -448,7 +453,9 @@ class TestSimulateCommand:
          "NaN"),
         ('"silent_lo": -1.0, "silent_hi": NaN', '"kind": "Reactive", "alpha": 0.2, "beta": 0.3',
          "NaN"),
-    ], ids=["nonsensing-alpha-ne-beta", "nan-silent-lo", "nan-silent-hi"])
+        ('"silent_lo": -1.0, "silent_hi": 1.0', '"kind": "Sensing", "alpha": 0.2, "beta": 0.2',
+         "jam.kind ('Sensing')"),
+    ], ids=["nonsensing-alpha-ne-beta", "nan-silent-lo", "nan-silent-hi", "unknown-kind"])
     def test_inconsistent_policy_file_is_config_error(self, tmp_path, capsys, transmit, jam,
                                                       message):
         # json.load accepts NaN; before these checks all three simulated and exited 0
@@ -544,14 +551,11 @@ class TestSweep:
         # checked; a table is checked once, when it is loaded, before any solve
         import jamgame.cli
         import jamgame.dist
-        import jamgame.nonsensing
 
         events = []
-        check = jamgame.dist.check_symmetric_unimodal
-        for module in (jamgame.dist, jamgame.cli, jamgame.nonsensing):
-            if hasattr(module, "check_symmetric_unimodal"):
-                monkeypatch.setattr(module, "check_symmetric_unimodal",
-                                    lambda d: events.append("check") or check(d))
+        check = jamgame.dist.Tabulated._violations
+        monkeypatch.setattr(jamgame.dist.Tabulated, "_violations",
+                            lambda d: events.append("check") or check(d))
         solve = jamgame.cli.solve_equilibrium
         monkeypatch.setattr(jamgame.cli, "solve_equilibrium",
                             lambda inst, **kw: events.append("solve") or solve(inst, **kw))
@@ -637,6 +641,18 @@ class TestCompare:
         for r in rows:
             iters[r[0]] = max(iters.get(r[0], 0), int(r[1]))
         assert iters["pga-ccp"] <= iters["gda"]
+
+    def test_csv_on_stdout_is_the_whole_stdout(self, capsys):
+        # without --out the CSV is all of stdout and the summary goes to
+        # stderr; it used to follow the CSV on stdout
+        code, stdout, stderr = run(capsys, "compare", "--dist", "gaussian", "--sigma2", "1",
+                                   "--max-iters", "20")
+        assert code == 4
+        rows = list(csv.reader(io.StringIO(stdout)))
+        assert rows[0][0] == "solver" and len(rows) > 2
+        assert all(len(r) == len(rows[0]) for r in rows)
+        assert {r[0] for r in rows[1:]} == {"pga-ccp", "gda"}
+        assert stderr.startswith("pga-ccp:") and "gda:" in stderr
 
 
 class TestDeterminismAndConfig:
@@ -729,6 +745,31 @@ class TestDeterminismAndConfig:
         assert code == 0
         policy = strict_json(out)["policy"]["jam"]
         assert (policy["kind"], policy["alpha"], policy["beta"]) == jam
+
+    @pytest.mark.parametrize("flags,estimator", [
+        # a policy file on the command line holds its own symbols
+        (["--policy", "POLICY"], {"xhat0": 0.25, "xhat1": -0.5}),
+        (["--pol=POLICY"], {"xhat0": 0.25, "xhat1": -0.5}),
+        # an inline policy takes the config's symbols
+        (["--alpha", "0.9", "--beta", "0.1"], {"xhat0": 2.0, "xhat1": -1.0}),
+        (["--phi", "0.3"], {"xhat0": 2.0, "xhat1": -1.0}),
+    ], ids=["policy", "policy-abbreviated", "alpha-beta", "phi"])
+    def test_config_symbols_yield_to_command_line_policy_file(self, tmp_path, capsys,
+                                                               flags, estimator):
+        pol = tmp_path / "policy.json"
+        pol.write_text(json.dumps({
+            "transmit": {"silent_lo": -1.0, "silent_hi": 1.0},
+            "jam": {"kind": "NonSensing", "alpha": 0.3, "beta": 0.3},
+            "estimator": {"xhat0": 0.25, "xhat1": -0.5},
+        }))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[simulate]\ndist = gaussian\nsigma2 = 1\nxhat0 = 2\nxhat1 = -1\n")
+        out = tmp_path / "sim.json"
+        argv = [f.replace("POLICY", str(pol)) for f in flags]
+        code, _, stderr = run(capsys, "--config", str(cfg), "simulate", *argv,
+                              "--n", "1000", "--out", str(out))
+        assert code == 0, stderr
+        assert strict_json(out)["policy"]["estimator"] == estimator
 
     def test_conflicting_config_policies_are_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -5,7 +5,6 @@ import pytest
 
 from jamgame import (
     Tabulated,
-    check_symmetric_unimodal,
     expectation,
     gaussian,
     laplace,
@@ -13,7 +12,7 @@ from jamgame import (
 from jamgame.dist import _GL_W, _GL_X, InadmissibleDistributionError
 from jamgame.quadrature import PiecewiseIntegrand, integrate
 
-from conftest import exp_power_table
+from conftest import closed_form_violations, exp_power_table
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -264,7 +263,7 @@ def test_admissibility_refuses_skewed_table(knots):
     f = np.exp(-0.5 * (z / np.where(z < 0, 1.0, 1.2)) ** 2)
     with pytest.raises(InadmissibleDistributionError) as refused:
         Tabulated(x, f)
-    kinds = {kind for kind, _, _ in refused.value.report.violations}
+    kinds = {kind for kind, _, _ in refused.value.violations}
     assert "symmetry" in kinds
 
 
@@ -282,6 +281,18 @@ def test_admissibility_ignores_knots_beyond_radius(shift):
     x = np.linspace(-9.0, 9.0, 801)
     with pytest.raises(ValueError, match="nonzero mean" if shift == 0.0 else "symmetry"):
         Tabulated(np.append(x, 60.0), np.append(_two_piece(x, shift), 1e-30))
+
+
+def test_admissibility_lists_every_failed_test():
+    # the mode-0 two-piece table fails the mean and the symmetry tests; one
+    # error lists both
+    x = np.linspace(-9.0, 9.0, 801)
+    with pytest.raises(InadmissibleDistributionError) as refused:
+        Tabulated(x, _two_piece(x, 0.0))
+    kinds = [kind for kind, _, _ in refused.value.violations]
+    assert kinds == ["mean", "symmetry"]
+    message = str(refused.value)
+    assert "nonzero mean" in message and "symmetry violation" in message
 
 
 def test_admissibility_far_row_keeps_allowance():
@@ -328,8 +339,8 @@ def test_admissibility_clean_families():
     # are admissible at every scale
     for sigma2 in (1e-6, 1e-2, 1.0, 1e2, 1e6):
         for d in (gaussian(sigma2), laplace(sigma2=sigma2)):
-            report = check_symmetric_unimodal(d)
-            assert report.ok, (d.family, sigma2, report.describe())
+            failed, _ = closed_form_violations(d)
+            assert failed == [], (d.family, sigma2, failed)
 
 
 def test_admissibility_flags_bimodal(bimodal_table):
@@ -338,27 +349,25 @@ def test_admissibility_flags_bimodal(bimodal_table):
     with pytest.raises(InadmissibleDistributionError) as refused:
         Tabulated(x, f)
     assert isinstance(refused.value, ValueError)
-    report = refused.value.report
-    assert not report.ok
-    kinds = {kind for kind, _, _ in report.violations}
+    violations = refused.value.violations
+    kinds = {kind for kind, _, _ in violations}
     assert "unimodality" in kinds
     # the violation is localized between the valley at 0 and the mode at 3
-    locs = [loc for kind, loc, _ in report.violations if kind == "unimodality"]
+    locs = [loc for kind, loc, _ in violations if kind == "unimodality"]
     assert all(0.0 < loc < 3.0 for loc in locs)
 
 
 def test_normalization_within_tolerance():
     for d in (gaussian(1.0), laplace(scale=1.0)):
-        rep = check_symmetric_unimodal(d)
-        assert 1.0 - 1e-8 <= rep.normalization <= 1.0 + 1e-12
+        _, mass = closed_form_violations(d)
+        assert 1.0 - 1e-8 <= mass <= 1.0 + 1e-12
 
 
 def test_tabulated_from_gaussian_grid_matches_closed_form():
     x = np.linspace(-8.5, 8.5, 801)
     f = np.exp(-0.5 * x * x) / SQRT_2PI
-    tab = Tabulated(x, f)
+    tab = Tabulated(x, f)  # admissible: construction ran every test
     assert tab.variance == pytest.approx(1.0, abs=1e-6)
-    assert check_symmetric_unimodal(tab).ok
     assert tab.tail_second_moment(1.0) == pytest.approx(
         gaussian(1.0).tail_second_moment(1.0), abs=1e-6
     )

@@ -7,7 +7,6 @@ import pytest
 
 from jamgame import (
     GameInstance,
-    JamPolicy,
     PolicyBundle,
     Regime,
     Tabulated,
@@ -42,7 +41,7 @@ def test_game_instance_rejects_negative_costs():
 def threshold_rule(c, phi, xhat0=0.0):
     """The bundle that puts threshold_policy's silent interval to use."""
     lo, hi = threshold_policy(c, phi, xhat0)
-    return PolicyBundle(lo, hi, JamPolicy.non_sensing(phi), (xhat0, 0.0))
+    return PolicyBundle(lo, hi, phi, phi, (xhat0, 0.0), "NonSensing")
 
 
 class TestThresholdPolicy:
@@ -207,20 +206,14 @@ class TestSolveEquilibrium:
         x, f = bimodal_table
         with pytest.raises(InadmissibleDistributionError) as refused:
             Tabulated(x, f)
-        report = refused.value.report
-        locs = [loc for kind, loc, _ in report.violations if kind == "unimodality"]
+        locs = [loc for kind, loc, _ in refused.value.violations if kind == "unimodality"]
         assert locs and all(0.0 < loc < 3.0 for loc in locs)
 
     def test_closed_form_solves_run_no_admissibility_check(self, monkeypatch):
-        import jamgame.dist
-        import jamgame.nonsensing
-
         calls = []
-        check = jamgame.dist.check_symmetric_unimodal
-        for module in (jamgame.dist, jamgame.nonsensing):
-            if hasattr(module, "check_symmetric_unimodal"):
-                monkeypatch.setattr(module, "check_symmetric_unimodal",
-                                    lambda d: calls.append(d) or check(d))
+        check = Tabulated._violations
+        monkeypatch.setattr(Tabulated, "_violations",
+                            lambda d: calls.append(d) or check(d))
         for d in (gaussian(2.0), laplace(sigma2=2.0)):
             eq = solve_equilibrium(GameInstance(d, 1.0, 1.0))
             assert eq.regime is Regime.INTERIOR_JAM

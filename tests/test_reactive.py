@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import jamgame.reactive as reactive
 from jamgame import (
     GameInstance,
-    JamPolicy,
     PolicyBundle,
     ReactivePoint,
     SolverOptions,
@@ -85,7 +84,7 @@ class TestSilentInterval:
     def test_transmit_indicator_matches_roots(self):
         lo, hi = silent_interval((0.4, -0.2), (0.1, 0.3), c=1.0, d=1.0)
         xs = np.array([lo - 1.0, 0.5 * (lo + hi), hi + 1.0])
-        bundle = PolicyBundle(lo, hi, JamPolicy.reactive(0.1, 0.3), (0.4, -0.2))
+        bundle = PolicyBundle(lo, hi, 0.1, 0.3, (0.4, -0.2), "Reactive")
         assert list(bundle.transmit(xs)) == [True, False, True]
 
     def test_beta_one_constant_cases(self):
@@ -100,7 +99,7 @@ class TestSilentInterval:
         # root -a0/a1 = -0.25, silent right of it
         assert d_coefficients((0.0, -0.5), (0.0, 1.0), 1.0, 1.0)[1] == pytest.approx(-1.0)
         assert interval == (-0.25, math.inf)
-        rule = PolicyBundle(*interval, JamPolicy.reactive(0.0, 1.0), (0.0, -0.5))
+        rule = PolicyBundle(*interval, 0.0, 1.0, (0.0, -0.5), "Reactive")
         root = interval[0]
         assert rule.transmit(root - 1.0) and not rule.transmit(root + 1.0)
 

@@ -9,8 +9,6 @@ import pytest
 
 from jamgame import (
     GameInstance,
-    JamKind,
-    JamPolicy,
     PolicyBundle,
     ReactivePoint,
     analytic_cost,
@@ -38,13 +36,13 @@ def binom_se(p_hat, n):
 
 class TestDegeneratePolicies:
     def test_never_transmit_never_jam_recovers_variance(self, g2):
-        bundle = PolicyBundle(-math.inf, math.inf, JamPolicy.non_sensing(0.0), (0.0, 0.0))
+        bundle = PolicyBundle(-math.inf, math.inf, 0.0, 0.0, (0.0, 0.0), "NonSensing")
         res = simulate(g2, bundle, n=10**6, seed=21)
         assert res.p_transmit == 0.0 and res.p_jam == 0.0
         assert abs(res.empirical_cost - 2.0) <= 3.0 * res.std_error
 
     def test_always_transmit_never_jam_costs_c(self, g1):
-        bundle = PolicyBundle(0.0, 0.0, JamPolicy.non_sensing(0.0), (0.0, 0.0))
+        bundle = PolicyBundle(0.0, 0.0, 0.0, 0.0, (0.0, 0.0), "NonSensing")
         res = simulate(g1, bundle, n=10**5, seed=22)
         assert res.p_transmit == 1.0
         assert res.empirical_cost == pytest.approx(g1.c, abs=1e-12)
@@ -79,8 +77,8 @@ class TestBundleConstruction:
         bundle = bundle_from_nonsensing(eq)
         assert bundle.silent_lo == -eq.threshold
         assert bundle.silent_hi == eq.threshold
-        assert bundle.jam.kind is JamKind.NON_SENSING
-        assert bundle.jam.alpha == bundle.jam.beta == eq.phi_star
+        assert bundle.kind == "NonSensing"
+        assert bundle.alpha == bundle.beta == eq.phi_star
         assert bundle.xhat == (0.0, 0.0)
         assert bundle.transmit(eq.threshold + 0.01)
         assert not bundle.transmit(eq.threshold - 0.01)
@@ -156,7 +154,7 @@ def serial_simulate(inst, policies, n, seed, trace_path=None, costs=None):
     Each leaf's per-draw costs are appended to ``costs`` when it is given."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     x0, x1 = policies.xhat
-    p_block = np.array([policies.jam.alpha, policies.jam.beta])
+    p_block = np.array([policies.alpha, policies.beta])
     symbol = np.array([x0, x1], dtype=float)
     total = total_sq = 0.0
     counts = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
@@ -379,12 +377,13 @@ class TestSerialization:
             )
 
     def test_bundle_rejects_nan_silent_bound(self):
-        jam = JamPolicy.non_sensing(0.3)
+        jam = (0.3, 0.3)
         for lo, hi in ((math.nan, 1.0), (-1.0, math.nan)):
             with pytest.raises(ValueError, match="NaN"):
-                PolicyBundle(lo, hi, jam, (0.0, 0.0))
+                PolicyBundle(lo, hi, *jam, (0.0, 0.0), "NonSensing")
         # solved bundles carry infinite bounds
-        assert PolicyBundle(-math.inf, math.inf, jam, (0.0, 0.0)).silent_hi == math.inf
+        bundle = PolicyBundle(-math.inf, math.inf, *jam, (0.0, 0.0), "NonSensing")
+        assert bundle.silent_hi == math.inf
 
     def test_event_trace_csv(self, g1, eq_g1, tmp_path):
         path = tmp_path / "events.csv"
@@ -407,12 +406,12 @@ class TestSerialization:
         table = GameInstance(exp_power_table(2.75, 2.2), 1.0, 1.0)
         point = ReactivePoint((0.5, -0.4), (0.3, 0.6))
         cases = [(inst, bundle_from_reactive(point, inst)) for inst in (g1, lap1, table)]
-        jam = JamPolicy.reactive(0.3, 0.6)
         cases += [
             # a -0.0 symbol keeps its sign; at c = 0 every clean reception
             # costs the same 0.0
-            (g1, PolicyBundle(-0.8, 0.6, jam, (-0.0, -0.4))),
-            (GameInstance(gaussian(1.0), 0.0, 1.0), PolicyBundle(-0.8, 0.6, jam, (0.5, -0.4))),
+            (g1, PolicyBundle(-0.8, 0.6, 0.3, 0.6, (-0.0, -0.4), "Reactive")),
+            (GameInstance(gaussian(1.0), 0.0, 1.0),
+             PolicyBundle(-0.8, 0.6, 0.3, 0.6, (0.5, -0.4), "Reactive")),
         ]
         for k, (inst, bundle) in enumerate(cases):
             path = tmp_path / f"events-{k}.csv"
@@ -421,7 +420,7 @@ class TestSerialization:
             u = np.clip(rng.random((TRACE_LIMIT, 2)), 2.0**-53, 1.0 - 2.0**-53)
             x = inst.dist.ppf(u[:, 0])
             tx = bundle.transmit(x)
-            jam = u[:, 1] < np.where(tx, bundle.jam.beta, bundle.jam.alpha)
+            jam = u[:, 1] < np.where(tx, bundle.beta, bundle.alpha)
             xhat = np.where(jam, bundle.xhat[1], np.where(tx, x, bundle.xhat[0]))
             cost = (x - xhat) ** 2 + inst.c * tx - inst.d * jam
             rows = ["x,u,j,y,xhat,cost"]
@@ -446,7 +445,7 @@ class TestAnalyticCost:
 
     def test_reactive_bundle_off_manifold_is_valued_on_its_interval(self, g1):
         # silent on (-0.5, 0.5), which is not the best response to this jammer
-        bundle = PolicyBundle(-0.5, 0.5, JamPolicy.reactive(0.3, 0.4), (0.0, 0.0))
+        bundle = PolicyBundle(-0.5, 0.5, 0.3, 0.4, (0.0, 0.0), "Reactive")
         p = ReactivePoint(bundle.xhat, (0.3, 0.4))
         assert silent_interval(p.xhat, p.theta, g1.c, g1.d) != (-0.5, 0.5)
         analytic = analytic_cost(g1, bundle)
@@ -456,18 +455,18 @@ class TestAnalyticCost:
         assert abs(res.empirical_cost - analytic) <= 4.0 * res.std_error
 
     def test_integer_bundle_is_valued_as_floats(self, g1):
-        ints = PolicyBundle(-1, 1, JamPolicy.reactive(0, 1), (1, -1))
-        floats = PolicyBundle(-1.0, 1.0, JamPolicy.reactive(0.0, 1.0), (1.0, -1.0))
+        ints = PolicyBundle(-1, 1, 0, 1, (1, -1), "Reactive")
+        floats = PolicyBundle(-1.0, 1.0, 0.0, 1.0, (1.0, -1.0), "Reactive")
         got = analytic_cost(g1, ints)
         assert type(got) is float and got == analytic_cost(g1, floats)
 
     @pytest.mark.parametrize("family", ["gaussian", "laplace", "table"])
     @pytest.mark.parametrize("kind,silent,theta,xhat", [
-        (JamKind.REACTIVE, (-0.5, 0.8), (0.3, 0.4), (0.2, -0.6)),
-        (JamKind.REACTIVE, (-math.inf, 0.3), (0.6, 1.0), (-0.4, 0.7)),
-        (JamKind.REACTIVE, (-math.inf, math.inf), (0.2, 0.9), (0.5, 0.1)),
-        (JamKind.NON_SENSING, (-1.1, 0.9), (0.45, 0.45), (0.1, -0.3)),
-        (JamKind.NON_SENSING, (0.0, 0.0), (0.7, 0.7), (0.3, 0.3)),
+        ("Reactive", (-0.5, 0.8), (0.3, 0.4), (0.2, -0.6)),
+        ("Reactive", (-math.inf, 0.3), (0.6, 1.0), (-0.4, 0.7)),
+        ("Reactive", (-math.inf, math.inf), (0.2, 0.9), (0.5, 0.1)),
+        ("NonSensing", (-1.1, 0.9), (0.45, 0.45), (0.1, -0.3)),
+        ("NonSensing", (0.0, 0.0), (0.7, 0.7), (0.3, 0.3)),
     ], ids=["reactive", "reactive-half-line", "never-transmit", "nonsensing", "always-transmit"])
     def test_off_manifold_bundles_match_quadrature(self, family, kind, silent, theta, xhat):
         # lengths in units of the density's scale
@@ -478,7 +477,7 @@ class TestAnalyticCost:
         lo, hi = silent[0] * s, silent[1] * s
         x0, x1 = xhat[0] * s, xhat[1] * s
         a, b = theta
-        bundle = PolicyBundle(lo, hi, JamPolicy(kind, a, b), (x0, x1))
+        bundle = PolicyBundle(lo, hi, a, b, (x0, x1), kind)
         assert silent_interval((x0, x1), theta, inst.c, inst.d) != (lo, hi)
 
         def cost(x):
@@ -491,9 +490,11 @@ class TestAnalyticCost:
         assert analytic_cost(inst, bundle) == pytest.approx(oracle, abs=1e-12)
 
     def test_jam_policy_validation(self):
-        with pytest.raises(ValueError):
-            JamPolicy.reactive(-0.1, 0.5)
-        with pytest.raises(ValueError):
-            JamPolicy.non_sensing(1.5)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            PolicyBundle(-1.0, 1.0, -0.1, 0.5, (0.0, 0.0), "Reactive")
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            PolicyBundle(-1.0, 1.0, 1.5, 1.5, (0.0, 0.0), "NonSensing")
         with pytest.raises(ValueError, match="alpha == beta"):
-            JamPolicy(JamKind.NON_SENSING, 0.2, 0.3)
+            PolicyBundle(-1.0, 1.0, 0.2, 0.3, (0.0, 0.0), "NonSensing")
+        with pytest.raises(ValueError, match=r"jam\.kind \('Sensing'\)"):
+            PolicyBundle(-1.0, 1.0, 0.2, 0.2, (0.0, 0.0), "Sensing")
