@@ -18,7 +18,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtri
 
 from . import quadrature
@@ -33,6 +32,33 @@ _GL_XS, _GL_WS = _GL_X.tolist(), _GL_W.tolist()  # the same rule as floats
 def _sum8(w: list[float]) -> float:
     """Sum of 8 floats in numpy's pairwise order."""
     return ((w[0] + w[1]) + (w[2] + w[3])) + ((w[4] + w[5]) + (w[6] + w[7]))
+
+
+def _pchip(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(4, n - 1) coefficients of the monotone cubic through (x, y), n >= 3
+    (PCHIP, Fritsch and Butland 1984): row j multiplies (t - x[k])^(3 - j)
+    on knot interval k. Inner slopes are weighted harmonic means of the
+    secants (0 where one vanishes or they change sign), end slopes one-sided
+    three-point estimates. Every operation is scipy's, so the coefficients
+    are its PCHIP interpolator's ``.c``, bit for bit."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+    e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    cap = (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3 * np.abs(m0))
+    d[[0, -1]] = np.where(np.sign(e) != np.sign(m0), 0.0, np.where(cap, 3 * m0, e))
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+
+def _cubic(c, s):
+    """c[0] s^3 + c[1] s^2 + c[2] s + c[3] in scipy PPoly's term order, for floats or arrays."""
+    return c[3] + c[2] * s + c[1] * (s * s) + c[0] * ((s * s) * s)
 
 
 # Tuning of a table's admissibility tests: points of their grid on [0, R],
@@ -236,11 +262,11 @@ class InadmissibleDistributionError(ValueError):
 class Tabulated(SourceDistribution):
     """Density interpolated from a (x, f(x)) table.
 
-    Monotone cubic (PCHIP) interpolation is applied to the log-density,
-    which preserves positivity; the result is renormalized to unit mass on
-    the truncated domain. Moments come from a cumulative table over a
-    fine grid that contains every knot (the interpolant is only C^1 there),
-    so each grid cell takes a fixed Gauss-Legendre rule.
+    The log-density is the monotone cubic ``_pchip`` through the knots,
+    which keeps the density positive, renormalized to unit mass on [-R, R].
+    Moments come from a cumulative table over a fine grid that contains
+    every knot (the interpolant is only C^1 there), so each grid cell lies
+    inside one knot interval and takes a fixed Gauss-Legendre rule.
 
     The table must have strictly increasing x spanning both signs and
     strictly positive f; otherwise construction raises ``ValueError``. The
@@ -266,8 +292,8 @@ class Tabulated(SourceDistribution):
             raise ValueError("table must span negative and positive x")
 
         self.truncation_radius = float(min(-x[0], x[-1]))
-        self._logf = PchipInterpolator(x, np.log(f), extrapolate=False)
         self._knots = x
+        self._coef = _pchip(x, np.log(f))
         self.breakpoints = tuple(
             t for t in x if -self.truncation_radius < t < self.truncation_radius
         )
@@ -348,21 +374,20 @@ class Tabulated(SourceDistribution):
 
     @classmethod
     def from_csv(cls, path) -> "Tabulated":
-        """Load a two-column (x, f(x)) CSV; a non-numeric header row is skipped."""
+        """Load a two-column (x, f(x)) CSV. A first row whose x cell is not a
+        number is a header and skipped; any other row that does not parse
+        raises ``ValueError``."""
         xs: list[float] = []
         fs: list[float] = []
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or not row[0].strip():
-                    continue
+            for n, row in enumerate(r for r in csv.reader(fh) if r and r[0].strip()):
                 try:
-                    xv, fv = float(row[0]), float(row[1])
+                    xs.append(float(row[0]))
+                    fs.append(float(row[1]))
                 except (ValueError, IndexError):
-                    if not xs:
-                        continue  # header line
-                    raise ValueError(f"malformed CSV row: {row!r}")
-                xs.append(xv)
-                fs.append(fv)
+                    if n == 0 and not xs:
+                        continue  # a header: the first row, its x cell no number
+                    raise ValueError(f"malformed CSV row: {row!r}") from None
         if not xs:
             raise ValueError(f"no data rows in {path}")
         return cls(xs, fs)
@@ -374,16 +399,22 @@ class Tabulated(SourceDistribution):
         out = np.zeros_like(x)
         inside = np.abs(x) <= self.truncation_radius
         if np.any(inside):
-            out[inside] = self._norm * np.exp(self._logf(x[inside]))
+            z = x[inside]
+            # the knot interval [x[k], x[k+1]) holding z, the last one closed
+            k = np.searchsorted(self._knots[1:-1], z, side="right")
+            out[inside] = self._norm * np.exp(_cubic(self._coef.take(k, axis=1), z - self._knots[k]))
         return float(out[0]) if scalar else out
 
-    def _cell_moments(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    def _cell_moments(self, lo: np.ndarray, hi: np.ndarray, knot: np.ndarray) -> np.ndarray:
         """integral_lo^hi x^k f(x) dx, k = 0, 1, 2, per cell, from one
-        Gauss-Legendre evaluation of all cells; each cell lies inside one
-        knot interval, where the interpolant is smooth."""
+        Gauss-Legendre evaluation of all cells, each node on the cubic of its
+        cell's knot interval knot[i]. A per-point search (``pdf``) moves a
+        node that rounds onto the knot ending a cell a few ulps wide to the
+        next interval, a last-bit change that the table's sums absorb."""
         half = 0.5 * (hi - lo)
         z = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_X
-        wf = half[:, None] * _GL_W * self._norm * np.exp(self._logf(z))
+        logf = _cubic(self._coef.take(knot, axis=1)[:, :, None], z - self._knots[knot, None])
+        wf = half[:, None] * _GL_W * self._norm * np.exp(logf)
         return np.stack([wf.sum(axis=1), (wf * z).sum(axis=1), (wf * z * z).sum(axis=1)], axis=1)
 
     def _build_cdf_table(self):
@@ -391,12 +422,16 @@ class Tabulated(SourceDistribution):
 
         Also normalizes the density: row i holds the moments of
         [-R, grid[i]], divided by the total mass. The CDF that ``ppf``
-        inverts is its first column.
+        inverts is its first column. ``_cumulative`` reads the grid, each
+        cell's knot interval, the knots and the coefficients as Python
+        numbers; the rows stay in numpy (converting them costs more).
         """
         R = self.truncation_radius
         grid = np.unique(np.concatenate([np.linspace(-R, R, 2001), np.asarray(self.breakpoints)]))
+        # every knot in (-R, R) is a grid point: a cell's left end finds its interval
+        knot = np.searchsorted(self._knots[1:-1], grid[:-1], side="right")
         self._norm = 1.0
-        cells = self._cell_moments(grid[:-1], grid[1:])
+        cells = self._cell_moments(grid[:-1], grid[1:], knot)
         mass = float(cells[:, 0].sum())
         if not (mass > 0):
             raise ValueError("tabulated density has nonpositive mass")
@@ -404,6 +439,7 @@ class Tabulated(SourceDistribution):
         self._cum = np.concatenate([np.zeros((1, 3)), np.cumsum(cells / mass, axis=0)])
         self._cdf_x = grid
         self._cdf_y = self._cum[:, 0] / self._cum[-1, 0]
+        self._floats = grid.tolist(), knot.tolist(), self._knots.tolist(), self._coef.T.tolist()
 
     @cached_property
     def _ppf_index(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
@@ -450,46 +486,25 @@ class Tabulated(SourceDistribution):
         np.subtract(self._cdf_x.take(row), out, out=out)
         return out.reshape(u.shape)[()]
 
-    @cached_property
-    def _float_table(self) -> tuple[list, list, list]:
-        """The grid, the knots and the per-knot-interval cubic coefficients
-        as Python floats, for ``_cumulative``. The cumulative rows stay in
-        numpy: a table is built for each command, and converting its 2000-odd
-        rows costs more than indexing them saves over a command's moment
-        calls."""
-        return self._cdf_x.tolist(), self._knots.tolist(), self._logf.c.T.tolist()
-
     def _cumulative(self, t0: float, t1: float) -> tuple[list[float], list[float]]:
         """Moments of [-R, t] for t = t0 and t1 (inside [-R, R]): the table
         row of the grid point below t plus the rest of its cell.
 
-        The rest of the cell is ``_cell_moments`` in floats, bit for bit.
-        The log-density at each node is the PCHIP cubic as scipy evaluates
-        it: the same interval search (closed on the right at the last knot,
-        nan outside the knots) and the same term order, as in scipy 1.17
-        (``PPoly.__call__``) with numpy 2.4. One ``np.exp`` takes the 16 node
+        The rest of the cell is ``_cell_moments`` in floats, bit for bit:
+        the cell's cubic at each node, one ``np.exp`` of the 16 node
         exponents (``math.exp`` differs in the last bit on a few calls in
-        10^4); the weights are formed in the same order, and each sum of 8 is
-        added in numpy's pairwise order. A scipy or numpy that evaluates
-        differently is caught by
-        ``tests/test_dist.py::test_tabulated_moments_match_numpy_kernel``.
+        10^4), the weights in the same order and each sum of 8 in numpy's
+        pairwise order; ``test_tabulated_moments_match_numpy_kernel`` checks.
         """
-        grid, knots, cubic = self._float_table
-        last, lo_knot, hi_knot = len(grid) - 2, knots[0], knots[-1]
+        grid, knot, knots, cubic = self._floats
         cells, logs = [], []
         for t in (t0, t1):
-            i = min(max(bisect_right(grid, t) - 1, 0), last)
+            i = min(bisect_right(grid, t) - 1, len(grid) - 2)
             half, mid = 0.5 * (t - grid[i]), 0.5 * (t + grid[i])
             zs = [mid + half * x for x in _GL_XS]
             cells.append((i, half, zs))
-            for z in zs:
-                if not lo_knot <= z <= hi_knot:
-                    logs.append(math.nan)
-                    continue
-                k = bisect_right(knots, z) - 1 if z < hi_knot else len(knots) - 2
-                c0, c1, c2, c3 = cubic[k]
-                s = z - knots[k]
-                logs.append(c3 + c2 * s + c1 * (s * s) + c0 * ((s * s) * s))
+            c, xk = cubic[knot[i]], knots[knot[i]]
+            logs += [_cubic(c, z - xk) for z in zs]
         dens = np.exp(logs).tolist()
         rows = []
         for n, (i, half, zs) in enumerate(cells):

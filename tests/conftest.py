@@ -123,13 +123,29 @@ def closed_form_violations(d):
     return [name for name, bad in failed.items() if bad], mass
 
 
-def exp_power_table(variance, shape, knots_per_side=20):
-    """Table of the symmetric unimodal density exp(-|x/a|^shape) with the
-    given variance, on knots out to where the density is exp(-40)."""
+def exp_power_knots(variance, shape, knots_per_side=20):
+    """Knots (x, f) of the symmetric unimodal density exp(-|x/a|^shape) with
+    the given variance, out to where the density is exp(-40)."""
     a = math.sqrt(variance * math.gamma(1.0 / shape) / math.gamma(3.0 / shape))
     half = np.linspace(0.0, a * 40.0 ** (1.0 / shape), knots_per_side + 1)
     x = np.concatenate([-half[:0:-1], half])
-    return Tabulated(x, np.exp(-((np.abs(x) / a) ** shape)))
+    return x, np.exp(-((np.abs(x) / a) ** shape))
+
+
+def bad_first_row_csv(path, header):
+    """Write a 41-knot Gaussian table on [-8, 8] to ``path`` after
+    ``header``, with a first data row whose f cell does not parse:
+    ``-8.0,1.2664165549094176e-14oops``."""
+    x = np.linspace(-8.0, 8.0, 41)
+    rows = [f"{float(a)!r},{float(b)!r}" for a, b in zip(x, np.exp(-0.5 * x * x))]
+    rows[0] += "oops"
+    path.write_text(header + "\n".join(rows) + "\n")
+    return path
+
+
+def exp_power_table(variance, shape, knots_per_side=20):
+    """The table of ``exp_power_knots``."""
+    return Tabulated(*exp_power_knots(variance, shape, knots_per_side))
 
 
 def jt_row(inst, p):

@@ -10,7 +10,7 @@ import pytest
 
 from jamgame.cli import _strict, _write_json, main
 
-from conftest import TABLE1
+from conftest import TABLE1, bad_first_row_csv
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -153,6 +153,18 @@ class TestSolveNonsensing:
         code, _, stderr = run(capsys, *argv, "--dist", "custom", "--pdf-csv", str(csv_path))
         assert code == 2
         assert "unimodality" in stderr
+
+    @pytest.mark.parametrize("header", ["x,f\n", ""], ids=["header", "no-header"])
+    def test_bad_first_csv_row_exits_2(self, tmp_path, capsys, header):
+        # the row is named, and not dropped as a header, which solved
+        # another density at exit 0
+        path = bad_first_row_csv(tmp_path / "density.csv", header)
+        out = tmp_path / "ns.json"
+        code, stdout, stderr = run(capsys, "solve-nonsensing", "--dist", "custom",
+                                   "--pdf-csv", str(path), "--out", str(out))
+        assert code == 2
+        assert "malformed CSV row: ['-8.0', '1.2664165549094176e-14oops']" in stderr
+        assert stdout == "" and not out.exists()
 
     def test_missing_sigma2_is_config_error(self, capsys):
         code, _, stderr = run(capsys, "solve-nonsensing", "--dist", "gaussian")

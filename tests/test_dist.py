@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from jamgame import (
     Tabulated,
@@ -9,10 +10,10 @@ from jamgame import (
     gaussian,
     laplace,
 )
-from jamgame.dist import _GL_W, _GL_X, InadmissibleDistributionError
+from jamgame.dist import _GL_W, _GL_X, InadmissibleDistributionError, _pchip
 from jamgame.quadrature import PiecewiseIntegrand, integrate
 
-from conftest import closed_form_violations, exp_power_table
+from conftest import bad_first_row_csv, closed_form_violations, exp_power_knots, exp_power_table
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -145,16 +146,17 @@ def test_gaussian_ppf_matches_scaled_ndtri(sigma2):
     assert np.ndim(d.ppf(0.25)) == 0
 
 
-def _gaussian_table(x):
-    return Tabulated(x, np.exp(-0.5 * x * x) / SQRT_2PI)
+def _gaussian_knots(x):
+    return x, np.exp(-0.5 * x * x) / SQRT_2PI
 
 
 @pytest.mark.parametrize(
     "make",
     [lambda: exp_power_table(1.25, 1.5), lambda: exp_power_table(2.75, 2.2),
      lambda: exp_power_table(4.25, 1.8),
-     lambda: _gaussian_table(np.linspace(-8.5, 8.5, 801)),
-     lambda: _gaussian_table(np.where(np.arange(41) == 20, -0.0, np.linspace(-9.0, 9.0, 41)))],
+     lambda: Tabulated(*_gaussian_knots(np.linspace(-8.5, 8.5, 801))),
+     lambda: Tabulated(*_gaussian_knots(
+         np.where(np.arange(41) == 20, -0.0, np.linspace(-9.0, 9.0, 41))))],
     ids=["exp-power-1.5", "exp-power-2.2", "exp-power-1.8", "gaussian-grid", "negative-zero-knot"],
 )
 def test_tabulated_ppf_matches_interp(make):
@@ -178,48 +180,55 @@ def test_tabulated_ppf_matches_interp(make):
         assert t.ppf(u) == np.interp(u, t._cdf_y, t._cdf_x)
 
 
-def _numpy_cumulative(t, ends):
-    """The table's cumulative moments as the numpy kernel computed them: one
-    Gauss-Legendre rule per cell through ``PchipInterpolator.__call__`` and
+def _numpy_cumulative(t, logf, ends):
+    """The table's cumulative moments as a numpy kernel over scipy's
+    interpolant ``logf`` computes them: one Gauss-Legendre rule per cell,
+    each node in the knot interval scipy's search finds, and
     ``sum(axis=1)``, for an array of ends."""
     ends = np.asarray(ends, dtype=float)
     below = np.clip(np.searchsorted(t._cdf_x, ends, side="right") - 1, 0, t._cdf_x.size - 2)
     lo = t._cdf_x[below]
     half = 0.5 * (ends - lo)
     z = (0.5 * (ends + lo))[:, None] + half[:, None] * _GL_X
-    wf = half[:, None] * _GL_W * t._norm * np.exp(t._logf(z))
+    wf = half[:, None] * _GL_W * t._norm * np.exp(logf(z))
     cells = np.stack([wf.sum(axis=1), (wf * z).sum(axis=1), (wf * z * z).sum(axis=1)], axis=1)
     return t._cum[below] + cells
 
 
-def _numpy_partial_moments(t, lo, hi):
+def _numpy_partial_moments(t, logf, lo, hi):
     R = t.truncation_radius
     lo, hi = np.maximum(lo, -R), np.minimum(hi, R)
     empty = ~(lo < hi)
-    m = _numpy_cumulative(t, hi) - _numpy_cumulative(t, lo)
+    m = _numpy_cumulative(t, logf, hi) - _numpy_cumulative(t, logf, lo)
     m[:, 0] = np.maximum(m[:, 0], 0.0)
     m[:, 2] = np.maximum(m[:, 2], 0.0)
     m[empty] = 0.0
     return m
 
 
-def _numpy_tail_second_moment(t, s):
-    left = _numpy_cumulative(t, -s)[:, 2]
-    right = _numpy_cumulative(t, s)[:, 2]
+def _numpy_tail_second_moment(t, logf, s):
+    left = _numpy_cumulative(t, logf, -s)[:, 2]
+    right = _numpy_cumulative(t, logf, s)[:, 2]
     tail = np.maximum(left, 0.0) + np.maximum(t.variance - right, 0.0)
     return np.where(s >= t.truncation_radius, 0.0, tail)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [lambda: exp_power_table(1.25, 1.5), lambda: exp_power_table(2.75, 2.2),
-     lambda: exp_power_table(4.25, 1.8), lambda: _gaussian_table(np.linspace(-8.5, 8.5, 801))],
-    ids=["exp-power-1.5", "exp-power-2.2", "exp-power-1.8", "gaussian-grid"],
-)
+# (x, f) of the tables whose kernel is checked against scipy's interpolant
+KERNEL_TABLES = {
+    "exp-power-1.5": lambda: exp_power_knots(1.25, 1.5),
+    "exp-power-2.2": lambda: exp_power_knots(2.75, 2.2),
+    "exp-power-1.8": lambda: exp_power_knots(4.25, 1.8),
+    "gaussian-grid": lambda: _gaussian_knots(np.linspace(-8.5, 8.5, 801)),
+}
+
+
+@pytest.mark.parametrize("make", list(KERNEL_TABLES.values()), ids=list(KERNEL_TABLES))
 def test_tabulated_moments_match_numpy_kernel(make):
-    # the float kernel gives every bit of the numpy one, the sign of a zero
-    # included
-    t = make()
+    # the float kernel gives every bit of a numpy kernel over scipy's
+    # PchipInterpolator, the sign of a zero included
+    x, f = make()
+    t = Tabulated(x, f)
+    logf = PchipInterpolator(x, np.log(f), extrapolate=False)
     R = t.truncation_radius
     rng = np.random.default_rng(17)
     ends = np.concatenate([t._cdf_x, t._knots, [R, -R, 1.5 * R, -1.5 * R, 0.0, -0.0]])
@@ -228,12 +237,12 @@ def test_tabulated_moments_match_numpy_kernel(make):
     lo = np.concatenate([pairs[:, 0], ends, np.full(ends.size, -R), ends, ends + 1e-3])
     hi = np.concatenate([pairs[:, 1], np.full(ends.size, R), ends, ends, ends])
     got = np.array([t.partial_moments(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
-    assert got.tobytes() == _numpy_partial_moments(t, lo, hi).tobytes()
+    assert got.tobytes() == _numpy_partial_moments(t, logf, lo, hi).tobytes()
 
     s = np.concatenate([np.abs(rng.uniform(-1.1 * R, 1.1 * R, 10**4)), np.abs(ends),
                         [0.0, R, np.nextafter(R, 0.0), 2.0 * R]])
     got = np.array([t.tail_second_moment(v) for v in s.tolist()])
-    assert got.tobytes() == _numpy_tail_second_moment(t, s).tobytes()
+    assert got.tobytes() == _numpy_tail_second_moment(t, logf, s).tobytes()
 
 
 def _nonmirrored_gaussian(sigma, negative=400, positive=433, reach=8.5):
@@ -241,6 +250,81 @@ def _nonmirrored_gaussian(sigma, negative=400, positive=433, reach=8.5):
     x = np.concatenate([np.linspace(-reach * sigma, 0.0, negative, endpoint=False),
                         np.linspace(0.0, reach * sigma, positive)])
     return x, np.exp(-0.5 * (x / sigma) ** 2) / (sigma * SQRT_2PI)
+
+
+def _four_knots():
+    x = np.array([-3.0, -1.0, 1.0, 3.0])
+    return x, np.exp(-0.5 * x * x)
+
+
+def _flat_top():
+    # equal f on the knots of [-1.5, 1.5], so the secants there are 0
+    x = np.linspace(-6.0, 6.0, 25)
+    return x, np.exp(-np.maximum(np.abs(x) - 1.5, 0.0) ** 2)
+
+
+ADMISSIBLE_TABLES = {
+    **KERNEL_TABLES,
+    "nonmirrored": lambda: _nonmirrored_gaussian(1.0),
+    "four-knots": _four_knots,
+    "flat-top": _flat_top,
+}
+
+
+@pytest.mark.parametrize("make", list(ADMISSIBLE_TABLES.values()), ids=list(ADMISSIBLE_TABLES))
+def test_pchip_matches_scipy(make):
+    x, f = make()
+    assert _pchip(x, np.log(f)).tobytes() == PchipInterpolator(x, np.log(f)).c.tobytes()
+
+
+def test_pchip_matches_scipy_on_random_wiggles():
+    # random values on random knots: slopes of both signs, flat interior
+    # slopes where the secants change sign, and both end-slope corrections
+    rng = np.random.default_rng(29)
+    zeroed = capped = 0
+    for n in [4, 5, 7, 12, 50] * 20:
+        x = np.sort(rng.uniform(-10.0, 10.0, n))
+        y = rng.normal(size=n)
+        c = _pchip(x, y)
+        assert c.tobytes() == PchipInterpolator(x, y).c.tobytes()
+        m0 = (y[1] - y[0]) / (x[1] - x[0])
+        zeroed += c[2, 0] == 0.0
+        capped += c[2, 0] == 3 * m0
+    assert zeroed and capped
+
+
+@pytest.mark.parametrize("make", list(ADMISSIBLE_TABLES.values()), ids=list(ADMISSIBLE_TABLES))
+def test_tabulated_pdf_matches_scipy(make):
+    # every knot, every grid point, both ends and random points, bit for bit
+    x, f = make()
+    t = Tabulated(x, f)
+    R = t.truncation_radius
+    pts = np.concatenate([x[np.abs(x) <= R], t._cdf_x, [-R, R, -0.0],
+                          np.random.default_rng(31).uniform(-R, R, 10**4)])
+    ref = t._norm * np.exp(PchipInterpolator(x, np.log(f), extrapolate=False)(pts))
+    assert t.pdf(pts).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("knots_per_side", [20, 25, 40, 50])
+@pytest.mark.parametrize("variance, shape", [(1.25, 1.5), (2.75, 2.2), (4.25, 1.8), (0.7, 1.35)])
+def test_cum_table_matches_scipy_interval_search(variance, shape, knots_per_side):
+    # every node of a grid cell reads the cubic of the cell's knot
+    # interval; on these tables some knots lie an ulp or two from a grid
+    # point, some nodes of those cells round onto a knot, and scipy's
+    # per-node search places them in the next interval. The cumulative
+    # table keeps every bit of the one built from scipy's values.
+    x, f = exp_power_knots(variance, shape, knots_per_side)
+    t = Tabulated(x, f)
+    lo, hi = t._cdf_x[:-1], t._cdf_x[1:]
+    assert np.min(hi - lo) < 1e-12
+    half = 0.5 * (hi - lo)
+    z = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_X
+    searched = np.searchsorted(x, z, side="right")
+    assert np.any(searched != np.searchsorted(x, lo, side="right")[:, None])
+    wf = half[:, None] * _GL_W * np.exp(PchipInterpolator(x, np.log(f), extrapolate=False)(z))
+    cells = np.stack([wf.sum(axis=1), (wf * z).sum(axis=1), (wf * z * z).sum(axis=1)], axis=1)
+    ref = np.concatenate([np.zeros((1, 3)), np.cumsum(cells / float(cells[:, 0].sum()), axis=0)])
+    assert t._cum.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
@@ -387,6 +471,26 @@ def test_tabulated_csv_roundtrip(tmp_path):
     no_header = tmp_path / "bare.csv"
     no_header.write_text(rows + "\n")
     assert Tabulated.from_csv(no_header).variance == pytest.approx(tab.variance, rel=1e-9)
+
+
+@pytest.mark.parametrize("header", ["x,f\n", ""], ids=["header", "no-header"])
+def test_tabulated_csv_refuses_bad_first_data_row(tmp_path, header):
+    # the row is not taken for a header and dropped, which loaded a 40-knot
+    # table with R = 7.6
+    path = bad_first_row_csv(tmp_path / "density.csv", header)
+    with pytest.raises(ValueError, match=r"malformed CSV row: \['-8\.0', '1\.26641655490941"):
+        Tabulated.from_csv(path)
+
+
+def test_tabulated_csv_takes_one_header_row(tmp_path):
+    x = np.linspace(-9.0, 9.0, 241)
+    rows = "\n".join(f"{float(a)!r},{float(b)!r}" for a, b in zip(x, np.exp(-0.5 * x * x)))
+    path = tmp_path / "density.csv"
+    path.write_text("\n x,f\n\n" + rows + "\n")  # blank rows are skipped
+    assert Tabulated.from_csv(path)._knots.tobytes() == x.tobytes()
+    path.write_text("x,f\nx,f\n" + rows + "\n")
+    with pytest.raises(ValueError, match=r"malformed CSV row: \['x', 'f'\]"):
+        Tabulated.from_csv(path)
 
 
 def test_tabulated_input_validation():

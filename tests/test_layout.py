@@ -2,10 +2,14 @@
 
 Module-level imports run one way, quadrature -> dist -> reactive ->
 nonsensing -> simulate -> cli, so no module needs an import inside a
-function to break a cycle.
+function to break a cycle. The package owns its table interpolant, so
+nothing imports ``scipy.interpolate``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +61,29 @@ def test_reactive_imports_only_dist():
 @pytest.mark.parametrize("name", LAYERS)
 def test_imports_run_one_way(name):
     assert _module_imports(name) <= set(LAYERS[:LAYERS.index(name)])
+
+
+def _imported_modules(node: ast.AST) -> list[str]:
+    """The absolute module names that the import statement ``node`` loads."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+    return []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy_interpolate(path):
+    found = [
+        (node.lineno, name)
+        for node in ast.walk(ast.parse(path.read_text())) for name in _imported_modules(node)
+        if name == "scipy.interpolate" or name.startswith("scipy.interpolate.")
+    ]
+    assert found == []
+
+
+def test_cli_import_leaves_scipy_interpolate_out():
+    probe = "import sys, jamgame.cli; print('scipy.interpolate' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert run.stdout.strip() == "False"
