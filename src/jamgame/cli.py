@@ -3,10 +3,10 @@
 Subcommands: solve-nonsensing, solve-reactive, simulate, sweep, compare.
 Every command is deterministic given its flags and seed, emits plain JSON
 (an infinity as the string "Infinity" or "-Infinity") or CSV artifacts,
-and honors a key=value config file whose entries act as flag defaults
-(explicit flags win; a simulate policy on the command line replaces the
-config's, whichever of --policy, --phi, --alpha/--beta give each, and a
---policy file its xhat0/xhat1 entries too).
+all formatted in this module, and honors a key=value config file whose
+entries act as flag defaults (explicit flags win; a simulate policy on the
+command line replaces the config's, whichever of --policy, --phi,
+--alpha/--beta give each, and a --policy file its xhat0/xhat1 entries too).
 
 Exit codes: 0 success/certified, 2 config error, 3 numerical failure,
 4 solver terminated without certification or saddle check violated.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import functools
 import json
 import math
@@ -29,13 +30,17 @@ from .reactive import (
     GameInstance,
     ReactivePoint,
     SolverOptions,
+    TraceRow,
     default_init,
     solve_gda,
     solve_pga_ccp,
 )
 from .simulate import PolicyBundle, analytic_cost, bundle_from_reactive, simulate
 
+# of every JSON artifact and of the policy object inside a simulate file
 SCHEMA_VERSION = 1
+# the columns of a solver trace CSV
+_TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(TraceRow))
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -89,6 +94,11 @@ def _emit_csv(path: str | None, lines: list[str]) -> None:
         sys.stdout.write(text)
 
 
+def _trace_cells(row: TraceRow) -> list[str]:
+    """The CSV cells of a solver trace row, in ``_TRACE_FIELDS`` order."""
+    return [str(row.k)] + [_fmt(getattr(row, f)) for f in _TRACE_FIELDS[1:]]
+
+
 def _strict(value):
     """``value`` with every infinite float replaced by the string that
     protobuf's JSON mapping uses, "Infinity" or "-Infinity"."""
@@ -121,8 +131,10 @@ def _grid(spec: str, name: str) -> np.ndarray:
 def cmd_solve_nonsensing(args) -> int:
     inst = build_instance(args)
     eq = solve_equilibrium(inst)
-    payload = dict(eq.to_dict(), schema_version=SCHEMA_VERSION, c=inst.c, d=inst.d,
-                   sigma2=inst.dist.variance, family=inst.dist.family)
+    payload = {"schema_version": SCHEMA_VERSION, "phi_star": eq.phi_star, "xhat0": eq.xhat[0],
+               "xhat1": eq.xhat[1], "threshold": eq.threshold, "value": eq.value,
+               "regime": eq.regime.value, "c": inst.c, "d": inst.d,
+               "sigma2": inst.dist.variance, "family": inst.dist.family}
     print(f"regime         {eq.regime.value}")
     print(f"phi_star       {_fmt(eq.phi_star)}")
     print(f"threshold tau  {_fmt(eq.threshold)}")
@@ -189,8 +201,9 @@ def cmd_solve_reactive(args) -> int:
         "sigma2": inst.dist.variance,
         "epsilon": opts.epsilon,
         "points": [
-            dict(p.to_dict(), certificate=c.to_dict(), iterations=t.iterations,
-                 terminated_by=t.terminated_by.value, polished_at=t.polished_at)
+            {"xhat0": p.xhat[0], "xhat1": p.xhat[1], "alpha": p.theta[0], "beta": p.theta[1],
+             "certificate": dataclasses.asdict(c), "iterations": t.iterations,
+             "terminated_by": t.terminated_by.value, "polished_at": t.polished_at}
             for p, t, c in results
         ],
     }
@@ -203,12 +216,25 @@ def cmd_solve_reactive(args) -> int:
               f"grad_norm={c.grad_norm:.3e} lp_gap={c.lp_gap:.3e} certified={c.certified}")
     _write_json(args.out, payload)
     if args.trace_out:
-        with open(args.trace_out, "w", newline="") as fh:
-            trace.write_csv(fh)
+        _emit_csv(args.trace_out,
+                  [",".join(_TRACE_FIELDS)] + [",".join(_trace_cells(r)) for r in trace.rows])
     return EXIT_OK if cert.certified else EXIT_UNCERTIFIED
 
 
+def _policy_json(bundle: PolicyBundle) -> dict:
+    """The policy object of a simulate file, which ``_load_policy`` reads."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "transmit": {"silent_lo": bundle.silent_lo, "silent_hi": bundle.silent_hi},
+        "jam": {"kind": bundle.kind, "alpha": bundle.alpha, "beta": bundle.beta},
+        "estimator": {"xhat0": bundle.xhat[0], "xhat1": bundle.xhat[1]},
+    }
+
+
 def _load_policy(path: str) -> PolicyBundle:
+    """The bundle of a ``_policy_json`` object in the file ``path``. A number
+    may be given as a string ("Infinity" is one); a boolean is refused, not
+    read as 0 or 1."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -216,8 +242,30 @@ def _load_policy(path: str) -> PolicyBundle:
         raise ConfigError(f"cannot read policy file: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"policy file is not valid JSON: {exc}")
+    if not isinstance(payload, dict):
+        raise ConfigError(f"policy must be a JSON object, not {type(payload).__name__}")
+
+    def pick(section, key, cast):
+        node = payload.get(section)
+        if not isinstance(node, dict) or key not in node:
+            raise ValueError(f"policy field missing or malformed: {section}.{key}")
+        value = node[key]
+        try:
+            if not isinstance(value, bool):
+                return cast(value)
+        except (TypeError, ValueError):
+            pass
+        raise ValueError(f"policy field has wrong type: {section}.{key}")
+
     try:
-        return PolicyBundle.from_dict(payload)
+        return PolicyBundle(
+            silent_lo=pick("transmit", "silent_lo", float),
+            silent_hi=pick("transmit", "silent_hi", float),
+            kind=pick("jam", "kind", str),
+            alpha=pick("jam", "alpha", float),
+            beta=pick("jam", "beta", float),
+            xhat=(pick("estimator", "xhat0", float), pick("estimator", "xhat1", float)),
+        )
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -258,8 +306,6 @@ def cmd_simulate(args) -> int:
     print(f"std_error      {_fmt(result.std_error)}")
     print(f"p_transmit     {_fmt(result.p_transmit)}")
     print(f"p_jam          {_fmt(result.p_jam)}")
-    payload = result.to_dict()
-    payload["policy"] = bundle.to_dict()
     gap = result.empirical_cost - analytic
     if result.std_error:
         gap_se = gap / result.std_error
@@ -267,10 +313,14 @@ def cmd_simulate(args) -> int:
         # every draw cost the same: no gap is 0 standard errors, any gap is
         # infinitely many
         gap_se = math.copysign(math.inf, gap) if gap else 0.0
-    payload["analytic_cost"] = analytic
-    payload["gap_in_std_errors"] = gap_se
     print(f"analytic_cost  {_fmt(analytic)}  (gap = {gap_se:+.2f} SE)")
-    _write_json(args.out, payload)
+    _write_json(args.out, {
+        "schema_version": SCHEMA_VERSION, "n": result.n,
+        "empirical_cost": result.empirical_cost, "std_error": result.std_error,
+        "p_transmit": result.p_transmit, "p_jam": result.p_jam,
+        "event_counts": {f"u{u}_j{j}": c for (u, j), c in result.event_counts.items()},
+        "policy": _policy_json(bundle), "analytic_cost": analytic, "gap_in_std_errors": gap_se,
+    })
     return EXIT_OK
 
 
@@ -315,13 +365,10 @@ def cmd_compare(args) -> int:
     opts = {s: _solver_options(args, s, record_trace=True) for s in ("pga-ccp", "gda")}
     runs = {s: _run_solver(inst, s, init, o) for s, o in opts.items()}
 
-    lines = ["solver,k,xhat0,xhat1,alpha,beta,objective,grad_xhat_norm,lp_gap"]
+    # the first eight trace columns, k to lp_gap
+    lines = [",".join(("solver",) + _TRACE_FIELDS[:8])]
     for name, (_, tr, _) in runs.items():
-        for r in tr.rows:
-            lines.append(",".join([
-                name, str(r.k), _fmt(r.xhat0), _fmt(r.xhat1), _fmt(r.alpha), _fmt(r.beta),
-                _fmt(r.objective), _fmt(r.grad_xhat_norm), _fmt(r.lp_gap),
-            ]))
+        lines += [",".join([name] + _trace_cells(r)[:8]) for r in tr.rows]
     _emit_csv(args.out, lines)
 
     # a CSV on stdout is followed by nothing else there
@@ -402,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo check of a policy bundle")
     _add_dist_args(p)
     p.add_argument("--policy", default=None,
-                   help="policy bundle JSON (PolicyBundle.to_dict(), or the policy object "
-                        "of a simulate --out file)")
+                   help="policy JSON: the policy object of a simulate --out file, "
+                        "or a file of that shape")
     p.add_argument("--phi", type=float, default=None, help="inline non-sensing jamming probability")
     p.add_argument("--alpha", type=float, default=None, help="inline reactive idle-blocking probability")
     p.add_argument("--beta", type=float, default=None, help="inline reactive busy-blocking probability")

@@ -18,7 +18,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import quadrature
 
@@ -181,6 +180,9 @@ class Gaussian(SourceDistribution):
         return np.exp(-0.5 * z * z) / (self.scale * _SQRT_2PI)
 
     def ppf(self, u):
+        # imported here, so that a command that draws no Gaussian never loads it
+        from scipy.special import ndtri
+
         # scaled in place: the same product as scale * ndtri(u), without a
         # second array
         z = ndtri(np.asarray(u, dtype=float))
@@ -374,12 +376,12 @@ class Tabulated(SourceDistribution):
 
     @classmethod
     def from_csv(cls, path) -> "Tabulated":
-        """Load a two-column (x, f(x)) CSV. A first row whose x cell is not a
-        number is a header and skipped; any other row that does not parse
-        raises ``ValueError``."""
+        """Load a two-column (x, f(x)) CSV, UTF-8 with or without a byte order
+        mark. A first row whose x cell is not a number is a header and
+        skipped; any other row that does not parse raises ``ValueError``."""
         xs: list[float] = []
         fs: list[float] = []
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             for n, row in enumerate(r for r in csv.reader(fh) if r and r[0].strip()):
                 try:
                     xs.append(float(row[0]))

@@ -108,16 +108,6 @@ class NonSensingEquilibrium:
     value: float
     regime: Regime
 
-    def to_dict(self) -> dict:
-        return {
-            "phi_star": self.phi_star,
-            "xhat0": self.xhat[0],
-            "xhat1": self.xhat[1],
-            "threshold": self.threshold,
-            "value": self.value,
-            "regime": self.regime.value,
-        }
-
 
 def _cbrt(v: float) -> float:
     """Cube root of v > 0 (math.cbrt needs Python 3.11)."""

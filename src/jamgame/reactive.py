@@ -28,13 +28,10 @@ numbers off those rows.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterable
-
-from scipy.optimize import fsolve
+from typing import Iterable
 
 from .dist import SourceDistribution
 
@@ -82,14 +79,6 @@ class ReactivePoint:
 
     def mirrored(self) -> "ReactivePoint":
         return ReactivePoint((-self.xhat[0], -self.xhat[1]), self.theta)
-
-    def to_dict(self) -> dict:
-        return {
-            "xhat0": self.xhat[0],
-            "xhat1": self.xhat[1],
-            "alpha": self.theta[0],
-            "beta": self.theta[1],
-        }
 
 
 def silent_interval(
@@ -213,9 +202,6 @@ class FneCertificate:
     epsilon: float
     certified: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def lp_ascent_gap(grad: Iterable[float], theta: Iterable[float]) -> float:
     """max over the box of the linearized ascent improvement; always >= 0."""
@@ -255,9 +241,6 @@ class TraceRow:
     step_size: float
     ccp_descent: float  # Jt(x', th') - Jt(x, th'); NaN for GDA rows
 
-    FIELDS = ("k", "xhat0", "xhat1", "alpha", "beta", "objective",
-              "grad_xhat_norm", "lp_gap", "step_size", "ccp_descent")
-
 
 @dataclass
 class SolverTrace:
@@ -269,12 +252,6 @@ class SolverTrace:
     terminated_by: Termination = Termination.MAX_ITERS
     iterations: int = 0
     polished_at: int | None = None
-
-    def write_csv(self, out: IO[str]) -> None:
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(TraceRow.FIELDS)
-        for r in self.rows:
-            w.writerow([r.k] + [repr(getattr(r, f)) for f in TraceRow.FIELDS[1:]])
 
 
 @dataclass(frozen=True)
@@ -326,6 +303,9 @@ def _newton_jump(inst: GameInstance, p: ReactivePoint, q: tuple[float, float],
     ``q`` points to. Returns the first solution that certifies at
     ``epsilon``, with its row of Jt, or None.
     """
+    # imported here, so that a command that never jumps never loads it
+    from scipy.optimize import fsolve
+
     free = [i for i in (0, 1) if 0.0 < p.theta[i] < 1.0]
     faces = [{}] + [{i: 1.0 if q[i] > 0.0 else 0.0} for i in free]
     for fixed in faces:

@@ -86,42 +86,6 @@ class PolicyBundle:
         x = np.asarray(x, dtype=float)
         return ~((x > self.silent_lo) & (x < self.silent_hi))
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "transmit": {"silent_lo": self.silent_lo, "silent_hi": self.silent_hi},
-            "jam": {"kind": self.kind, "alpha": self.alpha, "beta": self.beta},
-            "estimator": {"xhat0": self.xhat[0], "xhat1": self.xhat[1]},
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PolicyBundle":
-        """The bundle of a ``to_dict`` payload. A number may be given as a
-        string ("Infinity" is one); a boolean is refused, not read as 0 or 1."""
-        if not isinstance(payload, dict):
-            raise ValueError(f"policy must be a JSON object, not {type(payload).__name__}")
-
-        def pick(path, key, cast):
-            node = payload.get(path)
-            if not isinstance(node, dict) or key not in node:
-                raise ValueError(f"policy field missing or malformed: {path}.{key}")
-            value = node[key]
-            try:
-                if not isinstance(value, bool):
-                    return cast(value)
-            except (TypeError, ValueError):
-                pass
-            raise ValueError(f"policy field has wrong type: {path}.{key}")
-
-        return cls(
-            silent_lo=pick("transmit", "silent_lo", float),
-            silent_hi=pick("transmit", "silent_hi", float),
-            kind=pick("jam", "kind", str),
-            alpha=pick("jam", "alpha", float),
-            beta=pick("jam", "beta", float),
-            xhat=(pick("estimator", "xhat0", float), pick("estimator", "xhat1", float)),
-        )
-
 
 def bundle_from_nonsensing(eq: NonSensingEquilibrium) -> PolicyBundle:
     return PolicyBundle(-eq.threshold, eq.threshold, eq.phi_star, eq.phi_star, eq.xhat, "NonSensing")
@@ -140,17 +104,6 @@ class SimResult:
     p_transmit: float
     p_jam: float
     event_counts: dict[tuple[int, int], int]
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "n": self.n,
-            "empirical_cost": self.empirical_cost,
-            "std_error": self.std_error,
-            "p_transmit": self.p_transmit,
-            "p_jam": self.p_jam,
-            "event_counts": {f"u{u}_j{j}": c for (u, j), c in sorted(self.event_counts.items())},
-        }
 
 
 def _fill(rng: np.random.Generator, u: np.ndarray) -> np.ndarray:

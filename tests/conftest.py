@@ -132,12 +132,24 @@ def exp_power_knots(variance, shape, knots_per_side=20):
     return x, np.exp(-((np.abs(x) / a) ** shape))
 
 
-def bad_first_row_csv(path, header):
-    """Write a 41-knot Gaussian table on [-8, 8] to ``path`` after
-    ``header``, with a first data row whose f cell does not parse:
-    ``-8.0,1.2664165549094176e-14oops``."""
+def gaussian_rows():
+    """The rows "x,f" of a 41-knot unnormalized Gaussian table on [-8, 8]."""
     x = np.linspace(-8.0, 8.0, 41)
-    rows = [f"{float(a)!r},{float(b)!r}" for a, b in zip(x, np.exp(-0.5 * x * x))]
+    return [f"{float(a)!r},{float(b)!r}" for a, b in zip(x, np.exp(-0.5 * x * x))]
+
+
+def gaussian_table_csv(path, header, encoding="utf-8"):
+    """Write ``gaussian_rows`` to ``path`` after ``header``; the encoding
+    "utf-8-sig" starts the file with a byte order mark."""
+    path.write_text(header + "\n".join(gaussian_rows()) + "\n", encoding=encoding)
+    return path
+
+
+def bad_first_row_csv(path, header):
+    """Write ``gaussian_rows`` to ``path`` after ``header``, with a first
+    data row whose f cell does not parse:
+    ``-8.0,1.2664165549094176e-14oops``."""
+    rows = gaussian_rows()
     rows[0] += "oops"
     path.write_text(header + "\n".join(rows) + "\n")
     return path

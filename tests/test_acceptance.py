@@ -37,6 +37,7 @@ from jamgame import (
     solve_pga_ccp,
     verify_saddle,
 )
+from jamgame.cli import _policy_json, _write_json, main
 from jamgame.reactive import default_init
 
 from conftest import FNE_TABLE, TABLE1, closed_form_violations, f_quadratic, g_row, jt_row
@@ -283,7 +284,7 @@ def test_criterion_10_simulator_agreement():
     assert elapsed < 120.0
 
 
-def test_criterion_11_property_suites():
+def test_criterion_11_property_suites(tmp_path, capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
 
@@ -317,18 +318,17 @@ def test_criterion_11_property_suites():
     assert cert.certified
     assert certify_fne(inst1, point.mirrored(), 1e-5).certified
 
-    import io
-    opts = SolverOptions(max_iters=60)
-    csvs = []
-    for _ in range(2):
-        _, tr, _ = solve_pga_ccp(inst1, None, opts)
-        buf = io.StringIO()
-        tr.write_csv(buf)
-        csvs.append(buf.getvalue())
-    assert csvs[0] == csvs[1]
-    sims = [simulate(inst2, bundle_from_nonsensing(solve_equilibrium(inst2)),
-                     n=50_000, seed=3).to_dict() for _ in range(2)]
-    assert sims[0] == sims[1]
+    # reruns write the same trace CSV and the same simulate JSON, byte for byte
+    policy = tmp_path / "policy.json"
+    _write_json(str(policy), _policy_json(bundle_from_nonsensing(solve_equilibrium(inst2))))
+    outputs = []
+    for tag in ("a", "b"):
+        trace, sim = tmp_path / f"trace_{tag}.csv", tmp_path / f"sim_{tag}.json"
+        main(["solve-reactive", "--sigma2", "1", "--max-iters", "60", "--trace-out", str(trace)])
+        main(["simulate", "--sigma2", "2", "--policy", str(policy), "--n", "50000", "--seed", "3",
+              "--out", str(sim)])
+        outputs.append((trace.read_bytes(), sim.read_bytes()))
+    assert outputs[0] == outputs[1]
 
     elapsed = time.perf_counter() - t0
     report("criterion 11: property suites", elapsed < 120.0, elapsed)

@@ -8,9 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from jamgame.cli import _strict, _write_json, main
+from jamgame.cli import SCHEMA_VERSION, _strict, _write_json, main
 
-from conftest import TABLE1, bad_first_row_csv
+from conftest import TABLE1, bad_first_row_csv, gaussian_table_csv
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -165,6 +165,20 @@ class TestSolveNonsensing:
         assert code == 2
         assert "malformed CSV row: ['-8.0', '1.2664165549094176e-14oops']" in stderr
         assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("header", ["x,f\n", ""], ids=["header", "no-header"])
+    def test_byte_order_mark_solves_the_same_table(self, tmp_path, capsys, header):
+        # a headerless marked file lost its first data row and solved
+        # another density at exit 0
+        outs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            path = gaussian_table_csv(tmp_path / f"{encoding}.csv", header, encoding)
+            out = tmp_path / f"{encoding}.json"
+            code, stdout, _ = run(capsys, "solve-nonsensing", "--dist", "custom",
+                                  "--pdf-csv", str(path), "--out", str(out))
+            assert code == 0
+            outs.append((out.read_bytes(), stdout))
+        assert outs[0] == outs[1]
 
     def test_missing_sigma2_is_config_error(self, capsys):
         code, _, stderr = run(capsys, "solve-nonsensing", "--dist", "gaussian")
@@ -665,6 +679,59 @@ class TestCompare:
         assert all(len(r) == len(rows[0]) for r in rows)
         assert {r[0] for r in rows[1:]} == {"pga-ccp", "gda"}
         assert stderr.startswith("pga-ccp:") and "gda:" in stderr
+
+
+    @pytest.mark.parametrize("flags", [
+        ["--sigma2", "1"],
+        ["--dist", "laplace", "--sigma2", "2", "--c", "0.7", "--step-size", "0.2",
+         "--max-iters", "50"],
+    ], ids=["gaussian", "laplace-flags"])
+    def test_pga_ccp_rows_are_the_solve_reactive_trace(self, tmp_path, capsys, flags):
+        # the two commands write a trace row through one formatter
+        cmp_out, trace = tmp_path / "cmp.csv", tmp_path / "trace.csv"
+        run(capsys, "compare", *flags, "--out", str(cmp_out))
+        run(capsys, "solve-reactive", *flags, "--trace-out", str(trace))
+        rows = list(csv.reader(io.StringIO(cmp_out.read_text())))
+        traced = list(csv.reader(io.StringIO(trace.read_text())))
+        assert rows[0] == ["solver"] + traced[0][:8]
+        pga = [r[1:] for r in rows[1:] if r[0] == "pga-ccp"]
+        assert len(pga) > 1 and pga == [r[:8] for r in traced[1:]]
+
+
+class TestArtifactSchema:
+    def test_every_json_artifact_carries_the_schema_version(self, tmp_path, capsys):
+        runs = {
+            "nonsensing": ["solve-nonsensing", "--sigma2", "2", "--verify-saddle", "5"],
+            "reactive": ["solve-reactive", "--sigma2", "1", "--multistart", "1"],
+            "simulate": ["simulate", "--sigma2", "1", "--phi", "0.3", "--n", "1000"],
+        }
+        payloads = {}
+        for name, argv in runs.items():
+            out = tmp_path / f"{name}.json"
+            code, _, _ = run(capsys, *argv, "--out", str(out))
+            assert code == 0
+            payloads[name] = strict_json(out)
+        for payload in [*payloads.values(), payloads["simulate"]["policy"]]:
+            assert payload["schema_version"] == SCHEMA_VERSION
+
+    @pytest.mark.parametrize("policy_argv", [
+        ["--phi", "0.3"],
+        ["--alpha", "0.2", "--beta", "0.7", "--xhat0", "0.4", "--xhat1", "-0.9"],
+        ["--alpha", "0", "--beta", "0"],
+    ], ids=["nonsensing", "reactive", "never-jam"])
+    def test_simulate_policy_reproduces_its_file(self, tmp_path, capsys, policy_argv):
+        # the policy object of a simulate file, schema_version and all, fed
+        # back through --policy
+        first, again = tmp_path / "a.json", tmp_path / "b.json"
+        argv = ["simulate", "--dist", "laplace", "--sigma2", "1.5", "--c", "0.8",
+                "--n", "4000", "--seed", "5"]
+        code, stdout, _ = run(capsys, *argv, *policy_argv, "--out", str(first))
+        assert code == 0
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps(strict_json(first)["policy"]))
+        code, stdout_again, _ = run(capsys, *argv, "--policy", str(policy), "--out", str(again))
+        assert code == 0
+        assert again.read_bytes() == first.read_bytes() and stdout_again == stdout
 
 
 class TestDeterminismAndConfig:

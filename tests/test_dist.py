@@ -13,7 +13,13 @@ from jamgame import (
 from jamgame.dist import _GL_W, _GL_X, InadmissibleDistributionError, _pchip
 from jamgame.quadrature import PiecewiseIntegrand, integrate
 
-from conftest import bad_first_row_csv, closed_form_violations, exp_power_knots, exp_power_table
+from conftest import (
+    bad_first_row_csv,
+    closed_form_violations,
+    exp_power_knots,
+    exp_power_table,
+    gaussian_table_csv,
+)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -471,6 +477,19 @@ def test_tabulated_csv_roundtrip(tmp_path):
     no_header = tmp_path / "bare.csv"
     no_header.write_text(rows + "\n")
     assert Tabulated.from_csv(no_header).variance == pytest.approx(tab.variance, rel=1e-9)
+
+
+@pytest.mark.parametrize("header", ["x,f\n", ""], ids=["header", "no-header"])
+def test_tabulated_csv_byte_order_mark_keeps_every_knot(tmp_path, header):
+    # the mark made the first cell "\ufeff-8.0", which does not parse, so a
+    # headerless file's first data row was dropped as a header: 40 knots,
+    # R = 7.6
+    plain = Tabulated.from_csv(gaussian_table_csv(tmp_path / "plain.csv", header))
+    marked = Tabulated.from_csv(
+        gaussian_table_csv(tmp_path / "bom.csv", header, encoding="utf-8-sig"))
+    assert len(marked._knots) == 41 and marked.truncation_radius == 8.0
+    assert np.array_equal(marked._knots, plain._knots)
+    assert np.array_equal(marked._coef, plain._coef)
 
 
 @pytest.mark.parametrize("header", ["x,f\n", ""], ids=["header", "no-header"])

@@ -3,7 +3,12 @@
 Module-level imports run one way, quadrature -> dist -> reactive ->
 nonsensing -> simulate -> cli, so no module needs an import inside a
 function to break a cycle. The package owns its table interpolant, so
-nothing imports ``scipy.interpolate``.
+nothing imports ``scipy.interpolate``, and the two scipy functions it uses
+are imported where they run (``ndtri`` in ``Gaussian.ppf``, ``fsolve`` in
+the reactive jump), so ``import jamgame.cli`` and a ``solve-nonsensing``
+call load no scipy module. Only ``cli`` formats artifacts: ``reactive``,
+``nonsensing`` and ``simulate`` import neither ``json`` nor ``csv``
+(``dist`` reads a table with ``csv``).
 """
 
 import ast
@@ -82,8 +87,25 @@ def test_no_module_imports_scipy_interpolate(path):
     assert found == []
 
 
+@pytest.mark.parametrize("name", ["reactive", "nonsensing", "simulate"])
+def test_computing_modules_format_no_artifacts(name):
+    source = (SRC / f"{name}.py").read_text()
+    found = [
+        (node.lineno, m)
+        for node in ast.walk(ast.parse(source)) for m in _imported_modules(node)
+        if m.split(".")[0] in ("json", "csv")
+    ]
+    assert found == []
+    assert "schema_version" not in source
+
+
 def test_cli_import_leaves_scipy_interpolate_out():
-    probe = "import sys, jamgame.cli; print('scipy.interpolate' in sys.modules)"
-    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
-    assert run.stdout.strip() == "False"
+    # a fresh process after the import alone, and after a solve-nonsensing
+    # call too, holds no scipy module at all
+    for call in ("", "jamgame.cli.main(['solve-nonsensing', '--sigma2', '1'])"):
+        probe = ("import contextlib, io, sys, jamgame.cli\n"
+                 f"with contextlib.redirect_stdout(io.StringIO()): {call or 'pass'}\n"
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+        assert run.stdout.strip() == "[]"

@@ -20,6 +20,7 @@ from jamgame import (
     verify_saddle,
 )
 from jamgame import nonsensing
+from jamgame.cli import main
 from jamgame.dist import InadmissibleDistributionError
 from jamgame.nonsensing import ROUNDING_ULPS, NonSensingEquilibrium
 
@@ -228,11 +229,17 @@ class TestSolveEquilibrium:
         else:
             assert abs(jam_marginal(lap1, eq.phi_star)) < 1e-8
 
-    def test_json_round_trip(self, eq_g2):
-        payload = json.loads(json.dumps(eq_g2.to_dict()))
-        assert set(payload) == {"phi_star", "xhat0", "xhat1", "threshold", "value", "regime"}
+    def test_json_round_trip(self, eq_g2, tmp_path, capsys):
+        # solve-nonsensing --out writes the equilibrium of the library call
+        out = tmp_path / "eq.json"
+        assert main(["solve-nonsensing", "--sigma2", "2", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert set(payload) == {"phi_star", "xhat0", "xhat1", "threshold", "value", "regime",
+                                "schema_version", "c", "d", "sigma2", "family"}
         assert payload["regime"] == "InteriorJam"
         assert payload["xhat0"] == 0.0
+        assert (payload["phi_star"], payload["threshold"], payload["value"]) == \
+            (eq_g2.phi_star, eq_g2.threshold, eq_g2.value)
 
 
 def _halving_bisection_phi(inst: GameInstance, xtol: float = 1e-10) -> tuple[Regime, float]:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jamgame.reactive as reactive
+from jamgame.cli import main
 from jamgame import (
     GameInstance,
     PolicyBundle,
@@ -588,20 +590,32 @@ class TestSolverOptions:
                     SolverOptions(**{field: bad})
 
 
-class TestTraceCsv:
-    def test_csv_shape_and_determinism(self, g1, tmp_path):
-        import io
+TRACE_FIELDS = [f.name for f in dataclasses.fields(TraceRow)]
 
-        _, trace, _ = solve_pga_ccp(g1, opts=SolverOptions(max_iters=40))
-        buf1, buf2 = io.StringIO(), io.StringIO()
-        trace.write_csv(buf1)
-        trace.write_csv(buf2)
-        assert buf1.getvalue() == buf2.getvalue()
-        header = buf1.getvalue().splitlines()[0]
-        assert header.split(",")[:8] == [
+
+class TestTraceCsv:
+    def test_csv_shape_and_determinism(self, g1, tmp_path, capsys):
+        # solve-reactive --trace-out writes every row of the solve, every
+        # field in its bits, and a rerun writes the same bytes
+        texts = []
+        for tag in ("a", "b"):
+            path = tmp_path / f"trace_{tag}.csv"
+            main(["solve-reactive", "--sigma2", "1", "--c", "1", "--d", "1",
+                  "--max-iters", "40", "--trace-out", str(path)])
+            texts.append(path.read_text())
+        assert texts[0] == texts[1]
+        header, *lines = texts[0].splitlines()
+        assert header.split(",") == TRACE_FIELDS
+        assert TRACE_FIELDS[:8] == [
             "k", "xhat0", "xhat1", "alpha", "beta", "objective",
             "grad_xhat_norm", "lp_gap",
         ]
+        _, trace, _ = solve_pga_ccp(g1, opts=SolverOptions(max_iters=40))
+        assert len(lines) == len(trace.rows) > 1
+        for line, row in zip(lines, trace.rows):
+            cells = line.split(",")
+            assert int(cells[0]) == row.k
+            assert _bits(*map(float, cells[1:])) == _bits(*dataclasses.astuple(row)[1:])
 
 
 def _reference_jump(inst, p, q, epsilon):
@@ -724,8 +738,8 @@ class TestLoopMatchesReference:
         (p, trace, cert), (p_ref, trace_ref, cert_ref) = got, ref
         assert len(trace.rows) == len(trace_ref.rows)
         for row, row_ref in zip(trace.rows, trace_ref.rows):
-            fields = [getattr(row, f) for f in TraceRow.FIELDS]
-            fields_ref = [getattr(row_ref, f) for f in TraceRow.FIELDS]
+            fields = [getattr(row, f) for f in TRACE_FIELDS]
+            fields_ref = [getattr(row_ref, f) for f in TRACE_FIELDS]
             assert _bits(*fields) == _bits(*fields_ref)
         assert trace.iterations == trace_ref.iterations
         assert trace.terminated_by is trace_ref.terminated_by

@@ -21,6 +21,7 @@ from jamgame import (
     simulate,
     solve_equilibrium,
 )
+from jamgame.cli import SCHEMA_VERSION, ConfigError, _load_policy, _policy_json, _write_json, main
 from jamgame.simulate import TRACE_LIMIT, SimResult
 
 from conftest import TABLE1, exp_power_table, jt_row
@@ -351,30 +352,47 @@ class TestThreadHygiene:
 
 
 class TestSerialization:
-    def test_result_json_fields(self, g1, eq_g1):
-        res = simulate(g1, bundle_from_nonsensing(eq_g1), n=1000, seed=1)
-        payload = json.loads(json.dumps(res.to_dict()))
-        assert payload["schema_version"] == 1
+    """The simulate JSON and its policy object, which the command line
+    writes and ``--policy`` reads."""
+
+    def test_result_json_fields(self, g1, eq_g1, tmp_path, capsys):
+        # eq_g1 never jams: --phi 0 gives its bundle
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--sigma2", "1", "--phi", "0", "--n", "1000", "--seed", "1",
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["schema_version"] == SCHEMA_VERSION
         assert payload["n"] == 1000
         assert set(payload["event_counts"]) == {"u0_j0", "u0_j1", "u1_j0", "u1_j1"}
+        res = simulate(g1, bundle_from_nonsensing(eq_g1), n=1000, seed=1)
+        assert payload["empirical_cost"] == res.empirical_cost
+        assert payload["std_error"] == res.std_error
+        counts = {f"u{u}_j{j}": c for (u, j), c in res.event_counts.items()}
+        assert payload["event_counts"] == counts
 
-    def test_bundle_round_trip(self, g1, eq_g1):
-        bundle = bundle_from_nonsensing(eq_g1)
-        again = PolicyBundle.from_dict(bundle.to_dict())
-        assert again == bundle
+    def test_bundle_round_trip(self, g1, eq_g1, tmp_path):
+        jam = (0.3, 0.3)
+        for bundle in (bundle_from_nonsensing(eq_g1),
+                       PolicyBundle(-math.inf, math.inf, *jam, (0.0, 0.0), "NonSensing")):
+            path = tmp_path / "policy.json"
+            _write_json(str(path), _policy_json(bundle))
+            assert _load_policy(str(path)) == bundle
 
-    def test_bundle_rejects_malformed_payload(self):
-        with pytest.raises(ValueError, match=r"jam\.alpha"):
-            PolicyBundle.from_dict(
-                {"transmit": {"silent_lo": -1.0, "silent_hi": 1.0},
-                 "jam": {"kind": "NonSensing", "beta": 0.2},
-                 "estimator": {"xhat0": 0.0, "xhat1": 0.0}}
-            )
-        with pytest.raises(ValueError, match=r"transmit\.silent_lo"):
-            PolicyBundle.from_dict(
-                {"transmit": {}, "jam": {"kind": "NonSensing", "alpha": 0.0, "beta": 0.0},
-                 "estimator": {"xhat0": 0.0, "xhat1": 0.0}}
-            )
+    def test_bundle_rejects_malformed_payload(self, tmp_path):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(
+            {"transmit": {"silent_lo": -1.0, "silent_hi": 1.0},
+             "jam": {"kind": "NonSensing", "beta": 0.2},
+             "estimator": {"xhat0": 0.0, "xhat1": 0.0}}
+        ))
+        with pytest.raises(ConfigError, match=r"jam\.alpha"):
+            _load_policy(str(path))
+        path.write_text(json.dumps(
+            {"transmit": {}, "jam": {"kind": "NonSensing", "alpha": 0.0, "beta": 0.0},
+             "estimator": {"xhat0": 0.0, "xhat1": 0.0}}
+        ))
+        with pytest.raises(ConfigError, match=r"transmit\.silent_lo"):
+            _load_policy(str(path))
 
     def test_bundle_rejects_nan_silent_bound(self):
         jam = (0.3, 0.3)
