@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import functools
 import json
@@ -41,6 +42,10 @@ from .simulate import PolicyBundle, analytic_cost, bundle_from_reactive, simulat
 SCHEMA_VERSION = 1
 # the columns of a solver trace CSV
 _TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(TraceRow))
+# the u, j and channel output columns of a simulate event-trace row, by
+# transmit + 2 * jam
+_EVENT_COLUMNS = (",0,0,idle,", ",1,0,x,", ",0,1,B,", ",1,1,B,")
+_EVENT_SLICE = 1 << 11
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -177,11 +182,8 @@ def cmd_solve_reactive(args) -> int:
     inst = build_instance(args)
     # the trace rows are recorded only for --trace-out, the one place they are written
     opts = _solver_options(args, args.solver, args.trace_out is not None)
-    init = None
-    if args.init_xhat is not None or args.init_theta is not None:
-        xhat = tuple(args.init_xhat) if args.init_xhat else tuple(default_init(inst).xhat)
-        theta = tuple(args.init_theta) if args.init_theta else (0.5, 0.5)
-        init = ReactivePoint(xhat, theta)
+    base = default_init(inst)
+    init = ReactivePoint(tuple(args.init_xhat or base.xhat), tuple(args.init_theta or base.theta))
 
     point, trace, cert = _run_solver(inst, args.solver, init, opts)
     results = [(point, trace, cert)]
@@ -258,7 +260,7 @@ def _load_policy(path: str) -> PolicyBundle:
         raise ValueError(f"policy field has wrong type: {section}.{key}")
 
     try:
-        return PolicyBundle(
+        fields = dict(
             silent_lo=pick("transmit", "silent_lo", float),
             silent_hi=pick("transmit", "silent_hi", float),
             kind=pick("jam", "kind", str),
@@ -266,8 +268,53 @@ def _load_policy(path: str) -> PolicyBundle:
             beta=pick("jam", "beta", float),
             xhat=(pick("estimator", "xhat0", float), pick("estimator", "xhat1", float)),
         )
+        if fields["kind"] not in ("NonSensing", "Reactive"):
+            raise ValueError(f"policy field has wrong type: jam.kind ({fields['kind']!r})")
+        return PolicyBundle(**fields)
     except ValueError as exc:
         raise ConfigError(str(exc))
+
+
+def _float_reprs(a: np.ndarray) -> np.ndarray:
+    """repr of each element of a float array as a Python float, one repr per
+    distinct bit pattern (told apart by bits, not by value: 0.0 == -0.0)."""
+    bits, inverse = np.unique(a.view(np.uint64), return_inverse=True)
+    reprs = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return reprs[inverse]
+
+
+@contextlib.contextmanager
+def _event_trace(path: str, xhat: tuple[float, float]):
+    """A ``simulate`` trace sink that writes the event-trace CSV to ``path``,
+    made at its first call (a run that fails before its first draw leaves
+    none) and closed on leaving. Rows are formatted column by column in
+    slices of at most _EVENT_SLICE; a row's estimate is its x string on a
+    clean reception and the string of a symbol of ``xhat`` otherwise."""
+    symbols = (_fmt(xhat[0]), _fmt(xhat[1]))
+    fh = None
+
+    def sink(x, tx, jam, cost):
+        nonlocal fh
+        if fh is None:
+            fh = open(path, "w", newline="")
+            fh.write("x,u,j,y,xhat,cost\n")
+        for lo in range(0, len(x), _EVENT_SLICE):
+            part = slice(lo, lo + _EVENT_SLICE)
+            t, j = tx[part], jam[part]
+            xs = _float_reprs(x[part])
+            shown = np.where(j, symbols[1], np.where(t, xs, symbols[0]))
+            event = t.view(np.uint8) + 2 * j.view(np.uint8)
+            fh.write("".join([
+                f"{xv}{_EVENT_COLUMNS[e]}{hv},{cv}\n"
+                for xv, e, hv, cv in zip(xs.tolist(), event.tolist(), shown.tolist(),
+                                         _float_reprs(cost[part]).tolist())
+            ]))
+
+    try:
+        yield sink
+    finally:
+        if fh is not None:
+            fh.close()
 
 
 # the simulate flags that each give a policy: one of them, or --alpha with --beta
@@ -300,7 +347,11 @@ def cmd_simulate(args) -> int:
 
     # before the draws, so a bundle the kernel cannot value leaves no trace file
     analytic = analytic_cost(inst, bundle)
-    result = simulate(inst, bundle, args.n, args.seed, trace_path=args.trace_out)
+    if args.trace_out is None:
+        result = simulate(inst, bundle, args.n, args.seed)
+    else:
+        with _event_trace(args.trace_out, bundle.xhat) as sink:
+            result = simulate(inst, bundle, args.n, args.seed, sink)
     print(f"n              {result.n}")
     print(f"empirical_cost {_fmt(result.empirical_cost)}")
     print(f"std_error      {_fmt(result.std_error)}")

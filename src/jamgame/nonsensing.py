@@ -48,14 +48,15 @@ def threshold_policy(c: float, phi: float, xhat0: float = 0.0) -> tuple[float, f
     Transmit iff (1 - phi)(x - xhat0)^2 >= c, that is stay silent strictly
     inside the interval (ties transmit; they carry no probability mass
     under a continuous density). At phi = 1 this degenerates to
-    never-transmit, (-inf, inf).
+    never-transmit, (-inf, inf), when c > 0, and to always-transmit, the
+    empty (xhat0, xhat0), when c = 0, where 0 >= 0 holds everywhere.
     """
     if not 0.0 <= phi <= 1.0:
         raise ValueError("phi must lie in [0, 1]")
     if c < 0:
         raise ValueError("c must be nonnegative")
     if phi == 1.0:
-        return (-math.inf, math.inf)
+        return (-math.inf, math.inf) if c > 0 else (xhat0, xhat0)
     tau = math.sqrt(c / (1.0 - phi))
     return (xhat0 - tau, xhat0 + tau)
 
@@ -189,23 +190,17 @@ def solve_equilibrium(inst: GameInstance, xtol: float = 1e-10) -> NonSensingEqui
 class SaddleReport:
     """Verification of the saddle inequalities.
 
-    ``jammer_violations`` lists (phi, objective, excess) for the endpoints
-    phi = 0 and 1 that beat the equilibrium value by more than tol plus the
-    rounding allowance; ``coordinator_violations`` lists (xhat0, objective,
-    shortfall) for grid deviations that undercut it by as much. The worst
-    values are the raw excess and shortfall, with no allowance.
+    The worst values are the raw excess of the jammer's endpoints phi = 0
+    and 1 over the equilibrium value and the raw shortfall of the
+    coordinator's grid deviations under it, with no allowance. ``ok``
+    holds when neither exceeds tol plus the rounding allowance.
     """
 
     tol: float
     value: float
-    jammer_violations: list[tuple[float, float, float]]
-    coordinator_violations: list[tuple[float, float, float]]
     worst_jammer_excess: float
     worst_coordinator_shortfall: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.jammer_violations and not self.coordinator_violations
+    ok: bool
 
 
 def verify_saddle(
@@ -231,20 +226,15 @@ def verify_saddle(
     magnitude = max(abs(eq.value), inst.dist.variance, inst.c, inst.d)
     slack = tol + ROUNDING_ULPS * math.ulp(1.0) * magnitude
     silent = (-eq.threshold, eq.threshold)
-    jammer = []
-    for phi in (0.0, 1.0):
-        val = evaluate(inst, *eq.xhat, phi, phi, silent=silent)[0][0]
-        jammer.append((phi, val, val - eq.value))
-    coordinator = []
-    for x0 in np.linspace(-span, span, xhat_points).tolist():
-        val = evaluate(inst, x0, 0.0, eq.phi_star, eq.phi_star)[0][0]
-        coordinator.append((x0, val, eq.value - val))
-
+    excess = max(evaluate(inst, *eq.xhat, phi, phi, silent=silent)[0][0] - eq.value
+                 for phi in (0.0, 1.0))
+    shortfall = max((eq.value - evaluate(inst, x0, 0.0, eq.phi_star, eq.phi_star)[0][0]
+                     for x0 in np.linspace(-span, span, xhat_points).tolist()),
+                    default=-math.inf)
     return SaddleReport(
         tol=tol,
         value=eq.value,
-        jammer_violations=[v for v in jammer if v[2] > slack],
-        coordinator_violations=[v for v in coordinator if v[2] > slack],
-        worst_jammer_excess=max(v[2] for v in jammer),
-        worst_coordinator_shortfall=max((v[2] for v in coordinator), default=-math.inf),
+        worst_jammer_excess=excess,
+        worst_coordinator_shortfall=shortfall,
+        ok=not (excess > slack or shortfall > slack),
     )

@@ -12,12 +12,13 @@ shorter), in buffers allocated once per call, so memory does not grow with
 ``n``. Each leaf's cost sums come from ``np.sum`` and are added to the
 totals in draw order; an in-order sum of n / LEAF pairwise-summed leaves
 errs by about n / LEAF float epsilons relative, far below one standard
-error. A different LEAF leaves the draws, the event counts and the event
-trace as they are and moves ``empirical_cost`` and ``std_error`` only in
-their last bits.
+error. A different LEAF leaves the draws, the event counts and the traced
+draws as they are and moves ``empirical_cost`` and ``std_error`` only in
+their last bits. The module opens no file: the command line formats the
+draws handed to a trace sink as its event-trace CSV.
 
 The draws run one leaf ahead on a helper thread: while the calling thread
-inverts, tallies and traces leaf k, the helper fills leaf k + 1 from the
+inverts, tallies and hands on leaf k, the helper fills leaf k + 1 from the
 stream. NumPy and SciPy release the interpreter lock in the Philox fill and
 in the array kernels of the inverse CDFs, so the two overlap on two cores.
 The helper is the only user of the generator and draws the leaves in
@@ -43,11 +44,6 @@ from .reactive import GameInstance, ReactivePoint, evaluate, silent_interval
 TRACE_LIMIT = 10_000
 # draws worked on, and summed, at a time
 LEAF = 1 << 14
-# event-trace rows formatted at a time
-_TRACE_SLICE = 1 << 11
-# the u, j and channel output columns of an event-trace row, by
-# transmit + 2 * jam
-_EVENT_COLUMNS = (",0,0,idle,", ",1,0,x,", ",0,1,B,", ",1,1,B,")
 
 
 @dataclass(frozen=True)
@@ -72,7 +68,8 @@ class PolicyBundle:
 
     def __post_init__(self):
         if self.kind not in ("NonSensing", "Reactive"):
-            raise ValueError(f"policy field has wrong type: jam.kind ({self.kind!r})")
+            raise ValueError(f"unknown jammer kind {self.kind!r}: "
+                             "expected 'NonSensing' or 'Reactive'")
         if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
             raise ValueError("jamming probabilities must lie in [0, 1]")
         if self.kind == "NonSensing" and self.alpha != self.beta:
@@ -128,35 +125,11 @@ def _prefetched(helper: ThreadPoolExecutor, rng: np.random.Generator, sizes):
     yield pending.result()
 
 
-def _float_reprs(a: np.ndarray) -> np.ndarray:
-    """repr of each element of a float array as a Python float, one repr per
-    distinct bit pattern (told apart by bits, not by value: 0.0 == -0.0)."""
-    bits, inverse = np.unique(a.view(np.uint64), return_inverse=True)
-    reprs = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    return reprs[inverse]
-
-
-def _write_trace(fh, x, tx, jam, cost, symbols: tuple[str, str]) -> None:
-    """Write one event-trace row per draw, column by column, in slices of
-    at most _TRACE_SLICE rows. The estimate is the row's x string on a
-    clean reception and a symbol's string otherwise."""
-    for lo in range(0, len(x), _TRACE_SLICE):
-        part = slice(lo, lo + _TRACE_SLICE)
-        t, j = tx[part], jam[part]
-        xs = _float_reprs(x[part])
-        xhat = np.where(j, symbols[1], np.where(t, xs, symbols[0]))
-        event = t.view(np.uint8) + 2 * j.view(np.uint8)
-        fh.write("".join([
-            f"{xv}{_EVENT_COLUMNS[e]}{hv},{cv}\n"
-            for xv, e, hv, cv in zip(xs.tolist(), event.tolist(), xhat.tolist(),
-                                     _float_reprs(cost[part]).tolist())
-        ]))
-
-
 def _leaf_sums(inst: GameInstance, policies: PolicyBundle, draws, counts: dict, trace):
     """(sum of cost, sum of squared cost) of each leaf of uniforms in
-    ``draws``, adding its events to ``counts`` and writing the rows of the
-    first TRACE_LIMIT draws to the open file ``trace`` (None: no trace).
+    ``draws``, adding its events to ``counts`` and calling ``trace(x, tx,
+    jam, cost)`` with the leaf's share of the first TRACE_LIMIT draws
+    (None: no trace).
 
     Every array but the inverse CDF's output and the transmit mask is a
     buffer of LEAF elements allocated once.
@@ -165,7 +138,6 @@ def _leaf_sums(inst: GameInstance, policies: PolicyBundle, draws, counts: dict, 
     # the symbol the receiver falls back to by the jam flag
     p_block = np.array([policies.alpha, policies.beta])
     symbol = np.array(policies.xhat, dtype=float)
-    symbols = tuple(repr(v) for v in symbol.tolist())
     cost_buf, term_buf = np.empty(LEAF), np.empty(LEAF)
     jam_buf, mask_buf = np.empty(LEAF, dtype=bool), np.empty(LEAF, dtype=bool)
     done = 0
@@ -193,18 +165,13 @@ def _leaf_sums(inst: GameInstance, policies: PolicyBundle, draws, counts: dict, 
 
         if trace is not None and done < TRACE_LIMIT:
             take = min(TRACE_LIMIT - done, m)
-            _write_trace(trace, x[:take], tx[:take], jam[:take], cost[:take], symbols)
+            trace(x[:take], tx[:take], jam[:take], cost[:take])
         done += m
         yield float(np.sum(cost)), float(np.sum(np.multiply(cost, cost, out=term)))
 
 
-def simulate(
-    inst: GameInstance,
-    policies: PolicyBundle,
-    n: int,
-    seed: int,
-    trace_path=None,
-) -> SimResult:
+def simulate(inst: GameInstance, policies: PolicyBundle, n: int, seed: int,
+             trace=None) -> SimResult:
     """Run n independent rounds of the game and aggregate the realized cost.
 
     Per draw: draw X, transmit per the threshold rule, block with the
@@ -222,42 +189,31 @@ def simulate(
     every call on the caller's thread. Only the helper uses the generator,
     in leaf order, so the result does not depend on thread timing. The
     helper is joined, and a draw not yet started is cancelled, before this
-    function returns or raises.
+    function returns or raises. A ``trace`` sink is called on this thread
+    with the views ``(x, tx, jam, cost)`` of each leaf's share of the first
+    TRACE_LIMIT draws, valid only during the call.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=seed))
     sizes = (min(LEAF, n - done) for done in range(0, n, LEAF))
-    total = 0.0
-    total_sq = 0.0
+    total = total_sq = 0.0
     counts = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
-    trace_file = None
     helper = ThreadPoolExecutor(1)
     try:
         draws = _prefetched(helper, rng, sizes)
-        if trace_path is not None:
-            trace_file = open(trace_path, "w", newline="")
-            trace_file.write("x,u,j,y,xhat,cost\n")
-        for s, sq in _leaf_sums(inst, policies, draws, counts, trace_file):
+        for s, sq in _leaf_sums(inst, policies, draws, counts, trace):
             total += s
             total_sq += sq
     finally:
         helper.shutdown(wait=True, cancel_futures=True)
-        if trace_file is not None:
-            trace_file.close()
 
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0) * (n / max(n - 1, 1))
     n_tx = counts[(1, 0)] + counts[(1, 1)]
     n_jam = counts[(0, 1)] + counts[(1, 1)]
-    return SimResult(
-        n=n,
-        empirical_cost=mean,
-        std_error=math.sqrt(var / n),
-        p_transmit=n_tx / n,
-        p_jam=n_jam / n,
-        event_counts=counts,
-    )
+    return SimResult(n=n, empirical_cost=mean, std_error=math.sqrt(var / n),
+                     p_transmit=n_tx / n, p_jam=n_jam / n, event_counts=counts)
 
 
 def analytic_cost(inst: GameInstance, bundle: PolicyBundle) -> float:

@@ -13,10 +13,12 @@ from jamgame import (
     evaluate,
     gaussian,
     laplace,
+    simulate,
     solve_equilibrium,
     solve_gda,
     solve_pga_ccp,
 )
+from jamgame.cli import _event_trace
 from jamgame.dist import CHECK_GRID_POINTS, NORMALIZATION_TOL, SYMMETRY_TOL, UNIMODAL_TOL
 from jamgame.quadrature import PiecewiseIntegrand, integrate
 
@@ -177,3 +179,12 @@ def f_quadratic(inst, p):
     (x0, x1), (a, b) = p.xhat, p.theta
     v = inst.dist.variance
     return (a + b) * (v + x1 * x1) + (1.0 - a) * (v + x0 * x0) + inst.c - inst.d * (a + b)
+
+
+def traced_simulate(inst, policies, n, seed, path):
+    """``simulate`` with the command line's event-trace sink, which writes
+    the first draws to ``path`` (None: no trace)."""
+    if path is None:
+        return simulate(inst, policies, n, seed)
+    with _event_trace(str(path), policies.xhat) as sink:
+        return simulate(inst, policies, n, seed, sink)

@@ -372,6 +372,24 @@ class TestSimulateCommand:
         assert code == 3 and "overflow" in stderr
         assert stdout == "" and not trace.exists()
 
+    def test_zero_draws_is_config_error_with_no_trace_file(self, tmp_path, capsys):
+        trace = tmp_path / "events.csv"
+        code, stdout, stderr = run(capsys, "simulate", "--sigma2", "1", "--phi", "0.3",
+                                   "--n", "0", "--trace-out", str(trace))
+        assert code == 2 and "n must be >= 1" in stderr
+        assert stdout == "" and not trace.exists()
+
+    def test_free_transmission_under_certain_jamming_transmits(self, tmp_path, capsys):
+        # at c = 0 and phi = 1 every x ties the threshold rule, and ties
+        # transmit; every draw is blocked either way
+        out = tmp_path / "sim.json"
+        code, _, _ = run(capsys, "simulate", "--sigma2", "1", "--c", "0", "--phi", "1",
+                         "--n", "1000", "--out", str(out))
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["p_transmit"] == 1.0 and payload["p_jam"] == 1.0
+        assert payload["event_counts"]["u1_j1"] == 1000
+
     def test_inline_reactive_policy(self, tmp_path, capsys):
         out = tmp_path / "sim.json"
         a, b, x0, x1 = TABLE1[3.0]

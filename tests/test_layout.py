@@ -8,7 +8,9 @@ are imported where they run (``ndtri`` in ``Gaussian.ppf``, ``fsolve`` in
 the reactive jump), so ``import jamgame.cli`` and a ``solve-nonsensing``
 call load no scipy module. Only ``cli`` formats artifacts: ``reactive``,
 ``nonsensing`` and ``simulate`` import neither ``json`` nor ``csv``
-(``dist`` reads a table with ``csv``).
+(``dist`` reads a table with ``csv``), call no builtin ``open``, and hold
+no artifact header; ``simulate`` hands its traced draws to a sink, which
+the command line formats as the event-trace CSV.
 """
 
 import ast
@@ -97,6 +99,23 @@ def test_computing_modules_format_no_artifacts(name):
     ]
     assert found == []
     assert "schema_version" not in source
+
+
+@pytest.mark.parametrize("name", ["reactive", "nonsensing", "simulate"])
+def test_computing_modules_open_no_file(name):
+    nodes = list(ast.walk(ast.parse((SRC / f"{name}.py").read_text())))
+    opens = [
+        node.lineno for node in nodes if isinstance(node, ast.Call)
+        if (isinstance(node.func, ast.Name) and node.func.id == "open")
+        or (isinstance(node.func, ast.Attribute) and node.func.attr == "open"
+            and isinstance(node.func.value, ast.Name) and node.func.value.id in ("builtins", "io"))
+    ]
+    assert opens == []
+    # the event-trace header and row columns are strings of cli alone
+    formats = [node.lineno for node in nodes
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and ("x,u,j,y" in node.value or ",idle," in node.value)]
+    assert formats == []
 
 
 def test_cli_import_leaves_scipy_interpolate_out():

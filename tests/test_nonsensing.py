@@ -73,6 +73,13 @@ class TestThresholdPolicy:
         rule = threshold_rule(c=1.0, phi=1.0)
         assert not rule.transmit(np.array([-100.0, 0.0, 100.0])).any()
 
+    def test_phi_one_free_transmission_transmits_everywhere(self):
+        # at c = 0, (1 - phi)(x - xhat0)^2 >= c holds everywhere and ties
+        # transmit
+        assert threshold_policy(c=0.0, phi=1.0, xhat0=0.4) == (0.4, 0.4)
+        rule = threshold_rule(c=0.0, phi=1.0, xhat0=0.4)
+        assert rule.transmit(np.array([-100.0, 0.0, 0.4, 100.0])).all()
+
     def test_rejects_bad_phi(self):
         with pytest.raises(ValueError):
             threshold_policy(c=1.0, phi=1.5)
@@ -375,7 +382,7 @@ class TestVerifySaddle:
             regime=Regime.INTERIOR_JAM,
         )
         rep = verify_saddle(g2, fake, xhat_points=11, tol=1e-6)
-        assert rep.jammer_violations
+        assert not rep.ok and rep.worst_jammer_excess > 1e-6 + _rounding(g2, fake)
 
 
 def grid_saddle_oracle(inst, eq, phi_points, xhat_points, tol=1e-6):
@@ -481,14 +488,15 @@ class TestVerifySaddleAgainstGrids:
                         "where M underflows to 0, are themselves a saddle point")
         for dphi in (-1e-3, 1e-3):
             if 0.0 <= eq.phi_star + dphi < 1.0:
-                rep = verify_saddle(inst, _moved(inst, eq, dphi), xhat_points=11, tol=1e-6)
-                assert rep.jammer_violations and not rep.ok
+                moved = _moved(inst, eq, dphi)
+                rep = verify_saddle(inst, moved, xhat_points=11, tol=1e-6)
+                assert rep.worst_jammer_excess > 1e-6 + _rounding(inst, moved) and not rep.ok
 
     @pytest.mark.parametrize("dphi", [-1e-9, 1e-9])
     def test_tol_zero_passes_the_equilibrium_and_catches_1e9(self, g2, eq_g2, dphi):
         assert verify_saddle(g2, eq_g2, xhat_points=11, tol=0.0).ok
         rep = verify_saddle(g2, _moved(g2, eq_g2, dphi), xhat_points=11, tol=0.0)
-        assert rep.jammer_violations and rep.worst_jammer_excess > 1e-10
+        assert not rep.ok and rep.worst_jammer_excess > 1e-10
 
     @pytest.mark.parametrize("make,c,d", NEAR_ONE, ids=NEAR_ONE_IDS)
     def test_tol_zero_passes_phi_star_near_one_unscaled(self, make, c, d):
@@ -504,7 +512,8 @@ class TestVerifySaddleAgainstGrids:
         # a threshold 1e-12 relative above the root, about 2000 epsilons of
         # excess, is caught
         moved = dataclasses.replace(eq, threshold=eq.threshold * (1.0 + 1e-12))
-        assert verify_saddle(inst, moved, xhat_points=11, tol=0.0).jammer_violations
+        rep = verify_saddle(inst, moved, xhat_points=11, tol=0.0)
+        assert not rep.ok and rep.worst_jammer_excess > _rounding(inst, moved)
 
     def test_out_of_range_phi_star_is_refused(self, g2, eq_g2):
         with pytest.raises(ValueError, match="phi must lie in"):

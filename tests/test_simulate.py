@@ -21,14 +21,23 @@ from jamgame import (
     simulate,
     solve_equilibrium,
 )
-from jamgame.cli import SCHEMA_VERSION, ConfigError, _load_policy, _policy_json, _write_json, main
+from jamgame.cli import (
+    SCHEMA_VERSION,
+    ConfigError,
+    _float_reprs,
+    _load_policy,
+    _policy_json,
+    _write_json,
+    main,
+)
 from jamgame.simulate import TRACE_LIMIT, SimResult
 
-from conftest import TABLE1, exp_power_table, jt_row
+from conftest import TABLE1, exp_power_table, jt_row, traced_simulate
 
 # the package exports the function under the module's name, so
 # ``import jamgame.simulate as m`` binds the function; this is the module
 SIM_MODULE = importlib.import_module("jamgame.simulate")
+CLI_MODULE = importlib.import_module("jamgame.cli")
 
 
 def binom_se(p_hat, n):
@@ -140,7 +149,7 @@ class TestDeterminism:
         for leaf in (SIM_MODULE.LEAF, 997):
             monkeypatch.setattr(SIM_MODULE, "LEAF", leaf)
             path = tmp_path / f"events-{leaf}.csv"
-            runs.append((simulate(g2, bundle, n=n, seed=78, trace_path=path), path.read_bytes()))
+            runs.append((traced_simulate(g2, bundle, n, 78, path), path.read_bytes()))
         (r1, trace1), (r2, trace2) = runs
         assert r1.event_counts == r2.event_counts
         assert (r1.p_transmit, r1.p_jam) == (r2.p_transmit, r2.p_jam)
@@ -225,7 +234,7 @@ class TestPipelineOracle:
             bundle = bundle_from_reactive(ReactivePoint((0.5, -0.4), (0.3, 0.6)), inst)
         for n in (1, leaf - 1, leaf, leaf + 1, 3 * leaf + 5, 20 * leaf + 5):
             got_path, ref_path = tmp_path / f"got-{n}.csv", tmp_path / f"ref-{n}.csv"
-            got = simulate(inst, bundle, n, seed=n + leaf, trace_path=got_path)
+            got = traced_simulate(inst, bundle, n, n + leaf, got_path)
             ref = serial_simulate(inst, bundle, n, seed=n + leaf, trace_path=ref_path)
             assert got == ref
             assert got_path.read_bytes() == ref_path.read_bytes()
@@ -267,7 +276,7 @@ class TestMemory:
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            simulate(inst, bundle, n=10**6, seed=3, trace_path=trace)
+            traced_simulate(inst, bundle, 10**6, 3, trace)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not was_tracing:
@@ -294,14 +303,14 @@ class SpyDensity:
 
 @pytest.fixture
 def opened(monkeypatch):
-    """Every file ``simulate`` opens, in order."""
+    """Every file the command line's trace sink opens, in order."""
     files = []
 
     def spy_open(*args, **kwargs):
         files.append(open(*args, **kwargs))
         return files[-1]
 
-    monkeypatch.setattr(SIM_MODULE, "open", spy_open, raising=False)
+    monkeypatch.setattr(CLI_MODULE, "open", spy_open, raising=False)
     return files
 
 
@@ -316,8 +325,7 @@ class TestThreadHygiene:
         spy = SpyDensity(g1.dist)
         bundle = bundle_from_reactive(ReactivePoint((0.5, -0.4), (0.3, 0.6)), g1)
         n = 5 * 997 + 3
-        res = simulate(GameInstance(spy, 1.0, 1.0), bundle, n, seed=4,
-                       trace_path=tmp_path / "e.csv")
+        res = traced_simulate(GameInstance(spy, 1.0, 1.0), bundle, n, 4, tmp_path / "e.csv")
         assert spy.threads == [threading.get_ident()] * 6
         assert live_threads() == before
         assert res == serial_simulate(g1, bundle, n, seed=4)
@@ -334,19 +342,30 @@ class TestThreadHygiene:
         before = live_threads()
         spy = SpyDensity(g1.dist, fail_on=fail_on, action=fail)
         with pytest.raises(error, match="ppf failed"):
-            simulate(GameInstance(spy, 1.0, 1.0), bundle_from_nonsensing(eq_g1), n=10 * 997,
-                     seed=4, trace_path=tmp_path / "e.csv")
+            traced_simulate(GameInstance(spy, 1.0, 1.0), bundle_from_nonsensing(eq_g1),
+                            10 * 997, 4, tmp_path / "e.csv")
         assert len(spy.threads) == fail_on
-        assert len(opened) == 1 and opened[0].closed
+        # the file is made with the first leaf's rows: a failure in that
+        # leaf leaves none
+        assert len(opened) == (fail_on > 1) and all(fh.closed for fh in opened)
+        assert (tmp_path / "e.csv").exists() == (fail_on > 1)
         assert live_threads() == before
 
-    def test_closed_trace_file_joins_helper(self, g1, eq_g1, opened, tmp_path, monkeypatch):
+    def test_closed_trace_file_joins_helper(self, g1, eq_g1, monkeypatch):
+        # a sink that raises mid-run, as a write to a closed file does
         monkeypatch.setattr(SIM_MODULE, "LEAF", 997)
         before = live_threads()
-        spy = SpyDensity(g1.dist, fail_on=2, action=lambda: opened[0].close())
+        spy = SpyDensity(g1.dist)
+        rows = []
+
+        def sink(x, tx, jam, cost):
+            if rows:
+                raise ValueError("I/O operation on closed file")
+            rows.append(len(x))
+
         with pytest.raises(ValueError, match="closed file"):
-            simulate(GameInstance(spy, 1.0, 1.0), bundle_from_nonsensing(eq_g1), n=10 * 997,
-                     seed=4, trace_path=tmp_path / "e.csv")
+            simulate(GameInstance(spy, 1.0, 1.0), bundle_from_nonsensing(eq_g1), 10 * 997, 4, sink)
+        assert rows == [997]
         assert len(spy.threads) == 2
         assert live_threads() == before
 
@@ -405,7 +424,7 @@ class TestSerialization:
 
     def test_event_trace_csv(self, g1, eq_g1, tmp_path):
         path = tmp_path / "events.csv"
-        simulate(g1, bundle_from_nonsensing(eq_g1), n=500, seed=5, trace_path=path)
+        traced_simulate(g1, bundle_from_nonsensing(eq_g1), 500, 5, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "x,u,j,y,xhat,cost"
         assert len(lines) == 501
@@ -414,7 +433,7 @@ class TestSerialization:
 
     def test_event_trace_truncates_at_limit(self, g1, eq_g1, tmp_path):
         path = tmp_path / "events.csv"
-        simulate(g1, bundle_from_nonsensing(eq_g1), n=15_000, seed=6, trace_path=path)
+        traced_simulate(g1, bundle_from_nonsensing(eq_g1), 15_000, 6, path)
         assert len(path.read_text().splitlines()) == 10_001
 
     def test_event_trace_matches_per_row_formatting(self, g1, lap1, tmp_path, monkeypatch):
@@ -433,7 +452,7 @@ class TestSerialization:
         ]
         for k, (inst, bundle) in enumerate(cases):
             path = tmp_path / f"events-{k}.csv"
-            simulate(inst, bundle, n=12_000, seed=9, trace_path=path)
+            traced_simulate(inst, bundle, 12_000, 9, path)
             rng = np.random.Generator(np.random.Philox(key=9))
             u = np.clip(rng.random((TRACE_LIMIT, 2)), 2.0**-53, 1.0 - 2.0**-53)
             x = inst.dist.ppf(u[:, 0])
@@ -452,8 +471,8 @@ class TestSerialization:
 
     def test_float_reprs_tell_zeros_apart(self):
         a = np.array([0.0, -0.0, 1.5, 0.0, -0.0, 0.1 + 0.2])
-        assert SIM_MODULE._float_reprs(a).tolist() == [repr(v) for v in a.tolist()]
-        assert SIM_MODULE._float_reprs(a).tolist()[:2] == ["0.0", "-0.0"]
+        assert _float_reprs(a).tolist() == [repr(v) for v in a.tolist()]
+        assert _float_reprs(a).tolist()[:2] == ["0.0", "-0.0"]
 
 
 class TestAnalyticCost:
@@ -514,5 +533,6 @@ class TestAnalyticCost:
             PolicyBundle(-1.0, 1.0, 1.5, 1.5, (0.0, 0.0), "NonSensing")
         with pytest.raises(ValueError, match="alpha == beta"):
             PolicyBundle(-1.0, 1.0, 0.2, 0.3, (0.0, 0.0), "NonSensing")
-        with pytest.raises(ValueError, match=r"jam\.kind \('Sensing'\)"):
+        with pytest.raises(ValueError, match="unknown jammer kind 'Sensing': "
+                                             "expected 'NonSensing' or 'Reactive'"):
             PolicyBundle(-1.0, 1.0, 0.2, 0.2, (0.0, 0.0), "Sensing")
