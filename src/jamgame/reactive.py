@@ -23,7 +23,8 @@ the density over the whole line and over the one silent interval. One
 public kernel, ``evaluate``, returns them all at a point: the value and
 gradient rows of Jt and of G. The solvers, ``certify_fne``,
 ``nonsensing.objective`` and ``simulate.analytic_cost`` read their
-numbers off those rows.
+numbers off those rows, and the Newton jump also reads Jt's exact
+Hessian from the same moments (``_second_order``).
 """
 
 from __future__ import annotations
@@ -33,11 +34,19 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
+import numpy as np
+
 from .dist import SourceDistribution
 
-# PGA-CCP tries a jump every this many iterations; ``fsolve`` solves for it
-# with MINPACK's hybrid Powell method and a finite-difference Jacobian
+# PGA-CCP tries a jump every this many iterations, solving for it by
+# projected Newton on the exact Hessian (``_newton_jump``)
 POLISH_EVERY = 10
+# the jump's Newton steps per face, largest theta step and halvings of a
+# step that does not reduce the residual norm; it stops at a residual norm
+# of NEWTON_RES_TOL epsilon or a step of NEWTON_XTOL (MINPACK's default)
+# relative to the point
+NEWTON_STEPS, NEWTON_THETA_STEP, NEWTON_HALVINGS = 20, 0.1, 8
+NEWTON_RES_TOL, NEWTON_XTOL = 1e-3, 1.49012e-8
 # a solve stalls after STALL_ITERS iterations in a row that each move the
 # point (xhat, theta) by less than STALL_TOL
 STALL_TOL = 1e-12
@@ -113,6 +122,26 @@ def silent_interval(
     return (0.0, 0.0) if a0 >= 0.0 else (-math.inf, math.inf)
 
 
+def _cost_rows(x0: float, x1: float, a: float, b: float, c: float, d: float):
+    """Coefficient rows over (1, x, x^2) of the transmit cost A and the silent
+    cost B and of their derivatives, laid out as ``evaluate``'s rows."""
+    q_a = (
+        (b * x1 * x1 + c - d * b, -2.0 * b * x1, b),
+        (0.0, 0.0, 0.0),
+        (2.0 * b * x1, -2.0 * b, 0.0),
+        (0.0, 0.0, 0.0),
+        (x1 * x1 - d, -2.0 * x1, 1.0),
+    )
+    q_b = (
+        (a * x1 * x1 + (1.0 - a) * x0 * x0 - d * a, -2.0 * (a * x1 + (1.0 - a) * x0), 1.0),
+        (2.0 * (1.0 - a) * x0, -2.0 * (1.0 - a), 0.0),
+        (2.0 * a * x1, -2.0 * a, 0.0),
+        (x1 * x1 - x0 * x0 - d, 2.0 * (x0 - x1), 0.0),
+        (0.0, 0.0, 0.0),
+    )
+    return q_a, q_b
+
+
 def evaluate(
     inst: GameInstance, x0: float, x1: float, a: float, b: float,
     silent: tuple[float, float] | None = None,
@@ -138,20 +167,7 @@ def evaluate(
     # with theta in the unit box, every coefficient is finite when this sum is
     if not math.isfinite(x0 * x0 + x1 * x1 + c + d):
         raise FloatingPointError(f"cost coefficients overflow at xhat={(x0, x1)!r}")
-    q_a = (
-        (b * x1 * x1 + c - d * b, -2.0 * b * x1, b),
-        (0.0, 0.0, 0.0),
-        (2.0 * b * x1, -2.0 * b, 0.0),
-        (0.0, 0.0, 0.0),
-        (x1 * x1 - d, -2.0 * x1, 1.0),
-    )
-    q_b = (
-        (a * x1 * x1 + (1.0 - a) * x0 * x0 - d * a, -2.0 * (a * x1 + (1.0 - a) * x0), 1.0),
-        (2.0 * (1.0 - a) * x0, -2.0 * (1.0 - a), 0.0),
-        (2.0 * a * x1, -2.0 * a, 0.0),
-        (x1 * x1 - x0 * x0 - d, 2.0 * (x0 - x1), 0.0),
-        (0.0, 0.0, 0.0),
-    )
+    q_a, q_b = _cost_rows(x0, x1, a, b, c, d)
     if silent is None:
         silent = silent_interval((x0, x1), (a, b), c, d)
     f0, f1, f2 = inst.dist.full_moments
@@ -167,6 +183,47 @@ def evaluate(
             f"non-finite objective or gradient at xhat={(x0, x1)!r}, theta={(a, b)!r}"
         )
     return jt, g
+
+
+def _second_order(inst: GameInstance, x0: float, x1: float, a: float,
+                  b: float) -> tuple[list[float], list[list[float]]]:
+    """Jt's row at (x0, x1, a, b), bit for bit ``evaluate``'s, and its
+    Hessian in z = (x0, x1, alpha, beta), from the same moments.
+
+    The costs' nonzero second derivatives are d2A/dx1^2 = 2 beta,
+    d2A/dx1 dbeta = -2 (x - x1), d2B/dx0^2 = 2 (1 - alpha), d2B/dx0 dalpha =
+    2 (x - x0), d2B/dx1^2 = 2 alpha and d2B/dx1 dalpha = -2 (x - x1). The
+    silent interval S moves through its finite ends r, the roots of D = B - A
+    (the rows of B - A at x = r are grad D(r)), at dr/dz = -grad D(r) / D'(r),
+    so H = E[d2A] + E[d2D; S] - sum_r f(r) / |D'(r)| grad D(r) grad D(r)^T.
+    """
+    c, d = inst.c, inst.d
+    if not math.isfinite(x0 * x0 + x1 * x1 + c + d):
+        raise FloatingPointError(f"cost coefficients overflow at xhat={(x0, x1)!r}")
+    q_a, q_b = _cost_rows(x0, x1, a, b, c, d)
+    lo, hi = silent_interval((x0, x1), (a, b), c, d)
+    f0, f1, f2 = inst.dist.full_moments
+    s0, s1, s2 = inst.dist.partial_moments(lo, hi)
+    q_d = [(b0 - a0, b1 - a1, b2 - a2) for (a0, a1, a2), (b0, b1, b2) in zip(q_a, q_b)]
+    jt = [a0 * f0 + a1 * f1 + a2 * f2 + (e0 * s0 + e1 * s1 + e2 * s2)
+          for (a0, a1, a2), (e0, e1, e2) in zip(q_a, q_d)]
+    # E[d2D/dx0 dalpha; S], E[d2D/dx1 dalpha; S] and E[d2A/dx1 dbeta; not S]
+    m0, m1 = 2.0 * (s1 - x0 * s0), -2.0 * (s1 - x1 * s0)
+    m2 = -2.0 * (f1 - x1 * f0) - m1
+    h = [[2.0 * (1.0 - a) * s0, 0.0, m0, 0.0],
+         [0.0, 2.0 * b * f0 + 2.0 * (a - b) * s0, m1, m2],
+         [m0, m1, 0.0, 0.0],
+         [0.0, m2, 0.0, 0.0]]
+    (_, e1, e2), *rows = q_d
+    for r in (lo, hi) if lo < hi else ():
+        if math.isfinite(r):
+            g0, g1, g2, g3 = [r0 + (r1 + r2 * r) * r for r0, r1, r2 in rows]
+            w = inst.dist._density(r) / abs(e1 + 2.0 * e2 * r)
+            for row, wg in zip(h, (w * g0, w * g1, w * g2, w * g3)):
+                row[:] = row[0] - wg * g0, row[1] - wg * g1, row[2] - wg * g2, row[3] - wg * g3
+    if not math.isfinite(sum(jt) + sum(map(sum, h))):
+        raise FloatingPointError(f"non-finite Hessian at xhat={(x0, x1)!r}, theta={(a, b)!r}")
+    return jt, h
 
 
 def _ascend(t: float, q: float, step: float) -> float:
@@ -300,35 +357,58 @@ def _newton_jump(inst: GameInstance, p: ReactivePoint, q: tuple[float, float],
     The unknowns are xhat and the theta coordinates strictly inside (0, 1);
     coordinates at a bound stay there. If that does not give a certified
     point, each free coordinate in turn is fixed at the bound its gradient
-    ``q`` points to. Returns the first solution that certifies at
-    ``epsilon``, with its row of Jt, or None.
+    ``q`` points to. Each face takes projected Newton steps on the exact
+    Hessian (``_second_order``): theta stays in the box, an unknown sits
+    out a step while it is at a bound and its gradient points out of the
+    box, a theta step is at most NEWTON_THETA_STEP, a singular system (x1
+    drops out at alpha = beta = 0) takes the least-squares step, and the
+    step is halved until the residual norm falls. Returns the first face
+    point that certifies at ``epsilon``, with its row of Jt, or None.
     """
-    # imported here, so that a command that never jumps never loads it
-    from scipy.optimize import fsolve
-
     free = [i for i in (0, 1) if 0.0 < p.theta[i] < 1.0]
     faces = [{}] + [{i: 1.0 if q[i] > 0.0 else 0.0} for i in free]
+
+    def active(face: list[int], z: list[float], jt: list[float]) -> tuple[list[int], float]:
+        # the face's unknowns less those at a bound whose gradient jt[1 + j]
+        # points out of the box, and the norm of the residual over them
+        unknown = [j for j in face if j < 2 or 0.0 < z[j] < 1.0
+                   or (jt[1 + j] > 0.0) == (z[j] == 0.0)]
+        return unknown, math.hypot(*[jt[1 + j] for j in unknown])
+
     for fixed in faces:
-        base = [fixed.get(i, p.theta[i]) for i in (0, 1)]
-        unknown = [i for i in free if i not in fixed]
-
-        def theta_at(z) -> list[float]:
-            theta = list(base)
-            for j, i in enumerate(unknown):
-                theta[i] = min(max(float(z[2 + j]), 0.0), 1.0)
-            return theta
-
-        def residual(z):
-            # a non-finite z raises in evaluate, which ends this face
-            jt = evaluate(inst, float(z[0]), float(z[1]), *theta_at(z))[0]
-            return [jt[1], jt[2]] + [jt[3 + i] for i in unknown]
-
+        z = [*p.xhat] + [fixed.get(i, p.theta[i]) for i in (0, 1)]
+        face = [0, 1] + [2 + i for i in free if i not in fixed]
         try:
-            z = fsolve(residual, [*p.xhat] + [base[i] for i in unknown], full_output=True)[0]
-            candidate = ReactivePoint((z[0], z[1]), tuple(theta_at(z)))
-            jt = evaluate(inst, *candidate.xhat, *candidate.theta)[0]
-            if _certificate(jt, candidate.theta, epsilon).certified:
-                return candidate, jt
+            jt, h = _second_order(inst, *z)
+            unknown, norm = active(face, z, jt)
+            for _ in range(NEWTON_STEPS):
+                if norm <= NEWTON_RES_TOL * epsilon:
+                    break
+                sub = [[h[i][j] for j in unknown] for i in unknown]
+                res = [-jt[1 + j] for j in unknown]
+                try:
+                    step = np.linalg.solve(sub, res).tolist()
+                except np.linalg.LinAlgError:
+                    step = np.linalg.lstsq(sub, res, rcond=None)[0].tolist()
+                cap = max([abs(v) for j, v in zip(unknown, step) if j >= 2], default=0.0)
+                t = min(1.0, NEWTON_THETA_STEP / cap) if cap > 0.0 else 1.0
+                for _ in range(NEWTON_HALVINGS + 1):
+                    trial = list(z)
+                    for j, v in zip(unknown, step):
+                        trial[j] = z[j] + t * v if j < 2 else min(max(z[j] + t * v, 0.0), 1.0)
+                    jt_t, h_t = _second_order(inst, *trial)
+                    unknown_t, norm_t = active(face, trial, jt_t)
+                    if norm_t < norm:
+                        break
+                    t *= 0.5
+                else:
+                    break
+                moved = math.dist(z, trial)
+                z, jt, h, unknown, norm = trial, jt_t, h_t, unknown_t, norm_t
+                if moved <= NEWTON_XTOL * math.hypot(*z):
+                    break
+            if _certificate(jt, (z[2], z[3]), epsilon).certified:
+                return ReactivePoint((z[0], z[1]), (z[2], z[3])), jt
         except (ValueError, ArithmeticError):  # the iterate left the finite domain
             continue
     return None
@@ -416,13 +496,13 @@ def solve_pga_ccp(
     """Alternate projected gradient ascent on theta with CCP steps on xhat.
 
     Every POLISH_EVERY iterations the solver solves the first-order system
-    of the best iterate's theta face with MINPACK's hybrid Powell method
-    and a finite-difference Jacobian (``fsolve``), and jumps to the result
-    when it certifies and an iteration remains; that
-    next ordinary iteration then certifies it, and ``trace.polished_at``
-    records the jump. Runs until the epsilon-FNE conditions hold, the
-    iteration budget is exhausted, or the iterates stall; non-certified
-    termination is reported through the certificate, not an exception.
+    of the best iterate's theta face by projected Newton on the exact
+    Hessian of Jt (``_newton_jump``), and jumps to the result when it
+    certifies and an iteration remains; that next ordinary iteration then
+    certifies it, and ``trace.polished_at`` records the jump. Runs until
+    the epsilon-FNE conditions hold, the iteration budget is exhausted, or
+    the iterates stall; non-certified termination is reported through the
+    certificate, not an exception.
     When certified, the returned point is the xhat0 > 0 mirror
     representative (an equally certified equilibrium under a symmetric
     density); the trace keeps the raw trajectory.

@@ -29,9 +29,11 @@ from jamgame import (
     silent_interval,
     threshold_policy,
 )
+from jamgame.reactive import _second_order
 
 KERNEL_TOL = 1e-12
 QUAD_TOL = 1e-13
+HESSIAN_TOL = 1e-7
 
 
 def _table(variance=1.7, shape=1.6, knots_per_side=24):
@@ -193,3 +195,92 @@ def test_diagonal_identities(family):
             assert jt == pytest.approx(closed, abs=KERNEL_TOL)
         q = evaluate(inst, 0.0, 0.0, phi, phi)[0][3:]
         assert q[0] + q[1] == pytest.approx(jam_marginal(inst, phi), abs=1e-14)
+
+
+def _hessian_error(inst, z, h=1e-6):
+    """Largest gap between ``_second_order``'s Hessian and central differences
+    of ``evaluate``'s gradient rows, relative to the Hessian's largest entry
+    (or 1). None where the silent interval S changes shape inside the
+    stencil (S appears, or an end crosses the radius R), since the Hessian
+    jumps there, or where an end moves by 1e-4 of S's width or of s, since
+    the differences are then no finer than S. At beta = 1 the beta
+    difference is one-sided (second order): past the box the silent cost is
+    no longer convex in x."""
+    jt, hess = _second_order(inst, *z)
+    assert jt == evaluate(inst, *z)[0]
+    s, R = inst.dist.scale, inst.dist.truncation_radius
+    steps = [h * s] * 2 + [h] * 2
+    ks = [(0, -1, -2) if j == 3 and z[3] == 1.0 else (1, -1) for j in range(4)]
+
+    def at(j, k):
+        w = list(z)
+        w[j] += k * steps[j]
+        return w
+
+    def ends(w):
+        # S's ends inside R, where the density lives; None for an empty S
+        lo, hi = silent_interval(w[:2], w[2:], inst.c, inst.d)
+        return [e for e in (lo, hi) if abs(e) < R] if lo < hi else None
+
+    center = ends(z)
+    lo, hi = silent_interval(z[:2], z[2:], inst.c, inst.d)
+    fine = 1e-4 * min(s, hi - lo)
+    for j in range(4):
+        for k in ks[j]:
+            e = ends(at(j, k))
+            if (e is None) != (center is None) or e is not None and (
+                    len(e) != len(center) or any(abs(a - b) > fine for a, b in zip(e, center))):
+                return None
+
+    def grad(j, k):
+        return np.array(evaluate(inst, *at(j, k))[0][1:])
+
+    fd = np.empty((4, 4))
+    for j in range(4):
+        if ks[j] == (1, -1):
+            fd[:, j] = (grad(j, 1) - grad(j, -1)) / (2.0 * steps[j])
+        else:
+            fd[:, j] = (3.0 * grad(j, 0) - 4.0 * grad(j, -1) + grad(j, -2)) / (2.0 * steps[j])
+    return float(np.max(np.abs(np.array(hess) - fd)) / max(1.0, np.max(np.abs(hess))))
+
+
+@settings(derandomize=True, max_examples=90, deadline=None, database=None)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    sigma2=st.floats(0.5, 5.0),
+    c=st.floats(0.0, 2.0),
+    d=st.floats(0.0, 2.0),
+    u0=st.floats(-2.0, 2.0),
+    u1=st.floats(-2.0, 2.0),
+    alpha=unit,
+    beta=unit,
+)
+def test_hessian_matches_central_differences(family, sigma2, c, d, u0, u1, alpha, beta):
+    dist = FAMILIES[family](sigma2)
+    err = _hessian_error(GameInstance(dist, c, d), (u0 * dist.scale, u1 * dist.scale, alpha, beta))
+    assume(err is not None)
+    assert err <= HESSIAN_TOL, (family, u0, u1, alpha, beta)
+
+
+# (family, c, d, xhat / scale, theta, what S is there, given its ends and R)
+HESSIAN_EDGES = {
+    "alpha-one": ("gaussian", 1.0, 1.0, (0.6, -0.4), (1.0, 0.3), lambda lo, hi, R: lo < hi),
+    "theta-zero": ("laplace", 0.7, 1.2, (0.3, -0.8), (0.0, 0.0), lambda lo, hi, R: lo < hi),
+    "half-line": ("gaussian", 1.0, 1.0, (0.8, -0.2), (0.6, 1.0),
+                  lambda lo, hi, R: abs(lo) < R and hi == math.inf),
+    "table-half-line": ("tabulated", 1.0, 1.0, (0.8, -0.2), (0.6, 1.0),
+                        lambda lo, hi, R: abs(lo) < R and hi == math.inf),
+    "empty": ("laplace", 0.5, 2.0, (0.3, -0.2), (0.2, 0.8), lambda lo, hi, R: not lo < hi),
+    "table-end-past-R": ("tabulated", 2.0, 1.0, (0.5, -0.5), (0.3, 0.999),
+                         lambda lo, hi, R: abs(lo) < R < hi < math.inf),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(HESSIAN_EDGES))
+def test_hessian_at_the_edges(edge):
+    family, c, d, (u0, u1), theta, holds = HESSIAN_EDGES[edge]
+    dist = FAMILIES[family](2.0)
+    z = (u0 * dist.scale, u1 * dist.scale, *theta)
+    assert holds(*silent_interval(z[:2], z[2:], c, d), dist.truncation_radius)
+    err = _hessian_error(GameInstance(dist, c, d), z)
+    assert err is not None and err <= HESSIAN_TOL

@@ -2,11 +2,12 @@
 
 Module-level imports run one way, quadrature -> dist -> reactive ->
 nonsensing -> simulate -> cli, so no module needs an import inside a
-function to break a cycle. The package owns its table interpolant, so
-nothing imports ``scipy.interpolate``, and the two scipy functions it uses
-are imported where they run (``ndtri`` in ``Gaussian.ppf``, ``fsolve`` in
-the reactive jump), so ``import jamgame.cli`` and a ``solve-nonsensing``
-call load no scipy module. Only ``cli`` formats artifacts: ``reactive``,
+function to break a cycle. The package owns its table interpolant and
+the reactive jump's Newton solve, so nothing imports ``scipy.interpolate``
+or ``scipy.optimize``, and the one scipy function it uses, ``ndtri``, is
+imported where it runs, in ``Gaussian.ppf``; so ``import jamgame.cli``, a
+``solve-nonsensing`` call and a ``solve-reactive`` call that jumps load no
+scipy module. Only ``cli`` formats artifacts: ``reactive``,
 ``nonsensing`` and ``simulate`` import neither ``json`` nor ``csv``
 (``dist`` reads a table with ``csv``), call no builtin ``open``, and hold
 no artifact header; ``simulate`` hands its traced draws to a sink, which
@@ -79,14 +80,23 @@ def _imported_modules(node: ast.AST) -> list[str]:
     return []
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
-def test_no_module_imports_scipy_interpolate(path):
-    found = [
+def _imports_of(path: Path, package: str) -> list[tuple[int, str]]:
+    """(line, module) of every import of ``package`` or its submodules in ``path``."""
+    return [
         (node.lineno, name)
         for node in ast.walk(ast.parse(path.read_text())) for name in _imported_modules(node)
-        if name == "scipy.interpolate" or name.startswith("scipy.interpolate.")
+        if name == package or name.startswith(package + ".")
     ]
-    assert found == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy_interpolate(path):
+    assert _imports_of(path, "scipy.interpolate") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy_optimize(path):
+    assert _imports_of(path, "scipy.optimize") == []
 
 
 @pytest.mark.parametrize("name", ["reactive", "nonsensing", "simulate"])
@@ -118,13 +128,26 @@ def test_computing_modules_open_no_file(name):
     assert formats == []
 
 
+def _scipy_modules_after(call: str) -> str:
+    """The scipy modules a fresh process holds after ``import jamgame.cli``
+    and the statement ``call``."""
+    probe = ("import contextlib, io, sys, jamgame.cli\n"
+             f"with contextlib.redirect_stdout(io.StringIO()): {call}\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    return run.stdout.strip()
+
+
 def test_cli_import_leaves_scipy_interpolate_out():
     # a fresh process after the import alone, and after a solve-nonsensing
     # call too, holds no scipy module at all
-    for call in ("", "jamgame.cli.main(['solve-nonsensing', '--sigma2', '1'])"):
-        probe = ("import contextlib, io, sys, jamgame.cli\n"
-                 f"with contextlib.redirect_stdout(io.StringIO()): {call or 'pass'}\n"
-                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
-        assert run.stdout.strip() == "[]"
+    for call in ("pass", "jamgame.cli.main(['solve-nonsensing', '--sigma2', '1'])"):
+        assert _scipy_modules_after(call) == "[]"
+
+
+def test_solve_reactive_loads_no_scipy():
+    # the solve jumps, so the Newton jump ran too (sys.stdout is the capture)
+    call = ("assert jamgame.cli.main(['solve-reactive', '--sigma2', '2']) == 0"
+            " and 'polished_at=10 ' in sys.stdout.getvalue()")
+    assert _scipy_modules_after(call) == "[]"

@@ -521,6 +521,18 @@ class TestPgaCcp:
         assert all(r.ccp_descent <= 1e-9 for r in trace.rows[1:])
         assert certify_fne(inst, point, 1e-5).certified
 
+    def test_far_tail_silent_interval_does_not_certify(self):
+        # theta = (0, 0), xhat = (8.50, -0.53) passed the certificate only
+        # because its silent interval lies 9 sigma out, where the density
+        # underflows, and was valued at c; the stationary point is the
+        # symmetric xhat0 = 0, which the jump reaches by its least-squares
+        # step (xhat1 drops out of the first-order system at alpha = beta = 0)
+        inst = GameInstance(gaussian(0.86369), 0.112821, 1.68056)
+        point, trace, cert = solve_pga_ccp(inst, opts=SolverOptions(max_iters=500))
+        assert cert.certified and trace.polished_at is not None
+        assert abs(point.xhat[0]) <= 1e-6 * inst.dist.scale
+        assert jt_row(inst, point)[0] < inst.c
+
 
 class TestGda:
     def test_reaches_same_fne_as_pga_ccp(self, pga_g1, gda_g1):
@@ -618,42 +630,11 @@ class TestTraceCsv:
             assert _bits(*map(float, cells[1:])) == _bits(*dataclasses.astuple(row)[1:])
 
 
-def _reference_jump(inst, p, q, epsilon):
-    """The Newton jump as the ReactivePoint loop made it: fsolve on the face's
-    first-order system, with a ReactivePoint for every residual."""
-    from scipy.optimize import fsolve
-
-    free = [i for i in (0, 1) if 0.0 < p.theta[i] < 1.0]
-    faces = [{}] + [{i: 1.0 if q[i] > 0.0 else 0.0} for i in free]
-    for fixed in faces:
-        base = [fixed.get(i, p.theta[i]) for i in (0, 1)]
-        unknown = [i for i in free if i not in fixed]
-
-        def point(z):
-            theta = list(base)
-            for j, i in enumerate(unknown):
-                theta[i] = min(max(float(z[2 + j]), 0.0), 1.0)
-            return ReactivePoint((z[0], z[1]), tuple(theta))
-
-        def residual(z):
-            at = point(z)
-            jt = jt_row(inst, at)
-            return jt[1:3] + [jt[3 + i] for i in unknown]
-
-        try:
-            z = fsolve(residual, [*p.xhat] + [base[i] for i in unknown], full_output=True)[0]
-            candidate = point(z)
-            if certify_fne(inst, candidate, epsilon).certified:
-                return candidate
-        except (ValueError, ArithmeticError):
-            continue
-    return None
-
-
 def _reference_solve(inst, init, opts, ccp):
     """The solver loop written on ReactivePoints: np.clip for the ascent, a
     ReactivePoint per step, the CCP step (or the xhat gradient) written
-    out, and the kernel's Jt at both ends of the CCP descent."""
+    out, and the kernel's Jt at both ends of the CCP descent. It checks the
+    loop's bookkeeping, not the jump, so it jumps with ``_newton_jump``."""
     p = init or default_init(inst)
     trace = SolverTrace()
     cert = certify_fne(inst, p, opts.epsilon)
@@ -699,9 +680,9 @@ def _reference_solve(inst, init, opts, ccp):
             continue
         best = min(best, (max(cert.grad_norm, cert.lp_gap), p, q), key=lambda b: b[0])
         if k % POLISH_EVERY == 0 and k < opts.max_iters:
-            jumped = _reference_jump(inst, best[1], best[2], opts.epsilon)
+            jumped = reactive._newton_jump(inst, best[1], best[2], opts.epsilon)
             if jumped is not None:
-                p, q = jumped, jt_row(inst, jumped)[3:]
+                p, q = jumped[0], jt_row(inst, jumped[0])[3:]
                 trace.polished_at = k
     trace.iterations = k
     if cert.certified:
