@@ -99,9 +99,10 @@ def _emit_csv(path: str | None, lines: list[str]) -> None:
         sys.stdout.write(text)
 
 
-def _trace_cells(row: TraceRow) -> list[str]:
-    """The CSV cells of a solver trace row, in ``_TRACE_FIELDS`` order."""
-    return [str(row.k)] + [_fmt(getattr(row, f)) for f in _TRACE_FIELDS[1:]]
+def _trace_cells(row: TraceRow, fields: int = len(_TRACE_FIELDS)) -> list[str]:
+    """The CSV cells of the first ``fields`` columns of a solver trace row,
+    in ``_TRACE_FIELDS`` order."""
+    return [str(row.k)] + [_fmt(getattr(row, f)) for f in _TRACE_FIELDS[1:fields]]
 
 
 def _strict(value):
@@ -419,7 +420,7 @@ def cmd_compare(args) -> int:
     # the first eight trace columns, k to lp_gap
     lines = [",".join(("solver",) + _TRACE_FIELDS[:8])]
     for name, (_, tr, _) in runs.items():
-        lines += [",".join([name] + _trace_cells(r)[:8]) for r in tr.rows]
+        lines += [",".join([name] + _trace_cells(r, 8)) for r in tr.rows]
     _emit_csv(args.out, lines)
 
     # a CSV on stdout is followed by nothing else there

@@ -109,12 +109,14 @@ class SourceDistribution:
         raise NotImplementedError
 
     def _density(self, t: float) -> float:
-        """f(t) as a float, for one finite point.
+        """f(t) as a float, for one finite point; only the non-sensing
+        threshold root reads it (the Hessian reads ``_moments_and_ends``).
 
         The closed-form families override this with a ``math`` twin of
         ``pdf``: the threshold Newton loop reads the density about 7 times a
         solve, and a scalar call into the numpy ``pdf`` costs about 12 us,
         which would take a Gaussian or Laplace solve from ~30 to ~45-55 us.
+        A table keeps this scalar ``pdf`` call.
         """
         return float(self.pdf(t))
 
@@ -138,6 +140,17 @@ class SourceDistribution:
         l0, l1, l2 = self._upper_tail(max(-hi, 0.0))
         m0, m1, m2 = self._upper_tail(max(-lo, 0.0))
         return ((r0 - s0) + (l0 - m0), (r1 - s1) - (l1 - m1), (r2 - s2) + (l2 - m2))
+
+    def _moments_and_ends(
+        self, lo: float, hi: float
+    ) -> tuple[tuple[float, float, float], float, float]:
+        """``(partial_moments(lo, hi), f(lo), f(hi))``, an infinite end's
+        density 0.0: the moments of a silent interval and the densities at
+        its ends, which the exact Hessian weights its boundary terms by. A
+        table takes all of them from one pass over its cumulative table."""
+        return (self.partial_moments(lo, hi),
+                self._density(lo) if math.isfinite(lo) else 0.0,
+                self._density(hi) if math.isfinite(hi) else 0.0)
 
     @cached_property
     def full_moments(self) -> tuple[float, float, float]:
@@ -488,15 +501,21 @@ class Tabulated(SourceDistribution):
         np.subtract(self._cdf_x.take(row), out, out=out)
         return out.reshape(u.shape)[()]
 
-    def _cumulative(self, t0: float, t1: float) -> tuple[list[float], list[float]]:
+    def _cumulative(self, t0: float, t1: float,
+                    ends: bool = False) -> tuple[list[float], list[float], list[float]]:
         """Moments of [-R, t] for t = t0 and t1 (inside [-R, R]): the table
-        row of the grid point below t plus the rest of its cell.
+        row of the grid point below t plus the rest of its cell; with
+        ``ends``, also the densities [f(t0), f(t1)] (else []).
 
         The rest of the cell is ``_cell_moments`` in floats, bit for bit:
-        the cell's cubic at each node, one ``np.exp`` of the 16 node
-        exponents (``math.exp`` differs in the last bit on a few calls in
-        10^4), the weights in the same order and each sum of 8 in numpy's
-        pairwise order; ``test_tabulated_moments_match_numpy_kernel`` checks.
+        the cell's cubic at each node, the weights in the same order and
+        each sum of 8 in numpy's pairwise order;
+        ``test_tabulated_moments_match_numpy_kernel`` checks. Each density
+        is ``pdf``'s, bit for bit: the norm times the exponential of the
+        cubic of the knot interval that ``pdf``'s search finds (at t = R
+        that is not the cell's when R is a knot inside the longer side).
+        One ``np.exp`` takes the 16 node exponents and the two end ones
+        (``math.exp`` differs in the last bit on a few calls in 10^4).
         """
         grid, knot, knots, cubic = self._floats
         cells, logs = [], []
@@ -507,6 +526,10 @@ class Tabulated(SourceDistribution):
             cells.append((i, half, zs))
             c, xk = cubic[knot[i]], knots[knot[i]]
             logs += [_cubic(c, z - xk) for z in zs]
+        if ends:
+            for t in (t0, t1):
+                k = bisect_right(knots, t, 1, len(knots) - 1) - 1
+                logs.append(_cubic(cubic[k], t - knots[k]))
         dens = np.exp(logs).tolist()
         rows = []
         for n, (i, half, zs) in enumerate(cells):
@@ -515,16 +538,27 @@ class Tabulated(SourceDistribution):
             wzz = [a * z for a, z in zip(wz, zs)]
             c0, c1, c2 = self._cum[i].tolist()
             rows.append([c0 + _sum8(wf), c1 + _sum8(wz), c2 + _sum8(wzz)])
-        return rows[0], rows[1]
+        return rows[0], rows[1], [self._norm * dens[16], self._norm * dens[17]] if ends else []
+
+    def _moments_and_ends(self, lo: float, hi: float, ends: bool = True):
+        """One ``_cumulative`` pass. ``partial_moments`` passes ``ends=False``,
+        which leaves out the two density lanes (about 0.5 us on every moment
+        lookup of the solvers' kernel) and reads 0.0 for both."""
+        R = self.truncation_radius
+        # the pass reads points of [-R, R]: no mass lies beyond them, and an
+        # end outside them has density 0.0, as in pdf (a nan end empties the
+        # interval)
+        t0 = lo if -R <= lo <= R else (-R if lo < 0.0 else R)
+        t1 = hi if -R <= hi <= R else (R if hi > 0.0 else -R)
+        (a0, a1, a2), (b0, b1, b2), dens = self._cumulative(t0, t1, ends)
+        # rounding must not make a mass or a second moment negative
+        moments = (max(b0 - a0, 0.0), b1 - a1, max(b2 - a2, 0.0)) if t0 < t1 else (0.0, 0.0, 0.0)
+        if not ends:
+            return moments, 0.0, 0.0
+        return moments, dens[0] if t0 == lo else 0.0, dens[1] if t1 == hi else 0.0
 
     def partial_moments(self, lo: float, hi: float) -> tuple[float, float, float]:
-        R = self.truncation_radius
-        lo, hi = max(lo, -R), min(hi, R)
-        if not lo < hi:
-            return (0.0, 0.0, 0.0)
-        (a0, a1, a2), (b0, b1, b2) = self._cumulative(lo, hi)
-        # rounding must not make a mass or a second moment negative
-        return (max(b0 - a0, 0.0), b1 - a1, max(b2 - a2, 0.0))
+        return self._moments_and_ends(lo, hi, ends=False)[0]
 
     def tail_second_moment(self, t: float) -> float:
         if t < 0:
@@ -532,7 +566,7 @@ class Tabulated(SourceDistribution):
         if t >= self.truncation_radius:
             return 0.0
         # both tails from one lookup of -t and t: [-R, -t] and [t, R]
-        left, right = self._cumulative(-t, t)
+        left, right, _ = self._cumulative(-t, t)
         return max(left[2], 0.0) + max(self.variance - right[2], 0.0)
 
 

@@ -196,6 +196,8 @@ def _second_order(inst: GameInstance, x0: float, x1: float, a: float,
     silent interval S moves through its finite ends r, the roots of D = B - A
     (the rows of B - A at x = r are grad D(r)), at dr/dz = -grad D(r) / D'(r),
     so H = E[d2A] + E[d2D; S] - sum_r f(r) / |D'(r)| grad D(r) grad D(r)^T.
+    The moments of S and the densities f(r) come from one
+    ``_moments_and_ends`` call, on a table one pass over its moment table.
     """
     c, d = inst.c, inst.d
     if not math.isfinite(x0 * x0 + x1 * x1 + c + d):
@@ -203,7 +205,7 @@ def _second_order(inst: GameInstance, x0: float, x1: float, a: float,
     q_a, q_b = _cost_rows(x0, x1, a, b, c, d)
     lo, hi = silent_interval((x0, x1), (a, b), c, d)
     f0, f1, f2 = inst.dist.full_moments
-    s0, s1, s2 = inst.dist.partial_moments(lo, hi)
+    (s0, s1, s2), f_lo, f_hi = inst.dist._moments_and_ends(lo, hi)
     q_d = [(b0 - a0, b1 - a1, b2 - a2) for (a0, a1, a2), (b0, b1, b2) in zip(q_a, q_b)]
     jt = [a0 * f0 + a1 * f1 + a2 * f2 + (e0 * s0 + e1 * s1 + e2 * s2)
           for (a0, a1, a2), (e0, e1, e2) in zip(q_a, q_d)]
@@ -215,10 +217,10 @@ def _second_order(inst: GameInstance, x0: float, x1: float, a: float,
          [m0, m1, 0.0, 0.0],
          [0.0, m2, 0.0, 0.0]]
     (_, e1, e2), *rows = q_d
-    for r in (lo, hi) if lo < hi else ():
+    for r, f in ((lo, f_lo), (hi, f_hi)) if lo < hi else ():
         if math.isfinite(r):
             g0, g1, g2, g3 = [r0 + (r1 + r2 * r) * r for r0, r1, r2 in rows]
-            w = inst.dist._density(r) / abs(e1 + 2.0 * e2 * r)
+            w = f / abs(e1 + 2.0 * e2 * r)
             for row, wg in zip(h, (w * g0, w * g1, w * g2, w * g3)):
                 row[:] = row[0] - wg * g0, row[1] - wg * g1, row[2] - wg * g2, row[3] - wg * g3
     if not math.isfinite(sum(jt) + sum(map(sum, h))):
@@ -277,6 +279,17 @@ def _certificate(jt: list[float], theta: tuple[float, float], epsilon: float) ->
     grad_norm = math.hypot(jt[1], jt[2])
     gap = lp_ascent_gap(jt[3:], theta)
     return FneCertificate(grad_norm, gap, epsilon, grad_norm <= epsilon and gap <= epsilon)
+
+
+def _residuals(jt: list[float], a: float, b: float, epsilon: float) -> tuple[float, float, bool]:
+    """``_certificate``'s grad_norm, lp_gap and certified as plain values,
+    bit for bit, for the solver loop. The gap adds its two terms to 0.0 as
+    ``lp_ascent_gap``'s ``sum`` adds them to 0, so a gap whose terms are
+    both -0.0 reads 0.0."""
+    grad_norm = math.hypot(jt[1], jt[2])
+    qa, qb = jt[3], jt[4]
+    gap = 0.0 + max(qa * (0.0 - a), qa * (1.0 - a)) + max(qb * (0.0 - b), qb * (1.0 - b))
+    return grad_norm, gap, grad_norm <= epsilon and gap <= epsilon
 
 
 class Termination(Enum):
@@ -407,7 +420,7 @@ def _newton_jump(inst: GameInstance, p: ReactivePoint, q: tuple[float, float],
                 z, jt, h, unknown, norm = trial, jt_t, h_t, unknown_t, norm_t
                 if moved <= NEWTON_XTOL * math.hypot(*z):
                     break
-            if _certificate(jt, (z[2], z[3]), epsilon).certified:
+            if _residuals(jt, z[2], z[3], epsilon)[2]:
                 return ReactivePoint((z[0], z[1]), (z[2], z[3])), jt
         except (ValueError, ArithmeticError):  # the iterate left the finite domain
             continue
@@ -420,11 +433,12 @@ def _solve(inst: GameInstance, init: ReactivePoint | None, opts: SolverOptions |
     a CCP step (``ccp``) or a gradient descent step on xhat. Only PGA-CCP
     records the CCP descent and tries the Newton jump.
 
-    The iterate is carried as the floats x0, x1, a, b. The evaluation at
-    (xhat, theta') that gives the CCP step (or GDA's gradient) also gives
-    Jt(xhat, theta'), the start of the recorded CCP descent. A
-    ``ReactivePoint`` is made only for the jump start and the returned
-    point; for a nan theta or an infinite xhat the loop raises the
+    The iterate is carried as the floats x0, x1, a, b and its residuals as
+    those of ``_residuals``; one ``FneCertificate`` is built at return. The
+    evaluation at (xhat, theta') that gives the CCP step (or GDA's
+    gradient) also gives Jt(xhat, theta'), the start of the recorded CCP
+    descent. A ``ReactivePoint`` is made only for the jump start and the
+    returned point; for a nan theta or an infinite xhat the loop raises the
     ValueError that one would.
     """
     opts = opts or SolverOptions()
@@ -433,16 +447,14 @@ def _solve(inst: GameInstance, init: ReactivePoint | None, opts: SolverOptions |
     eps, step = opts.epsilon, opts.step_size
     trace = SolverTrace()
     jt = evaluate(inst, x0, x1, a, b)[0]
-    cert = _certificate(jt, (a, b), eps)
+    grad_norm, gap, certified = _residuals(jt, a, b, eps)
     no_descent = 0.0 if ccp else math.nan
     if opts.record_trace:
-        trace.rows.append(
-            TraceRow(0, x0, x1, a, b, jt[0], cert.grad_norm, cert.lp_gap, 0.0, no_descent)
-        )
-    best = (max(cert.grad_norm, cert.lp_gap), x0, x1, a, b, jt[3], jt[4])
+        trace.rows.append(TraceRow(0, x0, x1, a, b, jt[0], grad_norm, gap, 0.0, no_descent))
+    best = (max(grad_norm, gap), x0, x1, a, b, jt[3], jt[4])
     stall_count = 0
     k = 0
-    while not cert.certified and k < opts.max_iters:
+    while not certified and k < opts.max_iters:
         k += 1
         a_new, b_new = _ascend(a, jt[3], step), _ascend(b, jt[4], step)
         if a_new != a_new or b_new != b_new:
@@ -455,14 +467,14 @@ def _solve(inst: GameInstance, init: ReactivePoint | None, opts: SolverOptions |
         if not (math.isfinite(n0) and math.isfinite(n1)):
             raise ValueError("xhat must be finite")
         jt = evaluate(inst, n0, n1, a_new, b_new)[0]
-        cert = _certificate(jt, (a_new, b_new), eps)
+        grad_norm, gap, certified = _residuals(jt, a_new, b_new, eps)
         if opts.record_trace:
             descent = jt[0] - jt_mid[0] if ccp else math.nan
-            trace.rows.append(TraceRow(k, n0, n1, a_new, b_new, jt[0], cert.grad_norm,
-                                       cert.lp_gap, step, descent))
+            trace.rows.append(TraceRow(k, n0, n1, a_new, b_new, jt[0], grad_norm, gap,
+                                       step, descent))
         moved = math.dist((x0, x1, a, b), (n0, n1, a_new, b_new))
         x0, x1, a, b = n0, n1, a_new, b_new
-        if cert.certified:
+        if certified:
             break
         stall_count = stall_count + 1 if moved < STALL_TOL else 0
         if stall_count >= STALL_ITERS:
@@ -470,7 +482,7 @@ def _solve(inst: GameInstance, init: ReactivePoint | None, opts: SolverOptions |
             break
         if not ccp:
             continue
-        score = max(cert.grad_norm, cert.lp_gap)
+        score = max(grad_norm, gap)
         if score < best[0]:
             best = (score, x0, x1, a, b, jt[3], jt[4])
         if k % POLISH_EVERY == 0 and k < opts.max_iters:
@@ -482,7 +494,8 @@ def _solve(inst: GameInstance, init: ReactivePoint | None, opts: SolverOptions |
 
     trace.iterations = k
     p = ReactivePoint((x0, x1), (a, b))
-    if cert.certified:
+    cert = FneCertificate(grad_norm, gap, eps, certified)
+    if certified:
         trace.terminated_by = Termination.EPSILON_FNE
         p, cert = _canonical(inst, p, cert)
     return p, trace, cert

@@ -251,6 +251,60 @@ def test_tabulated_moments_match_numpy_kernel(make):
     assert got.tobytes() == _numpy_tail_second_moment(t, logf, s).tobytes()
 
 
+def _longer_right_side():
+    # an exp-power table with three more knots on the right: R ends the
+    # left side and is a knot inside the right one, where pdf(R) reads the
+    # knot interval right of R; the cubic of R's grid cell, left of it,
+    # differs there in the last bit
+    x, _ = exp_power_knots(1.7, 1.3)
+    x = np.concatenate([x, x[-1] + (x[-1] - x[-2]) * np.arange(1.0, 4.0)])
+    a = x[-4] / 40.0 ** (1.0 / 1.3)
+    return x, np.exp(-((np.abs(x) / a) ** 1.3))
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("make", [*KERNEL_TABLES.values(), _longer_right_side],
+                         ids=[*KERNEL_TABLES, "longer-right-side"])
+def test_tabulated_end_densities_are_pdf_bits(make):
+    # the moments pass reads pdf's own density at each end, bit for bit
+    t = Tabulated(*make())
+    R = t.truncation_radius
+    rng = np.random.default_rng(29)
+    points = np.concatenate([
+        rng.uniform(-1.1 * R, 1.1 * R, 2000), t._knots, t._cdf_x,
+        [R, -R, np.nextafter(R, 0.0), np.nextafter(-R, 0.0), np.nextafter(R, np.inf),
+         np.nextafter(-R, -np.inf), 1.5 * R, -1.5 * R, 0.0, -0.0]])
+    rng.shuffle(points)
+    lo = points.tolist()
+    # nonempty, inverted and empty intervals
+    pairs = list(zip(lo, np.sort(points).tolist())) + [(v, v) for v in lo[:500]]
+    got = [t._moments_and_ends(a, b) for a, b in pairs]
+    assert _bits([m for m, _, _ in got]) == _bits([t.partial_moments(a, b) for a, b in pairs])
+    assert _bits([ends for _, *ends in got]) == _bits([(t.pdf(a), t.pdf(b)) for a, b in pairs])
+    assert any(a < b for a, b in pairs) and any(a > b for a, b in pairs)
+    # beyond +-R, infinite ends included, the density is 0.0
+    for a, b in ((-2.0 * R, 2.0 * R), (-math.inf, math.inf), (math.inf, -math.inf)):
+        assert t._moments_and_ends(a, b)[1:] == (0.0, 0.0)
+    assert t._moments_and_ends(-math.inf, math.inf)[0] == t.partial_moments(-R, R)
+    # a nan end empties the interval, as in partial_moments, and reads 0.0
+    assert t._moments_and_ends(math.nan, 0.5) == ((0.0, 0.0, 0.0), 0.0, t.pdf(0.5))
+    assert t._moments_and_ends(-0.5, -math.nan) == ((0.0, 0.0, 0.0), t.pdf(-0.5), 0.0)
+
+
+@pytest.mark.parametrize("dist", [gaussian(2.0), laplace(sigma2=2.0)], ids=["gaussian", "laplace"])
+def test_closed_form_end_densities(dist):
+    for lo, hi in ((-0.7, 1.3), (1.3, -0.7), (0.4, 0.4), (-math.inf, 0.5), (0.5, math.inf),
+                   (-math.inf, math.inf)):
+        moments, f_lo, f_hi = dist._moments_and_ends(lo, hi)
+        assert moments == dist.partial_moments(lo, hi)
+        assert f_lo == (dist._density(lo) if math.isfinite(lo) else 0.0)
+        assert f_hi == (dist._density(hi) if math.isfinite(hi) else 0.0)
+    assert dist._moments_and_ends(-math.inf, math.inf)[1:] == (0.0, 0.0)
+
+
 def _nonmirrored_gaussian(sigma, negative=400, positive=433, reach=8.5):
     """Gaussian table on knots that are not mirrored about 0."""
     x = np.concatenate([np.linspace(-reach * sigma, 0.0, negative, endpoint=False),

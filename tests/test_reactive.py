@@ -14,6 +14,7 @@ from jamgame import (
     PolicyBundle,
     ReactivePoint,
     SolverOptions,
+    Tabulated,
     Termination,
     certify_fne,
     expectation,
@@ -766,3 +767,94 @@ class TestLoopMatchesReference:
         got = solve_pga_ccp(inst, None, opts)
         assert got[1].rows == []
         self.assert_same(got, _reference_solve(inst, None, opts, True))
+
+
+def _gap_terms(jt, theta):
+    return [max(q * (0.0 - t), q * (1.0 - t)) for q, t in zip(jt[3:], theta)]
+
+
+class TestLoopResiduals:
+    """The loop carries its residuals as floats: the returned certificate
+    and every trace row's grad_xhat_norm and lp_gap are bit for bit those
+    of ``_certificate`` on the kernel's row at the same point."""
+
+    # the far-tail instance certifies at theta = (0, 0) with both gap terms
+    # -0.0, and its second run starts there with both terms -0.0; all GDA
+    # runs but that one stop uncertified at 300 iterations
+    DECK = [
+        (lambda: GameInstance(gaussian(0.86369), 0.112821, 1.68056), None),
+        (lambda: GameInstance(gaussian(0.86369), 0.112821, 1.68056), "theta-zero"),
+        (lambda: GameInstance(gaussian(1.0), 1.0, 1.0), None),
+        (lambda: GameInstance(gaussian(3.6097), 0.371189, 1.89533), None),
+        (lambda: GameInstance(laplace(sigma2=1.39782), 1.30493, 0.366801), None),
+        (lambda: GameInstance(exp_power_table(2.75, 2.2), 1.3, 0.37), None),
+        (lambda: GameInstance(gaussian(2.0), 0.5, 0.8), "multistart"),
+    ]
+
+    @staticmethod
+    def reference(inst, xhat, theta, eps):
+        return reactive._certificate(reactive.evaluate(inst, *xhat, *theta)[0], theta, eps)
+
+    @pytest.mark.parametrize("ccp", [True, False], ids=["pga-ccp", "gda"])
+    def test_certificate_and_rows_match_certificate_bits(self, ccp):
+        run = solve_pga_ccp if ccp else solve_gda
+        negative_zero_terms = 0
+        for make, start in self.DECK:
+            inst = make()
+            init = {None: None, "multistart": _multistart_point(inst, 777),
+                    "theta-zero": ReactivePoint((1.0, -1.0), (0.0, 0.0))}[start]
+            certs = []
+            for record in (True, False):
+                opts = SolverOptions(max_iters=300, record_trace=record)
+                p, trace, cert = run(inst, init, opts)
+                ref = self.reference(inst, p.xhat, p.theta, opts.epsilon)
+                assert _bits(cert.grad_norm, cert.lp_gap) == _bits(ref.grad_norm, ref.lp_gap)
+                assert (cert.epsilon, cert.certified) == (ref.epsilon, ref.certified)
+                certs.append(cert)
+                for row in trace.rows:
+                    theta = (row.alpha, row.beta)
+                    ref = self.reference(inst, (row.xhat0, row.xhat1), theta, opts.epsilon)
+                    assert _bits(row.grad_xhat_norm, row.lp_gap) == _bits(ref.grad_norm,
+                                                                           ref.lp_gap)
+                    jt = reactive.evaluate(inst, row.xhat0, row.xhat1, *theta)[0]
+                    negative_zero_terms += all(math.copysign(1.0, v) < 0.0 and v == 0.0
+                                               for v in _gap_terms(jt, theta))
+            assert _bits(certs[0].grad_norm, certs[0].lp_gap) == _bits(certs[1].grad_norm,
+                                                                       certs[1].lp_gap)
+        assert negative_zero_terms > 0  # rows whose two gap terms are -0.0 were checked
+
+    def test_negative_zero_gap_terms_write_positive_zero(self, tmp_path, capsys):
+        # sum(...) from the int 0 turns -0.0 + -0.0 into 0.0; the JSON must
+        # keep that bit rather than write "lp_gap": -0.0
+        inst = self.DECK[0][0]()
+        p, _, cert = solve_pga_ccp(inst, opts=SolverOptions(max_iters=500))
+        assert cert.certified and p.theta == (0.0, 0.0)
+        terms = _gap_terms(reactive.evaluate(inst, *p.xhat, *p.theta)[0], p.theta)
+        assert terms == [0.0, 0.0] and all(math.copysign(1.0, v) < 0.0 for v in terms)
+        out = tmp_path / "far_tail.json"
+        main(["solve-reactive", "--dist", "gaussian", "--sigma2", "0.86369", "--c", "0.112821",
+              "--d", "1.68056", "--max-iters", "500", "--out", str(out)])
+        capsys.readouterr()
+        text = out.read_text()
+        assert '"lp_gap": 0.0' in text and '"lp_gap": -0.0' not in text
+
+
+@pytest.mark.parametrize("variance,shape", [(1.25, 1.5), (2.75, 2.2), (4.25, 1.8)])
+def test_table_solve_reads_no_scalar_pdf(variance, shape, monkeypatch):
+    # the Hessian reads its end densities from the moments pass: once the
+    # table is built, a jumping solve never calls pdf
+    inst = GameInstance(exp_power_table(variance, shape), 1.3, 0.37)
+    counts = {"pdf": 0, "second_order": 0}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(Tabulated, "pdf", spy("pdf", Tabulated.pdf))
+    monkeypatch.setattr(reactive, "_second_order", spy("second_order", reactive._second_order))
+    _, trace, cert = solve_pga_ccp(inst, opts=SolverOptions(max_iters=500))
+    assert cert.certified and trace.polished_at is not None
+    assert counts["second_order"] > 0
+    assert counts["pdf"] == 0
