@@ -25,7 +25,6 @@ from .nonsensing import (
     threshold_policy,
     verify_saddle,
 )
-from .quadrature import PiecewiseIntegrand, expectation, integrate
 from .reactive import (
     FneCertificate,
     GameInstance,

@@ -84,21 +84,11 @@ class SourceDistribution:
         Scale parameter of the family (sigma for Gaussian, b for Laplace).
     variance : float
         Second moment about the (zero) mean.
-    truncation_radius : float
-        Half-width of a table's support, which its admissibility check
-        scans. For the Gaussian (10 sigma) and Laplace (40 b) families it is
-        fixed and only bounds the domain of a quadrature reference: their
-        closed-form moments integrate the whole line.
-    breakpoints : tuple of float
-        Interior points where the density is not smooth (quadrature splits
-        there). Empty for Gaussian.
     """
 
     family: str
     scale: float
     variance: float
-    truncation_radius: float
-    breakpoints: tuple[float, ...] = ()
 
     def pdf(self, x):
         """Density f(x). Accepts scalars or arrays; rejects non-finite input."""
@@ -109,8 +99,10 @@ class SourceDistribution:
         raise NotImplementedError
 
     def _density(self, t: float) -> float:
-        """f(t) as a float, for one finite point; only the non-sensing
-        threshold root reads it (the Hessian reads ``_moments_and_ends``).
+        """f(t) as a float, for one finite point. The non-sensing threshold
+        root reads it, and so does the base ``_moments_and_ends``, for the
+        end densities of the Hessian (``reactive._second_order``) on the
+        closed-form families; a table reads those from its moments pass.
 
         The closed-form families override this with a ``math`` twin of
         ``pdf``: the threshold Newton loop reads the density about 7 times a
@@ -185,7 +177,6 @@ class Gaussian(SourceDistribution):
             raise ValueError("sigma2 must be positive and finite")
         self.scale = math.sqrt(sigma2)
         self.variance = float(sigma2)
-        self.truncation_radius = 10.0 * self.scale
 
     def pdf(self, x):
         x = self._check_finite(x)
@@ -216,17 +207,9 @@ class Gaussian(SourceDistribution):
 
 
 class Laplace(SourceDistribution):
-    """Zero-mean Laplace density with scale b (variance 2 b^2).
-
-    The density has a kink at the origin, which is exposed through
-    ``breakpoints`` so quadrature splits there. The truncation radius, the
-    domain of a quadrature reference, is 40 b: Laplace tails are heavy
-    enough that the 10-sigma rule used for the Gaussian would leave ~5e-5 of
-    mass outside it.
-    """
+    """Zero-mean Laplace density with scale b (variance 2 b^2)."""
 
     family = "laplace"
-    breakpoints = (0.0,)
 
     def __init__(self, scale: float):
         # a finite scale above about 9.5e153 has a variance 2 b^2 that overflows
@@ -234,7 +217,6 @@ class Laplace(SourceDistribution):
             raise ValueError("scale must be positive and finite, with a finite variance 2 b^2")
         self.scale = float(scale)
         self.variance = 2.0 * scale * scale
-        self.truncation_radius = 40.0 * self.scale
 
     def pdf(self, x):
         x = self._check_finite(x)
@@ -278,7 +260,10 @@ class Tabulated(SourceDistribution):
     """Density interpolated from a (x, f(x)) table.
 
     The log-density is the monotone cubic ``_pchip`` through the knots,
-    which keeps the density positive, renormalized to unit mass on [-R, R].
+    which keeps the density positive, renormalized to unit mass on the
+    support [-R, R], R = ``truncation_radius`` the smaller of -x[0] and
+    x[-1]; the density is 0 outside it. ``breakpoints`` are the knots
+    inside (-R, R).
     Moments come from a cumulative table over a fine grid that contains
     every knot (the interpolant is only C^1 there), so each grid cell lies
     inside one knot interval and takes a fixed Gauss-Legendre rule.

@@ -1,8 +1,8 @@
 """Kink-aware adaptive Gauss-Kronrod quadrature.
 
-Every expectation in this package integrates a min/max of quadratics against
-a density, so the integrand is piecewise smooth with analytically known
-breakpoints. The engine splits the domain at those kinks and runs an
+The package integrates with it in one place: a tabulated density's
+normalization check, which splits [-R, R] at the table's knots. The engine
+splits the domain at an integrand's declared breakpoints and runs an
 adaptive 15-point Kronrod / 7-point Gauss pair on each piece, bisecting
 intervals until the summed error estimate meets the tolerance.
 
@@ -156,25 +156,3 @@ def integrate(
         )
     value = np.sum(kron, axis=0)
     return QuadResult(float(value[0]) if scalar else value, total_err, neval)
-
-
-def expectation(
-    d,
-    g: Callable[[np.ndarray], np.ndarray],
-    kinks: Sequence[float] = (),
-    tol: float = DEFAULT_TOL,
-) -> float | np.ndarray:
-    """E[g(X)] for X ~ d, over the truncated support of d.
-
-    ``kinks`` are breakpoints of g; the density's own breakpoints are merged
-    in automatically.
-    """
-    R = d.truncation_radius
-    pts = tuple(kinks) + tuple(d.breakpoints)
-
-    def integrand(x):
-        vals = np.asarray(g(x), dtype=float)
-        w = d.pdf(x)
-        return vals * (w[:, None] if vals.ndim == 2 else w)
-
-    return integrate(PiecewiseIntegrand(integrand, pts, (-R, R)), tol=tol).value

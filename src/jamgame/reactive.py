@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
@@ -124,7 +123,13 @@ def silent_interval(
 
 def _cost_rows(x0: float, x1: float, a: float, b: float, c: float, d: float):
     """Coefficient rows over (1, x, x^2) of the transmit cost A and the silent
-    cost B and of their derivatives, laid out as ``evaluate``'s rows."""
+    cost B and of their derivatives, laid out as ``evaluate``'s rows.
+
+    Python floats overflow to inf without a warning, so this raises
+    FloatingPointError first where a coefficient would: with theta in the
+    unit box, every one is finite when x0^2 + x1^2 + c + d is."""
+    if not math.isfinite(x0 * x0 + x1 * x1 + c + d):
+        raise FloatingPointError(f"cost coefficients overflow at xhat={(x0, x1)!r}")
     q_a = (
         (b * x1 * x1 + c - d * b, -2.0 * b * x1, b),
         (0.0, 0.0, 0.0),
@@ -159,14 +164,11 @@ def evaluate(
     coefficient row dotted with the full-line moments or the moments of S.
     S is ``silent_interval`` of the point unless ``silent`` replaces it with
     a frozen rule's ``(lo, hi)``. The caller passes floats with theta in the
-    unit box (``ReactivePoint`` checks outside input). Python floats
-    overflow to inf without a warning; the finite checks raise
-    FloatingPointError before anything non-finite reaches numpy.
+    unit box (``ReactivePoint`` checks outside input). The finite checks
+    (``_cost_rows``'s first) raise FloatingPointError before anything
+    non-finite reaches numpy.
     """
     c, d = inst.c, inst.d
-    # with theta in the unit box, every coefficient is finite when this sum is
-    if not math.isfinite(x0 * x0 + x1 * x1 + c + d):
-        raise FloatingPointError(f"cost coefficients overflow at xhat={(x0, x1)!r}")
     q_a, q_b = _cost_rows(x0, x1, a, b, c, d)
     if silent is None:
         silent = silent_interval((x0, x1), (a, b), c, d)
@@ -200,8 +202,6 @@ def _second_order(inst: GameInstance, x0: float, x1: float, a: float,
     ``_moments_and_ends`` call, on a table one pass over its moment table.
     """
     c, d = inst.c, inst.d
-    if not math.isfinite(x0 * x0 + x1 * x1 + c + d):
-        raise FloatingPointError(f"cost coefficients overflow at xhat={(x0, x1)!r}")
     q_a, q_b = _cost_rows(x0, x1, a, b, c, d)
     lo, hi = silent_interval((x0, x1), (a, b), c, d)
     f0, f1, f2 = inst.dist.full_moments
@@ -262,30 +262,18 @@ class FneCertificate:
     certified: bool
 
 
-def lp_ascent_gap(grad: Iterable[float], theta: Iterable[float]) -> float:
-    """max over the box of the linearized ascent improvement; always >= 0."""
-    return float(
-        sum(max(q * (0.0 - t), q * (1.0 - t)) for q, t in zip(grad, theta))
-    )
-
-
 def certify_fne(inst: GameInstance, p: ReactivePoint, epsilon: float) -> FneCertificate:
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    return _certificate(evaluate(inst, *p.xhat, *p.theta)[0], p.theta, epsilon)
-
-
-def _certificate(jt: list[float], theta: tuple[float, float], epsilon: float) -> FneCertificate:
-    grad_norm = math.hypot(jt[1], jt[2])
-    gap = lp_ascent_gap(jt[3:], theta)
-    return FneCertificate(grad_norm, gap, epsilon, grad_norm <= epsilon and gap <= epsilon)
+    jt = evaluate(inst, *p.xhat, *p.theta)[0]
+    grad_norm, gap, certified = _residuals(jt, *p.theta, epsilon)
+    return FneCertificate(grad_norm, gap, epsilon, certified)
 
 
 def _residuals(jt: list[float], a: float, b: float, epsilon: float) -> tuple[float, float, bool]:
-    """``_certificate``'s grad_norm, lp_gap and certified as plain values,
-    bit for bit, for the solver loop. The gap adds its two terms to 0.0 as
-    ``lp_ascent_gap``'s ``sum`` adds them to 0, so a gap whose terms are
-    both -0.0 reads 0.0."""
+    """grad_norm, lp_gap and certified of an ``FneCertificate`` from Jt's row
+    at theta = (a, b). The gap adds each coordinate's gain at its better box
+    edge to 0.0, so a gap whose two terms are -0.0 reads 0.0."""
     grad_norm = math.hypot(jt[1], jt[2])
     qa, qb = jt[3], jt[4]
     gap = 0.0 + max(qa * (0.0 - a), qa * (1.0 - a)) + max(qb * (0.0 - b), qb * (1.0 - b))
@@ -434,12 +422,12 @@ def _solve(inst: GameInstance, init: ReactivePoint | None, opts: SolverOptions |
     records the CCP descent and tries the Newton jump.
 
     The iterate is carried as the floats x0, x1, a, b and its residuals as
-    those of ``_residuals``; one ``FneCertificate`` is built at return. The
-    evaluation at (xhat, theta') that gives the CCP step (or GDA's
-    gradient) also gives Jt(xhat, theta'), the start of the recorded CCP
-    descent. A ``ReactivePoint`` is made only for the jump start and the
-    returned point; for a nan theta or an infinite xhat the loop raises the
-    ValueError that one would.
+    the values of ``_residuals``, which ``certify_fne`` also reads; one
+    ``FneCertificate`` is built at return. The evaluation at (xhat, theta')
+    that gives the CCP step (or GDA's gradient) also gives Jt(xhat, theta'),
+    the start of the recorded CCP descent. A ``ReactivePoint`` is made only
+    for the jump start and the returned point; for a nan theta or an
+    infinite xhat the loop raises the ValueError that one would.
     """
     opts = opts or SolverOptions()
     p = init or default_init(inst)

@@ -20,7 +20,7 @@ from jamgame import (
 )
 from jamgame.cli import _event_trace
 from jamgame.dist import CHECK_GRID_POINTS, NORMALIZATION_TOL, SYMMETRY_TOL, UNIMODAL_TOL
-from jamgame.quadrature import PiecewiseIntegrand, integrate
+from jamgame.quadrature import DEFAULT_TOL, PiecewiseIntegrand, integrate
 
 # Benchmark record: the published table of stationary points for the Gaussian
 # game with c = d = 1 (sigma2 -> (alpha, beta, xhat0, xhat1), 4 decimals),
@@ -103,18 +103,45 @@ def bimodal_table():
     return x, f
 
 
+def support(d):
+    """(R, breakpoints): the oracle integrates ``d`` over [-R, R], split at
+    the points where the density is not smooth. A table gives its own
+    support and inner knots; the Gaussian 10 sigma and none; the Laplace 40
+    b and its kink at 0, since its tails would leave ~5e-5 of the mass
+    outside 10 sigma."""
+    if d.family == "tabulated":
+        return d.truncation_radius, d.breakpoints
+    return {"gaussian": (10.0 * d.scale, ()), "laplace": (40.0 * d.scale, (0.0,))}[d.family]
+
+
+def expectation(d, g, kinks=(), tol=DEFAULT_TOL):
+    """The quadrature oracle: E[g(X)] for X ~ d over [-R, R] of ``support``,
+    by adaptive Gauss-Kronrod split at ``kinks`` (breakpoints of g) and at
+    the density's own. ``g`` is vectorized and may return a row of values
+    per point, each integrated over shared nodes."""
+    R, breakpoints = support(d)
+
+    def integrand(x):
+        vals = np.asarray(g(x), dtype=float)
+        w = d.pdf(x)
+        return vals * (w[:, None] if vals.ndim == 2 else w)
+
+    domain = PiecewiseIntegrand(integrand, tuple(kinks) + tuple(breakpoints), (-R, R))
+    return integrate(domain, tol=tol).value
+
+
 def closed_form_violations(d):
     """The admissibility tests a table passes at construction, run on a
     closed-form density, which nothing checks at run time: symmetry to
     SYMMETRY_TOL of the peak, unimodality to UNIMODAL_TOL and positivity on
-    a CHECK_GRID_POINTS grid of [0, R] plus the breakpoints, and the mass
-    over [-R, R] within NORMALIZATION_TOL below 1 and 1e-12 above it.
-    Returns the names of the failed tests and that mass."""
-    R = d.truncation_radius
+    a CHECK_GRID_POINTS grid of [0, R] plus the breakpoints of ``support``,
+    and the mass over [-R, R] within NORMALIZATION_TOL below 1 and 1e-12
+    above it. Returns the names of the failed tests and that mass."""
+    R, breakpoints = support(d)
     t = np.unique(np.concatenate([np.linspace(0.0, R, CHECK_GRID_POINTS),
-                                  np.abs(np.asarray(d.breakpoints, dtype=float))]))
+                                  np.abs(np.asarray(breakpoints, dtype=float))]))
     fp, fm = d.pdf(t), d.pdf(-t)
-    mass = integrate(PiecewiseIntegrand(d.pdf, d.breakpoints, (-R, R)),
+    mass = integrate(PiecewiseIntegrand(d.pdf, breakpoints, (-R, R)),
                      tol=min(1e-10, NORMALIZATION_TOL / 10)).value
     failed = {
         "symmetry": np.any(np.abs(fp - fm) > np.max(fp) * SYMMETRY_TOL),

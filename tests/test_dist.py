@@ -6,7 +6,6 @@ from scipy.interpolate import PchipInterpolator
 
 from jamgame import (
     Tabulated,
-    expectation,
     gaussian,
     laplace,
 )
@@ -18,7 +17,9 @@ from conftest import (
     closed_form_violations,
     exp_power_knots,
     exp_power_table,
+    expectation,
     gaussian_table_csv,
+    support,
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -82,7 +83,7 @@ def test_gaussian_tail_closed_form_matches_quadrature(sigma2):
     d = gaussian(sigma2)
     for t in (0.0, 0.5, 1.0, 2.0, 4.0):
         quad = integrate(
-            PiecewiseIntegrand(lambda x: x * x * d.pdf(x), (), (t, d.truncation_radius)),
+            PiecewiseIntegrand(lambda x: x * x * d.pdf(x), (), (t, support(d)[0])),
             tol=1e-12,
         ).value
         assert d.tail_second_moment(t) == pytest.approx(2.0 * quad, abs=1e-9)
@@ -578,10 +579,30 @@ def test_tabulated_input_validation():
         Tabulated(x, shifted)
 
 
+@pytest.mark.parametrize("s,mass_side", [(50, None), (100, 1), (300, -1)],
+                         ids=["s50-accepted", "s100-above-1", "s300-below-1"])
+def test_normalization_check_decisions(s, mass_side):
+    # a peak at 0 whose neighbouring knots sit e^-s below it: the check
+    # accepts the interpolated mass at s = 50 and refuses it at s = 100
+    # (1.000000000029) and s = 300 (0.999999943748); s = 80, at 1 + 3e-12,
+    # would sit next to the limit
+    x = np.array([-100.0, -1.0, 0.0, 1.0, 100.0])
+    f = np.exp(-np.array([s + 100.0, s, 0.0, s, s + 100.0]))
+    if mass_side is None:
+        Tabulated(x, f)
+        return
+    with pytest.raises(InadmissibleDistributionError) as err:
+        Tabulated(x, f)
+    [(kind, _, detail)] = err.value.violations
+    mass = float(detail.rpartition("= ")[2])
+    assert kind == "normalization" and (mass - 1.0) * mass_side > 1e-12
+
+
 def test_truncation_defaults():
-    assert gaussian(4.0).truncation_radius == pytest.approx(20.0)
-    # Laplace tails are fat: 10 scales would leave ~5e-5 of mass out
-    assert laplace(scale=1.0).truncation_radius == pytest.approx(40.0)
+    # the oracle's domain: 10 sigma for the Gaussian, 40 b and the kink at 0
+    # for the Laplace, whose fat tails would leave ~5e-5 of mass out of 10 b
+    assert support(gaussian(4.0)) == (pytest.approx(20.0), ())
+    assert support(laplace(scale=1.0)) == (pytest.approx(40.0), (0.0,))
 
 
 def test_tabulated_cdf_table_matches_adaptive_reference():

@@ -3,10 +3,11 @@
 The reference below is the pointwise formulation of the reduced game: the
 min (Jt) and max (G) of the transmit and silent branch costs and their
 branch-selected parameter derivatives, integrated against the density by
-``jamgame.quadrature.expectation``, which splits at the finite ends of
-the silent interval and at the density's own breakpoints. The kernel
-instead dots quadratic coefficients with truncated moments. The
-hypothesis profile is derandomised, so every run draws the same cases.
+the tests' quadrature oracle ``conftest.expectation``, which splits at
+the finite ends of the silent interval and at the density's own
+breakpoints. The kernel instead dots quadratic coefficients with
+truncated moments. The hypothesis profile is derandomised, so every run
+draws the same cases.
 """
 
 import math
@@ -21,7 +22,6 @@ from jamgame import (
     ReactivePoint,
     Tabulated,
     evaluate,
-    expectation,
     gaussian,
     jam_marginal,
     laplace,
@@ -30,6 +30,8 @@ from jamgame import (
     threshold_policy,
 )
 from jamgame.reactive import _second_order
+
+from conftest import expectation, support
 
 KERNEL_TOL = 1e-12
 QUAD_TOL = 1e-13
@@ -165,7 +167,7 @@ def test_partial_moments_match_quadrature(family):
             if not lo < hi:
                 assert np.all(got == 0.0)
                 continue
-            R = dist.truncation_radius
+            R, _ = support(dist)
             inside = lambda x: ((x > lo) & (x < hi)).astype(float)
             ref = [expectation(dist, lambda x, k=k: inside(x) * x**k,
                                kinks=[e for e in (lo, hi) if abs(e) < R], tol=QUAD_TOL)
@@ -208,7 +210,7 @@ def _hessian_error(inst, z, h=1e-6):
     no longer convex in x."""
     jt, hess = _second_order(inst, *z)
     assert jt == evaluate(inst, *z)[0]
-    s, R = inst.dist.scale, inst.dist.truncation_radius
+    s, R = inst.dist.scale, support(inst.dist)[0]
     steps = [h * s] * 2 + [h] * 2
     ks = [(0, -1, -2) if j == 3 and z[3] == 1.0 else (1, -1) for j in range(4)]
 
@@ -281,6 +283,6 @@ def test_hessian_at_the_edges(edge):
     family, c, d, (u0, u1), theta, holds = HESSIAN_EDGES[edge]
     dist = FAMILIES[family](2.0)
     z = (u0 * dist.scale, u1 * dist.scale, *theta)
-    assert holds(*silent_interval(z[:2], z[2:], c, d), dist.truncation_radius)
+    assert holds(*silent_interval(z[:2], z[2:], c, d), support(dist)[0])
     err = _hessian_error(GameInstance(dist, c, d), z)
     assert err is not None and err <= HESSIAN_TOL

@@ -11,7 +11,9 @@ scipy module. Only ``cli`` formats artifacts: ``reactive``,
 ``nonsensing`` and ``simulate`` import neither ``json`` nor ``csv``
 (``dist`` reads a table with ``csv``), call no builtin ``open``, and hold
 no artifact header; ``simulate`` hands its traced draws to a sink, which
-the command line formats as the event-trace CSV.
+the command line formats as the event-trace CSV. The adaptive quadrature
+engine has one caller in the package, the table normalization check in
+``dist``, and the ``jamgame`` namespace does not export it.
 """
 
 import ast
@@ -21,6 +23,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import jamgame
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "jamgame"
 LAYERS = ("quadrature", "dist", "reactive", "nonsensing", "simulate", "cli")
@@ -69,6 +73,15 @@ def test_reactive_imports_only_dist():
 @pytest.mark.parametrize("name", LAYERS)
 def test_imports_run_one_way(name):
     assert _module_imports(name) <= set(LAYERS[:LAYERS.index(name)])
+
+
+def test_only_dist_imports_quadrature():
+    modules = sorted(p.stem for p in SRC.glob("*.py"))
+    assert [m for m in modules if "quadrature" in _module_imports(m)] == ["dist"]
+
+
+def test_namespace_exports_no_quadrature_engine():
+    assert {"PiecewiseIntegrand", "expectation", "integrate"}.isdisjoint(vars(jamgame))
 
 
 def _imported_modules(node: ast.AST) -> list[str]:

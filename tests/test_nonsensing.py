@@ -10,7 +10,6 @@ from jamgame import (
     PolicyBundle,
     Regime,
     Tabulated,
-    expectation,
     gaussian,
     jam_marginal,
     laplace,

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from jamgame import expectation, gaussian
+from jamgame import gaussian
 from jamgame.quadrature import (
     AccuracyWarning,
     IntegrationError,
     PiecewiseIntegrand,
     integrate,
 )
+
+from conftest import expectation, support
 
 log = logging.getLogger(__name__)
 
@@ -34,7 +36,8 @@ def test_gauss_kronrod_polynomial_exactness():
 
 def test_integrate_density_normalization():
     d = gaussian(1.0)
-    r = integrate(PiecewiseIntegrand(d.pdf, (), (-d.truncation_radius, d.truncation_radius)))
+    R, _ = support(d)
+    r = integrate(PiecewiseIntegrand(d.pdf, (), (-R, R)))
     assert r.value == pytest.approx(1.0, abs=1e-10)
     assert r.error <= 1e-10
 

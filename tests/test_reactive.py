@@ -17,7 +17,6 @@ from jamgame import (
     Tabulated,
     Termination,
     certify_fne,
-    expectation,
     gaussian,
     jam_marginal,
     laplace,
@@ -32,11 +31,11 @@ from jamgame.reactive import (
     TraceRow,
     _ascend,
     _ccp_xhat,
+    _residuals,
     default_init,
-    lp_ascent_gap,
 )
 
-from conftest import TABLE1, exp_power_table, f_quadratic, g_row, jt_row
+from conftest import TABLE1, exp_power_table, expectation, f_quadratic, g_row, jt_row
 
 
 def fd_gradient(f, x, h=1e-5):
@@ -380,14 +379,14 @@ class TestCertification:
         for _ in range(50):
             q = rng.normal(size=2)
             theta = rng.uniform(0, 1, 2)
-            gap = lp_ascent_gap(q, theta)
+            gap = _residuals([0.0, 0.0, 0.0, *q], *theta, 1.0)[1]
             vertices = [(i, j) for i in (0.0, 1.0) for j in (0.0, 1.0)]
             best = max(q[0] * (v0 - theta[0]) + q[1] * (v1 - theta[1]) for v0, v1 in vertices)
             assert gap == pytest.approx(best, abs=1e-12)
             assert gap >= -1e-15
 
     def test_zero_gradients_certify(self):
-        assert lp_ascent_gap((0.0, 0.0), (0.4, 0.6)) == 0.0
+        assert _residuals([0.0] * 5, 0.4, 0.6, 1e-5) == (0.0, 0.0, True)
 
     def test_solver_point_certifies(self, g1, pga_g1):
         point, _, cert = pga_g1
@@ -776,7 +775,8 @@ def _gap_terms(jt, theta):
 class TestLoopResiduals:
     """The loop carries its residuals as floats: the returned certificate
     and every trace row's grad_xhat_norm and lp_gap are bit for bit those
-    of ``_certificate`` on the kernel's row at the same point."""
+    of ``certify_fne`` at the same point, which evaluates the kernel's row
+    there afresh."""
 
     # the far-tail instance certifies at theta = (0, 0) with both gap terms
     # -0.0, and its second run starts there with both terms -0.0; all GDA
@@ -793,7 +793,7 @@ class TestLoopResiduals:
 
     @staticmethod
     def reference(inst, xhat, theta, eps):
-        return reactive._certificate(reactive.evaluate(inst, *xhat, *theta)[0], theta, eps)
+        return certify_fne(inst, ReactivePoint(xhat, theta), eps)
 
     @pytest.mark.parametrize("ccp", [True, False], ids=["pga-ccp", "gda"])
     def test_certificate_and_rows_match_certificate_bits(self, ccp):

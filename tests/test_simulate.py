@@ -14,7 +14,6 @@ from jamgame import (
     analytic_cost,
     bundle_from_nonsensing,
     bundle_from_reactive,
-    expectation,
     gaussian,
     laplace,
     silent_interval,
@@ -32,7 +31,7 @@ from jamgame.cli import (
 )
 from jamgame.simulate import TRACE_LIMIT, SimResult
 
-from conftest import TABLE1, exp_power_table, jt_row, traced_simulate
+from conftest import TABLE1, exp_power_table, expectation, jt_row, traced_simulate
 
 # the package exports the function under the module's name, so
 # ``import jamgame.simulate as m`` binds the function; this is the module
