@@ -11,7 +11,13 @@ count and one sha256 over each operation's argv, exit code, stdout, stderr
 and output files, and under that line the same two for each operation
 kind, so a change in output bits can be traced to the kinds that moved,
 then the number of ``.json`` output files that are not RFC 8259 JSON (a
-bare ``Infinity`` or ``NaN`` token, say).
+bare ``Infinity`` or ``NaN`` token, say), then, as one JSON line, the
+operation count and the calls that the operations make (not those of the
+output checks) of the solver kernels ``reactive.evaluate``,
+``reactive._second_order`` and ``reactive._newton_jump`` (and the jumps
+that land), and of the table methods ``Tabulated._cumulative`` and
+``Tabulated.pdf``; the ``pdf`` calls made while a table is built (its
+admissibility tests) are counted apart.
 The temporary directory that holds the inputs and outputs is replaced by a
 fixed token wherever it appears, so two checkouts whose program behaves
 the same print the same digests. Exits 1 if any operation fails its own
@@ -38,6 +44,8 @@ from pathlib import Path
 
 WORKLOADS = ("reactive-solve", "nonsensing-sweep", "simulate-mc")
 TOKEN = b"<workdir>"
+KERNELS = ("evaluate", "second_order", "newton_jump", "newton_jump_landed",
+           "cumulative", "pdf", "pdf_building_table", "tables_built")
 
 
 def _feed(h, data: bytes) -> None:
@@ -71,6 +79,68 @@ def _run(cli, argv: list[str]) -> tuple[int, str, str]:
     return rc, out.getvalue(), err.getvalue()
 
 
+class Counter:
+    """Wraps the counted functions while entered and adds their calls to
+    ``counts``, a dict with a zero for each of ``KERNELS``."""
+
+    def __init__(self, counts: dict[str, int]):
+        self.counts = counts
+        self._building = 0
+        self._undo: list[tuple[object, str, object]] = []
+
+    def _patch(self, owner, name: str, wrapper) -> None:
+        self._undo.append((owner, name, owner.__dict__[name]))
+        setattr(owner, name, wrapper)
+
+    def _counted(self, key: str, fn):
+        def wrapped(*args, **kwargs):
+            self.counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def __enter__(self):
+        from jamgame import dist, reactive
+
+        evaluate, jump = reactive.evaluate, reactive._newton_jump
+        init, pdf = dist.Tabulated.__init__, dist.Tabulated.pdf
+        counted_evaluate = self._counted("evaluate", evaluate)
+        # every module that bound evaluate by name calls it through its own copy
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "jamgame" and getattr(module, "evaluate", None) is evaluate:
+                self._patch(module, "evaluate", counted_evaluate)
+        self._patch(reactive, "_second_order",
+                    self._counted("second_order", reactive._second_order))
+
+        def newton_jump(*args, **kwargs):
+            self.counts["newton_jump"] += 1
+            landed = jump(*args, **kwargs)
+            self.counts["newton_jump_landed"] += landed is not None
+            return landed
+
+        def build(table, *args, **kwargs):
+            self.counts["tables_built"] += 1
+            self._building += 1
+            try:
+                init(table, *args, **kwargs)
+            finally:
+                self._building -= 1
+
+        def table_pdf(table, x):
+            self.counts["pdf_building_table" if self._building else "pdf"] += 1
+            return pdf(table, x)
+
+        self._patch(reactive, "_newton_jump", newton_jump)
+        self._patch(dist.Tabulated, "__init__", build)
+        self._patch(dist.Tabulated, "pdf", table_pdf)
+        self._patch(dist.Tabulated, "_cumulative",
+                    self._counted("cumulative", dist.Tabulated._cumulative))
+        return self
+
+    def __exit__(self, *exc):
+        for owner, name, original in reversed(self._undo):
+            setattr(owner, name, original)
+
+
 class Tally:
     """Operation count and running sha256 over each operation's chunks."""
 
@@ -97,19 +167,22 @@ def _strict_json(data: bytes) -> bool:
 
 
 def digest(cli, wl, workload: str, seed: int,
-           seconds: float) -> tuple[Tally, dict[str, Tally], list[str], int]:
-    """The tally of one workload's deck set, the tally of each operation
-    kind in it, the failed checks and the count of non-strict JSON outputs."""
-    total, kinds, failures, non_strict = Tally(), {}, [], 0
+           decks: int) -> tuple[Tally, dict[str, Tally], dict[str, int], list[str], int]:
+    """The tally of the first ``decks`` decks of a workload for the seed,
+    the tally of each operation kind in them, the kernel counts (with the
+    operation count under ``"ops"``), the failed checks and the count of
+    non-strict JSON outputs."""
+    total, kinds, counts, failures, non_strict = Tally(), {}, dict.fromkeys(KERNELS, 0), [], 0
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         here = str(workdir).encode()
         inputs = wl.Inputs(workdir, seed)
-        for deck in range(wl.decks_per_run(workload, seconds)):
+        for deck in range(decks):
             for op in wl.DECKS[workload](seed, deck, inputs):
                 for f in op.files:
                     Path(f).unlink(missing_ok=True)
-                rc, stdout, stderr = _run(cli, op.argv)
+                with Counter(counts):  # the program's calls only, not those of the output check
+                    rc, stdout, stderr = _run(cli, op.argv)
                 reason, _ = op.check(rc, stderr, inputs)
                 if reason is not None:
                     failures.append(f"[{op.kind}] {' '.join(op.argv)}\n    -> {reason}")
@@ -126,7 +199,7 @@ def digest(cli, wl, workload: str, seed: int,
                 chunks = [chunk.replace(here, TOKEN) for chunk in chunks]
                 total.add(chunks)
                 kinds.setdefault(op.kind, Tally()).add(chunks)
-    return total, kinds, failures, non_strict
+    return total, kinds, {"ops": total.count, **counts}, failures, non_strict
 
 
 def main() -> int:
@@ -140,11 +213,13 @@ def main() -> int:
     cli, wl = _load(args.checkout)
     failed = 0
     for workload in WORKLOADS:
-        total, kinds, failures, non_strict = digest(cli, wl, workload, args.seed, seconds)
+        total, kinds, counts, failures, non_strict = digest(
+            cli, wl, workload, args.seed, wl.decks_per_run(workload, seconds))
         print(f"{workload:18s} {total.count:4d} ops  sha256 {total.hash.hexdigest()}")
         for kind, tally in sorted(kinds.items()):
             print(f"  {kind:34s} {tally.count:4d} ops  sha256 {tally.hash.hexdigest()}")
         print(f"  non-strict JSON outputs {non_strict}")
+        print(f"  kernel calls {json.dumps(counts)}")
         sys.stdout.flush()
         for line in failures:
             print(f"  check failed: {line}")
